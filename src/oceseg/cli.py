@@ -135,8 +135,11 @@ def _prepare_image(arr, config) -> np.ndarray:
 
 
 def _load_labels_dir(path):
-    """Accept either a dataset root (with labels/) or a flat directory of .ocet."""
+    """Accept a dataset root (images/ and labels/), a ``segment`` output root
+    (labels/ only) or a flat directory of .ocet."""
     if os.path.isdir(os.path.join(path, "labels")):
+        if not os.path.isdir(os.path.join(path, "images")):
+            return _load_labels_dir(os.path.join(path, "labels"))
         stems, _, labels = dataio.load_dataset(path)
         if labels is None:
             raise FormatError(f"{path} has no labels")

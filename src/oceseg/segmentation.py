@@ -37,6 +37,9 @@ class SegmenterConfig:
             raise ValueError("bandwidth must be positive")
         if not 0 <= self.shrink_distance <= 6:
             raise ValueError("shrink_distance must be in [0, 6]")
+        size = self.min_instance_size
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+            raise ValueError(f"min_instance_size must be an integer >= 0, got {size!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,10 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
     Seeds are the per-bin means of a bandwidth-sized grid; each seed climbs
     to the mean of in-bandwidth points until the shift drops below
     1e-3 * bandwidth.  Converged modes closer than the bandwidth merge,
-    keeping the mode with larger support; points go to their nearest mode.
+    keeping the mode with larger support; points go to their nearest mode
+    by the squared distance ``((p - m) ** 2).sum()``, and a point equally
+    near several modes goes to the one with the lowest index, as
+    ``np.argmin`` over all modes would choose.
 
     Returns (modes (M, 2), assignment (N,)).
     """
@@ -211,21 +217,48 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
         if members is None:
             continue
         modes.append(pos)
-        supports.append(len(np.sort(tree.query_ball_point(pos, bandwidth))))
+        supports.append(tree.query_ball_point(pos, bandwidth, return_length=True))
     modes = np.asarray(modes)
     supports = np.asarray(supports)
 
     # merge near-duplicate modes, larger support first
     rank = np.lexsort((modes[:, 1], modes[:, 0], -supports))
-    kept: list[np.ndarray] = []
+    kept = np.empty_like(modes)
+    n_kept = 0
     for i in rank:
-        if all(np.hypot(*(modes[i] - m)) >= bandwidth for m in kept):
-            kept.append(modes[i])
-    modes = np.asarray(kept)
+        diff = modes[i] - kept[:n_kept]
+        if (np.hypot(diff[:, 0], diff[:, 1]) >= bandwidth).all():
+            kept[n_kept] = modes[i]
+            n_kept += 1
+    modes = kept[:n_kept]
+    return modes, _nearest_mode(pts, modes)
 
-    d2 = ((pts[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
-    assignment = np.argmin(d2, axis=1)
-    return modes, assignment
+
+def _nearest_mode(pts, modes) -> np.ndarray:
+    """argmin over modes of ``((p - m) ** 2).sum()`` for every point, lowest
+    index on exact ties, without the dense (N, M) table.
+
+    A KD-tree over the modes gives three candidates per point, which are
+    rechecked with the dense formula.  Every other mode is at least the
+    third tree distance away; a point whose best candidate does not clear
+    that bound by a margin far above rounding is rechecked against all
+    modes, 4096 points at a time.
+    """
+    n, m = len(pts), len(modes)
+    k = min(3, m)
+    dist, cand = cKDTree(modes).query(pts, k=k)
+    dist = dist.reshape(n, k)
+    cand = cand.reshape(n, k)
+    d2 = ((pts[:, None, :] - modes[cand]) ** 2).sum(axis=2)
+    best = d2.min(axis=1)
+    assignment = np.where(d2 == best[:, None], cand, m).min(axis=1)
+    if k < m:
+        unsure = np.flatnonzero(best >= dist[:, -1] ** 2 * (1 - 1e-9))
+        for start in range(0, len(unsure), 4096):
+            rows = unsure[start:start + 4096]
+            dense = ((pts[rows, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+            assignment[rows] = np.argmin(dense, axis=1)
+    return assignment
 
 
 def mean_shift_reference(points, bandwidth: float, max_iter: int = 300):
@@ -290,8 +323,7 @@ def _relabel_consecutive(labels: np.ndarray) -> np.ndarray:
     ids = np.unique(labels)
     ids = ids[ids > 0]
     lut = np.zeros(int(labels.max()) + 1 if labels.size else 1, dtype=np.int32)
-    for rank, ident in enumerate(ids, start=1):
-        lut[ident] = rank
+    lut[ids] = np.arange(1, len(ids) + 1)
     return lut[labels]
 
 
@@ -315,15 +347,20 @@ def segment(field, foreground, config: SegmenterConfig) -> np.ndarray:
     labels[fg] = assignment.astype(np.int32) + 1
     if config.min_instance_size > 1:
         counts = np.bincount(labels.ravel())
-        small = np.flatnonzero(counts < config.min_instance_size)
-        labels[np.isin(labels, small[small > 0])] = 0
+        labels[counts[labels] < config.min_instance_size] = 0
     if config.connectivity_relabel:
+        # components are numbered per id in raster order of their first
+        # pixel, and raster order inside a bounding box is raster order in
+        # the image, so labelling each id on its box changes no number
         out = np.zeros_like(labels)
         nxt = 0
         structure = np.ones((3, 3), np.int32)
-        for ident in np.unique(labels[labels > 0]):
-            comp, ncomp = ndimage.label(labels == ident, structure=structure)
-            out[comp > 0] = comp[comp > 0] + nxt
+        for ident, box in enumerate(ndimage.find_objects(labels), start=1):
+            if box is None:
+                continue
+            comp, ncomp = ndimage.label(labels[box] == ident, structure=structure)
+            inside = comp > 0
+            out[box][inside] = comp[inside] + nxt
             nxt += ncomp
         labels = out
     return _relabel_consecutive(labels)
@@ -332,16 +369,32 @@ def segment(field, foreground, config: SegmenterConfig) -> np.ndarray:
 def shrink_instances(labels, distance: float) -> np.ndarray:
     """Erode every instance by ``distance``: keep pixels strictly farther than
     ``distance`` from the instance's complement.  Zero distance is the
-    identity; fully eroded instances disappear."""
+    identity; fully eroded instances disappear.
+
+    The image edge is not background: scipy's distance transform measures
+    only to complement pixels inside the array, so an instance touching the
+    edge is not eroded from that side.  Each instance's transform runs on
+    its bounding box grown by one pixel and clipped to the image, which
+    gives the same distances as a whole-image transform: a complement pixel
+    outside the grown box, clamped into it, lands on the one-pixel ring
+    around the bounding box, which is complement too and no farther away.
+    Clipping (not padding) keeps the edge rule.  No instance's erosion
+    touches another instance's pixels, so the order of instances does not
+    matter.
+    """
     if distance < 0:
         raise ValueError("distance must be non-negative")
     lab = np.asarray(labels).astype(np.int32, copy=True)
     if distance == 0:
         return lab
-    for ident in np.unique(lab[lab > 0]):
-        mask = lab == ident
-        edt = ndimage.distance_transform_edt(mask)
-        lab[mask & (edt <= distance)] = 0
+    for ident, box in enumerate(ndimage.find_objects(lab), start=1):
+        if box is None:
+            continue
+        grown = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, n))
+                      for s, n in zip(box, lab.shape))
+        sub = lab[grown]
+        mask = sub == ident
+        sub[mask & (ndimage.distance_transform_edt(mask) <= distance)] = 0
     return _relabel_consecutive(lab)
 
 

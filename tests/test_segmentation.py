@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from oceseg import ModelConfig, ShapeError, init_params, predict_full
+from oceseg import ModelConfig, SceneSpec, ShapeError, init_params, predict_full, synth_generate
 from oceseg import segmentation
 
 
@@ -41,3 +44,212 @@ def test_predict_full_rejects_bad_tile(small_params, tile):
     img = np.zeros((1, 60, 60), np.float32)
     with pytest.raises(ShapeError, match="tile"):
         predict_full(small_params, img, tile=tile)
+
+
+# ---------------------------------------------------------------------------
+# Mean shift
+
+def _blob_cloud(rng, n_blobs, per_blob, spacing, sigma):
+    side = int(np.ceil(np.sqrt(n_blobs)))
+    grid = np.argwhere(np.ones((side, side)))[:n_blobs] * spacing
+    centers = grid + rng.uniform(-spacing / 4, spacing / 4, size=grid.shape)
+    return (np.repeat(centers, per_blob, axis=0)
+            + rng.normal(0.0, sigma, size=(n_blobs * per_blob, 2)))
+
+
+def _assert_same_mean_shift(points, bandwidth):
+    modes, assignment = segmentation.mean_shift(points, bandwidth)
+    ref_modes, ref_assignment = segmentation.mean_shift_reference(points, bandwidth)
+    assert modes.dtype == ref_modes.dtype and assignment.dtype == ref_assignment.dtype
+    assert np.array_equal(modes, ref_modes)
+    assert np.array_equal(assignment, ref_assignment)
+    return modes, assignment
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("bandwidth", [2.5, 6.0, 15.0])
+def test_mean_shift_matches_reference_on_float_clouds(seed, bandwidth):
+    rng = np.random.default_rng(seed)
+    blobs = _blob_cloud(rng, 12, 40, 20.0, 2.5)
+    scatter = rng.uniform(-10.0, 80.0, size=(60, 2))
+    modes, _ = _assert_same_mean_shift(np.concatenate([blobs, scatter]), bandwidth)
+    assert len(modes) > 1
+
+
+@pytest.mark.parametrize("side, step, bandwidth", [(24, 2, 2.5), (25, 3, 5.0), (16, 2, 2.5)])
+def test_mean_shift_matches_reference_on_lattice_ties(side, step, bandwidth):
+    rows, cols = np.mgrid[0:side, 0:side]
+    points = np.stack([rows.ravel(), cols.ravel()], axis=1).astype(np.float64) * step
+    modes, assignment = _assert_same_mean_shift(points, bandwidth)
+    d2 = ((points[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+    tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) >= 2
+    assert tied.sum() >= 40  # the case really has exact equidistant points
+    assert np.array_equal(assignment, np.argmin(d2, axis=1))
+
+
+def test_mean_shift_single_point():
+    modes, assignment = _assert_same_mean_shift(np.array([[3.25, -7.5]]), 4.0)
+    assert np.array_equal(modes, [[3.25, -7.5]])
+    assert np.array_equal(assignment, [0])
+
+
+def test_nearest_mode_keeps_lowest_index_beyond_candidates():
+    # twelve modes at distance exactly 5 from the origin, more than the
+    # k-d tree candidates, plus four-way ties at the centres of a mode grid
+    ring = np.array([(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (4, 3),
+                     (-3, 4), (-4, 3), (3, -4), (4, -3), (-3, -4), (-4, -3)], np.float64)
+    grid = np.argwhere(np.ones((4, 4))).astype(np.float64) * 6 + 20
+    rng = np.random.default_rng(5)
+    points = np.concatenate([
+        [[0.0, 0.0]],
+        np.argwhere(np.ones((3, 3))) * 6 + 23.0,
+        rng.uniform(-8.0, 45.0, size=(200, 2)),
+    ])
+    for _ in range(10):  # the tree's pick among tied modes follows their order
+        modes = rng.permutation(np.concatenate([ring, grid]))
+        d2 = ((points[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+        got = segmentation._nearest_mode(points, modes)
+        assert np.array_equal(got, np.argmin(d2, axis=1))
+        assert got[0] == np.flatnonzero(np.abs(modes).sum(axis=1) <= 7).min()
+    assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) >= 4).sum() >= 10
+
+
+def test_mean_shift_memory_stays_bounded():
+    # 90k points around 300 modes: the dense (N, M, 2) float64 table would
+    # need 432 MB on its own
+    import tracemalloc
+
+    points = _blob_cloud(np.random.default_rng(7), 300, 300, 30.0, 2.0)
+    tracemalloc.start()
+    try:
+        modes, assignment = segmentation.mean_shift(points, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 250 <= len(modes) <= 350
+    assert len(assignment) == 90_000
+    assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
+
+
+# ---------------------------------------------------------------------------
+# Instances
+
+def _relabel(labels):
+    ids = np.unique(labels)
+    lut = np.zeros(int(labels.max()) + 1, np.int32)
+    lut[ids[ids > 0]] = np.arange(1, (ids > 0).sum() + 1)
+    return lut[labels]
+
+
+def _shrink_oracle(labels, distance):
+    """One whole-image distance transform per instance."""
+    lab = np.asarray(labels).astype(np.int32)
+    out = lab.copy()
+    for ident in np.unique(lab[lab > 0]):
+        mask = lab == ident
+        out[mask & (ndimage.distance_transform_edt(mask) <= distance)] = 0
+    return _relabel(out)
+
+
+def _connectivity_oracle(labels):
+    """Each spatially connected part of an id, labelled on the whole image."""
+    out = np.zeros_like(labels)
+    nxt = 0
+    for ident in np.unique(labels[labels > 0]):
+        comp, ncomp = ndimage.label(labels == ident, structure=np.ones((3, 3), np.int32))
+        out[comp > 0] = comp[comp > 0] + nxt
+        nxt += ncomp
+    return _relabel(out)
+
+
+def _same_partition(a, b):
+    fg = a > 0
+    if not np.array_equal(fg, b > 0):
+        return False
+    pairs = np.unique(np.stack([a[fg], b[fg]]), axis=1)
+    return pairs.shape[1] == len(np.unique(a[fg])) == len(np.unique(b[fg]))
+
+
+def _shrink_scenes():
+    rng = np.random.default_rng(3)
+    # a Voronoi partition: every instance touches others, many touch the edge
+    seeds = rng.uniform(0, 48, size=(9, 2))
+    rows, cols = np.indices((48, 40))
+    d2 = (rows[..., None] - seeds[:, 0]) ** 2 + (cols[..., None] - seeds[:, 1]) ** 2
+    voronoi = np.argmin(d2, axis=2).astype(np.int32) + 1
+    cut = voronoi.copy()
+    cut[20:23] = 0
+    # edge bands, a corner block, touching blocks and a spatially split id
+    mixed = np.zeros((40, 52), np.int32)
+    mixed[:4, :] = 1
+    mixed[-7:, -9:] = 2
+    mixed[10:22, 5:15] = 3
+    mixed[10:22, 15:24] = 4
+    mixed[12:18, 30:36] = 5
+    mixed[28:35, 2:9] = 5
+    mixed[6:40, 45:52] = 6
+    mixed[30:33, 20:23] = 9  # an id gap
+    return {
+        "voronoi": voronoi,
+        "voronoi_cut": cut,
+        "mixed": mixed,
+        "whole_image": np.full((9, 11), 4, np.int32),
+    }
+
+
+@pytest.mark.parametrize("distance", [0.5, 1.0, 1.5, 2.0, 3.0, 6.0])
+@pytest.mark.parametrize("scene", ["voronoi", "voronoi_cut", "mixed", "whole_image"])
+def test_shrink_instances_matches_whole_image_edt(scene, distance):
+    labels = _shrink_scenes()[scene]
+    got = segmentation.shrink_instances(labels, distance)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, _shrink_oracle(labels, distance))
+
+
+def test_segment_connectivity_relabel_matches_whole_image_loop():
+    rng = np.random.default_rng(11)
+    fg = np.zeros((80, 72), bool)
+    fg[4:76, 3:70] = rng.random((72, 67)) < 0.8
+    field = rng.uniform(-9.0, 9.0, size=(2,) + fg.shape).astype(np.float32)
+    config = segmentation.SegmenterConfig(bandwidth=4.0, min_instance_size=3)
+    clusters = segmentation.segment(field, fg, config)
+    split = segmentation.segment(field, fg, replace(config, connectivity_relabel=True))
+    assert split.max() > 2 * clusters.max()
+    assert np.array_equal(split, _connectivity_oracle(clusters))
+
+
+def _centroid_field(labels):
+    """Offsets from every foreground pixel to its instance centroid."""
+    rows, cols = np.indices(labels.shape, dtype=np.float64)
+    counts = np.maximum(np.bincount(labels.ravel()), 1)
+    center_r = np.bincount(labels.ravel(), weights=rows.ravel()) / counts
+    center_c = np.bincount(labels.ravel(), weights=cols.ravel()) / counts
+    fg = labels > 0
+    field = np.zeros((2,) + labels.shape, np.float32)
+    field[0][fg] = rows[fg] - center_r[labels[fg]]
+    field[1][fg] = cols[fg] - center_c[labels[fg]]
+    return field, fg
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_oracle_field_segments_back_to_ground_truth(seed):
+    spec = SceneSpec(height=252, width=252, n_objects=30, seed=seed)
+    _, gt = synth_generate(spec)
+    field, fg = _centroid_field(gt)
+    labels = segmentation.segment(field, fg, segmentation.SegmenterConfig(bandwidth=8.0))
+    assert labels.max() == gt.max() == 30
+    assert _same_partition(labels, gt)
+    # synthetic cells never touch, so each one shrinks as the foreground does
+    shrunk = segmentation.shrink_instances(labels, 3.0)
+    assert _same_partition(shrunk, np.where(ndimage.distance_transform_edt(fg) > 3.0, gt, 0))
+
+
+@pytest.mark.parametrize("size", ["abc", -1, 2.5, True, None])
+def test_segmenter_config_rejects_bad_min_instance_size(size):
+    with pytest.raises(ValueError, match="min_instance_size"):
+        segmentation.SegmenterConfig(min_instance_size=size)
+
+
+@pytest.mark.parametrize("size", [0, 1, np.int64(25)])
+def test_segmenter_config_accepts_min_instance_size(size):
+    assert segmentation.SegmenterConfig(min_instance_size=size).min_instance_size == size
