@@ -155,6 +155,33 @@ def test_labels_to_gray_distinct():
     assert len(vals) == 3 and 0 not in vals and gray[0, 0] == 0
 
 
+def test_labels_to_gray_exact_levels_with_id_gaps():
+    labels = np.array([[0, 7, 7], [3, 0, 12]], np.int32)
+    gray, maxval = labels_to_gray(labels)
+    assert maxval == 255 and gray.dtype == np.uint8
+    assert gray.tolist() == [[0, 170, 170], [85, 0, 255]]  # rank * 255 // 3
+
+
+@pytest.mark.parametrize("count, maxval, dtype", [(255, 255, np.uint8), (300, 65535, np.uint16)])
+def test_labels_to_gray_exact_levels_many_ids(count, maxval, dtype):
+    rng = np.random.default_rng(count)
+    ids = 3 * np.arange(1, count + 1) + 4  # gaps between all ids
+    labels = np.concatenate([ids, ids[::7], np.zeros(50, int)])
+    labels = rng.permutation(labels).astype(np.int32).reshape(1, -1)
+    gray, got_maxval = labels_to_gray(labels)
+    rank = np.searchsorted(ids, labels) + 1
+    expected = np.where(labels > 0, rank * maxval // count, 0)
+    assert got_maxval == maxval and gray.dtype == dtype
+    assert np.array_equal(gray, expected)
+
+
+def test_labels_to_gray_without_instances():
+    for labels in (np.zeros((3, 4), np.int32), np.zeros((0, 4), np.int32)):
+        gray, maxval = labels_to_gray(labels)
+        assert maxval == 255 and gray.dtype == np.uint8
+        assert gray.shape == labels.shape and not gray.any()
+
+
 # ---------------------------------------------------------------------------
 # normalization
 

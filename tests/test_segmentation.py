@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from oceseg import ModelConfig, SceneSpec, ShapeError, init_params, predict_full, synth_generate
+from oceseg import (
+    ModelConfig,
+    SceneSpec,
+    ShapeError,
+    generate_dataset,
+    init_params,
+    iou_matrix,
+    match_at_threshold,
+    predict_full,
+    scores_from_counts,
+    synth_generate,
+)
 from oceseg import segmentation
 
 
@@ -253,3 +264,62 @@ def test_segmenter_config_rejects_bad_min_instance_size(size):
 @pytest.mark.parametrize("size", [0, 1, np.int64(25)])
 def test_segmenter_config_accepts_min_instance_size(size):
     assert segmentation.SegmenterConfig(min_instance_size=size).min_instance_size == size
+
+
+# ---------------------------------------------------------------------------
+# Bandwidth search
+
+def _seg_oracle(gt, pred):
+    """SEG of one image: an object matches the prediction covering more than half of it."""
+    iou, overlap, gt_ids, _, gt_sizes, _ = iou_matrix(gt, pred)
+    total = 0.0
+    for g in range(len(gt_ids)):
+        covering = np.flatnonzero(overlap[g] * 2 > gt_sizes[g])
+        if len(covering):
+            total += float(iou[g, covering[0]])
+    return total / len(gt_ids)
+
+
+def _sweep_oracle(params, images, gt_labels, bandwidths, metric, seed, tile):
+    """The search written out: F1 from TP/FP/FN pooled over images, or the
+    mean of per-image SEG, for every bandwidth and shrink 0..6."""
+    rows = []
+    for bw in bandwidths:
+        config = segmentation.SegmenterConfig(bandwidth=bw)
+        base = []
+        for i, img in enumerate(images):
+            field = predict_full(params, img, tile=tile)
+            var = segmentation.embedding_variance(
+                params, img, rounds=config.noise_rounds,
+                fraction=config.noise_fraction, seed=seed + i, tile=tile,
+            )
+            base.append(segmentation.segment(field, segmentation.detect_foreground(var), config))
+        for s in range(7):
+            preds = [segmentation.shrink_instances(lab, s) for lab in base]
+            if metric == "f1":
+                tp = fp = fn = 0
+                for gt, pred in zip(gt_labels, preds):
+                    m = match_at_threshold(gt, pred, 0.5)
+                    tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
+                score = scores_from_counts(tp, fp, fn)["f1"]
+            else:
+                score = float(np.mean([_seg_oracle(gt, pred) for gt, pred in zip(gt_labels, preds)]))
+            rows.append((bw, float(s), score))
+    return rows
+
+
+@pytest.mark.parametrize("metric", ["f1", "seg"])
+def test_bandwidth_search_rows_match_oracle(small_params, metric):
+    spec = SceneSpec(height=64, width=64, n_objects=4, radius_range=(5.0, 8.0))
+    scenes = generate_dataset(spec, 2, seed=1)
+    images = [img for img, _ in scenes]
+    gts = [lab for _, lab in scenes]
+    bandwidths = [8.0, 12.0]
+    best_bw, best_s, rows = segmentation.bandwidth_search(
+        small_params, images, gts, bandwidths, metric=metric, seed=3, tile=64,
+    )
+    expected = _sweep_oracle(small_params, images, gts, bandwidths, metric, 3, 64)
+    assert rows == expected
+    assert len({score for _, _, score in rows}) > 2  # the scores are not all alike
+    top = max(score for _, _, score in rows)
+    assert (best_bw, best_s) == next((bw, s) for bw, s, score in rows if score == top)
