@@ -16,10 +16,12 @@ from .autodiff import (
     relu,
     upsample_nearest2,
 )
+from .data import relabel_consecutive
 from .errors import (
     ConfigError,
     DegenerateError,
     FormatError,
+    LabelError,
     PlacementError,
     ShapeError,
 )
@@ -31,7 +33,6 @@ from .metrics import (
     iou_matrix,
     match_at_threshold,
     scores_from_counts,
-    seg_score,
     seg_score_dataset,
     threshold_sweep,
 )
@@ -57,7 +58,6 @@ from .segmentation import (
     detect_foreground,
     embedding_variance,
     mean_shift,
-    mean_shift_reference,
     otsu_threshold,
     predict_full,
     salt_pepper,

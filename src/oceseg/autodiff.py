@@ -91,25 +91,24 @@ class TapeNode:
         self.backward = backward
 
 
-_active_tape: Optional["Tape"] = None
-
-
 class Tape:
-    """Records op nodes for one forward pass; confined to a single thread."""
+    """Records op nodes for one forward pass.
+
+    The active tape is per thread: each thread can record under its own
+    ``with Tape()`` block, and nesting within one thread is an error.
+    """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
 
     def __enter__(self) -> "Tape":
-        global _active_tape
-        if _active_tape is not None:
+        if getattr(_tls, "tape", None) is not None:
             raise RuntimeError("a tape is already active")
-        _active_tape = self
+        _tls.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _active_tape
-        _active_tape = None
+        _tls.tape = None
         return False
 
     def backward(self, loss: Tensor) -> None:
@@ -122,8 +121,9 @@ class Tape:
 
 
 def _record(op: str, inputs: Sequence[Tensor], backward: Callable[[], None]) -> None:
-    if _active_tape is not None:
-        _active_tape.nodes.append(TapeNode(op, inputs, backward))
+    tape = getattr(_tls, "tape", None)
+    if tape is not None:
+        tape.nodes.append(TapeNode(op, inputs, backward))
 
 
 def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

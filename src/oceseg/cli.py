@@ -27,6 +27,7 @@ from .metrics import format_score_table, seg_score_dataset, threshold_sweep
 from .network import (
     ModelConfig,
     TrainConfig,
+    TrainResult,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -110,16 +111,15 @@ def _echo_config(out_dir, command, seed, options, config) -> None:
     )
 
 
-def _model_config(config) -> ModelConfig:
-    return ModelConfig(**config["model"])
-
-
-def _loss_config(config) -> LossConfig:
-    return LossConfig(**config["loss"])
-
-
-def _segmenter_config(config) -> SegmenterConfig:
-    return SegmenterConfig(**config["segment"])
+def _emit_table(name, table, command, seed, options, config) -> None:
+    """Print ``table``; with ``--out`` also write ``<out>/<name>.tsv`` and the
+    config echo."""
+    if options["out"]:
+        os.makedirs(options["out"], exist_ok=True)
+        with open(os.path.join(options["out"], name + ".tsv"), "w", encoding="utf-8") as fh:
+            fh.write(table)
+        _echo_config(options["out"], command, seed, options, config)
+    sys.stdout.write(table)
 
 
 def _prepare_image(arr, config) -> np.ndarray:
@@ -135,23 +135,13 @@ def _prepare_image(arr, config) -> np.ndarray:
 
 
 def _load_labels_dir(path):
-    """Accept a dataset root (images/ and labels/), a ``segment`` output root
-    (labels/ only) or a flat directory of .ocet."""
+    """Label masks by stem from the labels/ of a dataset or ``segment`` output
+    root, or from a flat directory of .ocet files."""
     if os.path.isdir(os.path.join(path, "labels")):
-        if not os.path.isdir(os.path.join(path, "images")):
-            return _load_labels_dir(os.path.join(path, "labels"))
-        stems, _, labels = dataio.load_dataset(path)
-        if labels is None:
-            raise FormatError(f"{path} has no labels")
-        return dict(zip(stems, labels))
+        path = os.path.join(path, "labels")
     if not os.path.isdir(path):
         raise FormatError(f"{path} is not a directory")
-    stems = sorted(os.path.splitext(f)[0] for f in os.listdir(path) if f.endswith(".ocet"))
-    if not stems:
-        raise FormatError(f"no .ocet files under {path}")
-    return {
-        s: dataio.tensor_read(os.path.join(path, s + ".ocet")) for s in stems
-    }
+    return {s: dataio.tensor_read(os.path.join(path, s + ".ocet")) for s in dataio.ocet_stems(path)}
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +173,6 @@ def _cmd_train(args, config, seed, options):
     resume = None
     if options["resume"]:
         params, adam, next_epoch = load_checkpoint(options["resume"])
-        from .network import TrainResult
-
         resume = TrainResult(params, adam, [], next_epoch)
     os.makedirs(options["out"], exist_ok=True)
     trace_path = os.path.join(options["out"], "loss_trace.tsv")
@@ -196,8 +184,8 @@ def _cmd_train(args, config, seed, options):
 
     result = train(
         images,
-        _model_config(config),
-        _loss_config(config),
+        ModelConfig(**config["model"]),
+        LossConfig(**config["loss"]),
         tc,
         seed=seed,
         resume=resume,
@@ -234,7 +222,7 @@ def _cmd_predict(args, config, seed, options):
 
 def _cmd_segment(args, config, seed, options):
     params, _, _ = load_checkpoint(options["model"])
-    seg_cfg = _segmenter_config(config)
+    seg_cfg = SegmenterConfig(**config["segment"])
     stems, raw_images, _ = dataio.load_dataset(options["data"])
     lab_dir = os.path.join(options["out"], "labels")
     os.makedirs(lab_dir, exist_ok=True)
@@ -270,13 +258,7 @@ def _cmd_eval(args, config, seed, options):
     rows = threshold_sweep(gts, preds, thresholds, per_image=options["per_image"])
     if options["seg"]:
         rows.append(("seg", 0.5, seg_score_dataset(gts, preds)))
-    table = format_score_table(rows)
-    if options["out"]:
-        os.makedirs(options["out"], exist_ok=True)
-        with open(os.path.join(options["out"], "scores.tsv"), "w", encoding="utf-8") as fh:
-            fh.write(table)
-        _echo_config(options["out"], "eval", seed, options, config)
-    sys.stdout.write(table)
+    _emit_table("scores", format_score_table(rows), "eval", seed, options, config)
     return 0
 
 
@@ -292,7 +274,7 @@ def _cmd_sweep(args, config, seed, options):
         images,
         labels,
         bandwidths,
-        config=_segmenter_config(config),
+        config=SegmenterConfig(**config["segment"]),
         metric=options["metric"],
         iou_threshold=options["threshold"],
         seed=seed,
@@ -300,13 +282,7 @@ def _cmd_sweep(args, config, seed, options):
     lines = ["bandwidth\tshrink\tscore"]
     for bw, s, score in rows:
         lines.append(f"{bw:g}\t{s:g}\t{score:.6f}")
-    table = "\n".join(lines) + "\n"
-    if options["out"]:
-        os.makedirs(options["out"], exist_ok=True)
-        with open(os.path.join(options["out"], "sweep.tsv"), "w", encoding="utf-8") as fh:
-            fh.write(table)
-        _echo_config(options["out"], "sweep", seed, options, config)
-    sys.stdout.write(table)
+    _emit_table("sweep", "\n".join(lines) + "\n", "sweep", seed, options, config)
     print(f"best bandwidth {best_bw:g}, shrink {best_s:g}")
     return 0
 
@@ -329,12 +305,7 @@ def _cmd_theory(args, config, seed, options):
     )
     label = f"a@{off_a}/b@{off_b}"
     table = theorymod.offset_report([(label, pa, pb)], samples)
-    if options["out"]:
-        os.makedirs(options["out"], exist_ok=True)
-        with open(os.path.join(options["out"], "theory.tsv"), "w", encoding="utf-8") as fh:
-            fh.write(table)
-        _echo_config(options["out"], "theory", seed, options, config)
-    sys.stdout.write(table)
+    _emit_table("theory", table, "theory", seed, options, config)
     return 0
 
 

@@ -20,13 +20,15 @@ Dataset directories follow the convention ``images/*.ocet`` with optional
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 
-from .errors import DegenerateError, FormatError, ShapeError
+from .errors import DegenerateError, FormatError, LabelError, ShapeError
 
 TENSOR_MAGIC = b"OCET"
 ARCHIVE_MAGIC = b"OCEA"
@@ -83,9 +85,26 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.astype(dtype.newbyteorder("=")), pos + nbytes
 
 
+def _write_atomic(path, payload: bytes) -> None:
+    """Write ``payload`` to a temporary file beside ``path`` and rename it over
+    ``path``: readers see the old file or the whole new one, never a
+    truncated one, and a failed write removes its temporary file."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def tensor_write(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(arr))
+    _write_atomic(path, tensor_to_bytes(arr))
 
 
 def tensor_read(path) -> np.ndarray:
@@ -104,8 +123,7 @@ def archive_write(path, tensors: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
         parts.append(tensor_to_bytes(arr))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    _write_atomic(path, b"".join(parts))
 
 
 def archive_read(path) -> dict[str, np.ndarray]:
@@ -201,16 +219,34 @@ def pgm_write(path, image: np.ndarray, maxval: int = 255) -> None:
         fh.write(quant.astype(dtype).tobytes())
 
 
+def check_labels(labels) -> np.ndarray:
+    """``labels`` as an array; a non-integer dtype or negative id raises :class:`LabelError`."""
+    lab = np.asarray(labels)
+    if not np.issubdtype(lab.dtype, np.integer):
+        raise LabelError(f"label ids must be integers, got dtype {lab.dtype}")
+    if lab.size and lab.min() < 0:
+        raise LabelError(f"label ids must be non-negative, found {lab.min()}")
+    return lab
+
+
+def relabel_consecutive(labels) -> tuple[np.ndarray, np.ndarray]:
+    """Number the positive ids 1..n in ascending order, keeping 0 as background;
+    returns (int32 mask, the n original ids in the mask's dtype)."""
+    lab = check_labels(labels)
+    present = np.bincount(lab.ravel().astype(np.intp, copy=False), minlength=1) > 0
+    present[0] = False
+    # absent ids are never looked up, so the running count is the whole table
+    lut = np.cumsum(present, dtype=np.int32)
+    return lut[lab], np.flatnonzero(present).astype(lab.dtype)
+
+
 def labels_to_gray(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Map instance ids to distinct gray levels; returns (image, maxval)."""
-    ids = np.unique(labels)
-    ids = ids[ids > 0]
+    """Map the id of rank k among n ids to gray level ``k * maxval // n``;
+    returns (uint8 image, 255) up to 255 ids, else (uint16 image, 65535)."""
+    compact, ids = relabel_consecutive(labels)
     n = len(ids)
     maxval = 255 if n <= 255 else 65535
-    lut = np.zeros(int(labels.max()) + 1 if labels.size else 1, dtype=np.uint16)
-    for rank, ident in enumerate(ids, start=1):
-        lut[ident] = (rank * maxval) // n
-    gray = lut[labels]
+    gray = compact.astype(np.int64) * maxval // max(n, 1)
     return gray.astype(np.uint8 if maxval == 255 else np.uint16), maxval
 
 
@@ -318,17 +354,21 @@ def save_dataset(root, images, labels=None, stems=None) -> None:
             )
 
 
+def ocet_stems(directory) -> list[str]:
+    """Sorted stems of the ``.ocet`` files in ``directory``; none is an error."""
+    stems = sorted(os.path.splitext(f)[0] for f in os.listdir(directory) if f.endswith(".ocet"))
+    if not stems:
+        raise FormatError(f"no .ocet files under {directory}")
+    return stems
+
+
 def load_dataset(root):
     """Read a dataset directory; returns (stems, images, labels-or-None)."""
     root = os.fspath(root)
     img_dir = os.path.join(root, "images")
     if not os.path.isdir(img_dir):
         raise FormatError(f"no images/ directory under {root}")
-    stems = sorted(
-        os.path.splitext(f)[0] for f in os.listdir(img_dir) if f.endswith(".ocet")
-    )
-    if not stems:
-        raise FormatError(f"no .ocet files under {img_dir}")
+    stems = ocet_stems(img_dir)
     images = [tensor_read(os.path.join(img_dir, s + ".ocet")) for s in stems]
     lab_dir = os.path.join(root, "labels")
     labels = None

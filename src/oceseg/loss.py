@@ -94,20 +94,23 @@ def sigmoid_distance(delta, temperature: float = 10.0) -> float:
     return float(1.0 / (1.0 + np.exp(-sq / temperature)))
 
 
-def _loss_pieces(field_data: np.ndarray, pairs: PairSet, config: LossConfig):
-    a = field_data[:, pairs.anchors[:, 0], pairs.anchors[:, 1]].T
-    p = field_data[:, pairs.partners[:, 0], pairs.partners[:, 1]].T
-    d = (pairs.anchors - pairs.partners).astype(field_data.dtype)
+def _loss_pieces(a: np.ndarray, p: np.ndarray, pairs: PairSet, config: LossConfig):
+    """Residuals, sigmoids and anchor norms from the (N, 2) anchor and partner values."""
+    dt = a.dtype
+    d = (pairs.anchors - pairs.partners).astype(dt)
     resid = d - (a - p)
     sq = (resid * resid).sum(axis=1)
-    sig = 1.0 / (1.0 + np.exp(-sq / field_data.dtype.type(config.temperature)))
+    sig = 1.0 / (1.0 + np.exp(-sq / dt.type(config.temperature)))
     anorm = np.sqrt((a * a).sum(axis=1))
     return resid, sig, anorm
 
 
 def pair_term_and_reg(field_data: np.ndarray, pairs: PairSet, config: LossConfig):
     """Forward-only evaluation; returns (pair term, unweighted anchor-norm sum)."""
-    _, sig, anorm = _loss_pieces(np.asarray(field_data), pairs, config)
+    f = np.asarray(field_data)
+    a = f[:, pairs.anchors[:, 0], pairs.anchors[:, 1]].T
+    p = f[:, pairs.partners[:, 0], pairs.partners[:, 1]].T
+    _, sig, anorm = _loss_pieces(a, p, pairs, config)
     return float(np.sum(sig, dtype=np.float64)), float(np.sum(anorm, dtype=np.float64))
 
 
@@ -123,11 +126,7 @@ def oce_loss(field: Tensor, pairs: PairSet, config: LossConfig) -> Tensor:
     a = gather_coords(field, pairs.anchors)
     p = gather_coords(field, pairs.partners)
     dt = field.dtype
-    d = (pairs.anchors - pairs.partners).astype(dt)
-    resid = d - (a.data - p.data)
-    sq = (resid * resid).sum(axis=1)
-    sig = 1.0 / (1.0 + np.exp(-sq / dt.type(config.temperature)))
-    anorm = np.sqrt((a.data * a.data).sum(axis=1))
+    resid, sig, anorm = _loss_pieces(a.data, p.data, pairs, config)
     total = sig.sum() + dt.type(config.reg_weight) * anorm.sum()
     out = Tensor(np.asarray(total, dtype=dt))
 

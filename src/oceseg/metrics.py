@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import relabel_consecutive
 from .errors import DegenerateError, ShapeError
 
 
@@ -22,17 +23,6 @@ class MatchResult:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-
-
-def _compact(mask: np.ndarray):
-    """Map positive ids to 0..n-1; returns (index map, ids, sizes)."""
-    ids = np.unique(mask)
-    ids = ids[ids > 0]
-    lut = np.zeros(int(mask.max()) + 1 if mask.size else 1, dtype=np.int64)
-    lut[ids] = np.arange(1, len(ids) + 1)
-    compact = lut[mask]
-    sizes = np.bincount(compact.ravel(), minlength=len(ids) + 1)[1:]
-    return compact, ids, sizes
 
 
 def iou_matrix(gt, pred):
@@ -45,13 +35,15 @@ def iou_matrix(gt, pred):
     pred = np.asarray(pred)
     if gt.shape != pred.shape:
         raise ShapeError(f"mask shapes differ: {gt.shape} vs {pred.shape}")
-    cg, gt_ids, gt_sizes = _compact(gt)
-    cp, pred_ids, pred_sizes = _compact(pred)
+    cg, gt_ids = relabel_consecutive(gt)
+    cp, pred_ids = relabel_consecutive(pred)
     G, P = len(gt_ids), len(pred_ids)
     joint = np.bincount(
-        (cg.ravel() * (P + 1) + cp.ravel()), minlength=(G + 1) * (P + 1)
+        cg.ravel().astype(np.int64) * (P + 1) + cp.ravel(), minlength=(G + 1) * (P + 1)
     ).reshape(G + 1, P + 1)
     overlap = joint[1:, 1:]
+    gt_sizes = joint[1:].sum(axis=1)
+    pred_sizes = joint[:, 1:].sum(axis=0)
     union = gt_sizes[:, None] + pred_sizes[None, :] - overlap
     with np.errstate(divide="ignore", invalid="ignore"):
         iou = np.where(union > 0, overlap / union, 0.0)
@@ -95,22 +87,9 @@ def detection_scores(match: MatchResult) -> dict:
     return scores_from_counts(match.tp, match.fp, match.fn)
 
 
-def seg_score(gt, pred) -> float:
-    """Mean IoU over ground truth objects, matched only when the prediction
-    covers strictly more than half the object; unmatched objects score 0."""
-    iou, overlap, gt_ids, _, gt_sizes, _ = iou_matrix(gt, pred)
-    if len(gt_ids) == 0:
-        raise DegenerateError("no ground truth objects")
-    total = 0.0
-    for g in range(len(gt_ids)):
-        covering = np.flatnonzero(overlap[g] * 2 > gt_sizes[g])
-        if len(covering):
-            total += float(iou[g, covering[0]])  # at most one can qualify
-    return total / len(gt_ids)
-
-
 def seg_score_dataset(gt_masks, pred_masks) -> float:
-    """SEG pooled over all ground truth objects of a dataset."""
+    """Mean IoU over the ground truth objects of all images, each matched to
+    the prediction covering strictly more than half of it, else scoring 0."""
     total = 0.0
     objects = 0
     for gt, pred in zip(gt_masks, pred_masks):
@@ -119,7 +98,7 @@ def seg_score_dataset(gt_masks, pred_masks) -> float:
         for g in range(len(gt_ids)):
             covering = np.flatnonzero(overlap[g] * 2 > gt_sizes[g])
             if len(covering):
-                total += float(iou[g, covering[0]])
+                total += float(iou[g, covering[0]])  # at most one can qualify
     if objects == 0:
         raise DegenerateError("no ground truth objects")
     return total / objects
@@ -139,20 +118,15 @@ def threshold_sweep(gt_masks, pred_masks, thresholds, per_image: bool = False):
         raise ShapeError("gt and prediction counts differ")
     rows = []
     for t in thresholds:
+        matches = [match_at_threshold(gt, pred, t) for gt, pred in zip(gt_masks, pred_masks)]
         if per_image:
-            acc: dict[str, list] = {}
-            for gt, pred in zip(gt_masks, pred_masks):
-                for k, v in detection_scores(match_at_threshold(gt, pred, t)).items():
-                    acc.setdefault(k, []).append(v)
-            scores = {k: float(np.mean(v)) for k, v in acc.items()}
+            scores = [detection_scores(m) for m in matches]
         else:
-            tp = fp = fn = 0
-            for gt, pred in zip(gt_masks, pred_masks):
-                m = match_at_threshold(gt, pred, t)
-                tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
-            scores = scores_from_counts(tp, fp, fn)
+            counts = (sum(m.tp for m in matches), sum(m.fp for m in matches),
+                      sum(m.fn for m in matches))
+            scores = [scores_from_counts(*counts)]
         for key in ("f1", "recall", "precision", "accuracy"):
-            rows.append((key, float(t), scores[key]))
+            rows.append((key, float(t), float(np.mean([s[key] for s in scores]))))
     return rows
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import data as dataio
 from .autodiff import Tape, Tensor, conv2d_valid, crop_concat, maxpool2, relu, upsample_nearest2
-from .errors import FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, check_int, check_real
 from .loss import LossConfig, oce_loss, sample_pairs
 
 # input-minus-output shape margin of the chain (8 per side); the receptive
@@ -197,6 +197,18 @@ class TrainConfig:
     crop_size: int = 252
     base_lr: float = 4e-5
     steps_per_epoch: Optional[int] = None  # default: len(dataset) // batch_size
+
+    def __post_init__(self):
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("crop_size", self.crop_size, MIN_INPUT)
+        if self.crop_size % 2:
+            raise ConfigError(f"crop_size must be even, got {self.crop_size}")
+        check_real("base_lr", self.base_lr)
+        if self.base_lr <= 0:
+            raise ConfigError(f"base_lr must be positive, got {self.base_lr!r}")
+        if self.steps_per_epoch is not None:
+            check_int("steps_per_epoch", self.steps_per_epoch, 1)
 
 
 @dataclass

@@ -14,8 +14,9 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .autodiff import Tensor
-from .errors import DegenerateError, ShapeError
-from .metrics import match_at_threshold, scores_from_counts, seg_score
+from .data import check_labels, relabel_consecutive
+from .errors import DegenerateError, ShapeError, check_int, check_real
+from .metrics import seg_score_dataset, threshold_sweep
 from .network import CONTEXT, MIN_INPUT, ModelParams, forward
 
 
@@ -29,17 +30,16 @@ class SegmenterConfig:
     connectivity_relabel: bool = False
 
     def __post_init__(self):
-        if self.noise_rounds < 2:
-            raise ValueError("noise_rounds must be at least 2")
+        check_int("noise_rounds", self.noise_rounds, 2)
+        check_int("min_instance_size", self.min_instance_size, 0)
+        for name in ("noise_fraction", "bandwidth", "shrink_distance"):
+            check_real(name, getattr(self, name))
         if not 0 < self.noise_fraction < 0.5:
             raise ValueError("noise_fraction must be in (0, 0.5)")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         if not 0 <= self.shrink_distance <= 6:
             raise ValueError("shrink_distance must be in [0, 6]")
-        size = self.min_instance_size
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
-            raise ValueError(f"min_instance_size must be an integer >= 0, got {size!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +70,8 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
     if img.ndim == 2:
         img = img[None]
     C, H, W = img.shape
-    if H < 20 or W < 20:
-        raise ShapeError(f"image {H}x{W} smaller than 20x20")
+    if H < MIN_INPUT or W < MIN_INPUT:
+        raise ShapeError(f"image {H}x{W} smaller than {MIN_INPUT}x{MIN_INPUT}")
     half = CONTEXT // 2
     padded = np.pad(img, ((0, 0), (half, half), (half, half)), mode="reflect")
     # valid convolutions need even tile sides; pad one extra reflected line
@@ -261,71 +261,8 @@ def _nearest_mode(pts, modes) -> np.ndarray:
     return assignment
 
 
-def mean_shift_reference(points, bandwidth: float, max_iter: int = 300):
-    """Brute-force O(N^2 * iterations) twin of :func:`mean_shift`."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    n = len(pts)
-    if n < 1:
-        raise ShapeError("mean_shift needs at least one point")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    keys = np.floor(pts / bandwidth).astype(np.int64)
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(
-        np.any(np.diff(sorted_keys, axis=0) != 0, axis=1)
-    ) + 1
-    groups = np.split(order, boundaries)
-    seeds = np.array([pts[g].mean(axis=0) for g in groups])
-
-    stop = 1e-3 * bandwidth
-    modes = []
-    supports = []
-    bw_sq = bandwidth * bandwidth
-    for seed in seeds:
-        pos = seed
-        members = None
-        for _ in range(max_iter):
-            sq = ((pts - pos) ** 2).sum(axis=1)
-            idx = np.flatnonzero(sq <= bw_sq)
-            if len(idx) == 0:
-                break
-            new = pts[idx].mean(axis=0)
-            shift = np.hypot(*(new - pos))
-            pos = new
-            members = idx
-            if shift < stop:
-                break
-        if members is None:
-            continue
-        sq = ((pts - pos) ** 2).sum(axis=1)
-        modes.append(pos)
-        supports.append(int((sq <= bw_sq).sum()))
-    modes = np.asarray(modes)
-    supports = np.asarray(supports)
-
-    rank = np.lexsort((modes[:, 1], modes[:, 0], -supports))
-    kept: list[np.ndarray] = []
-    for i in rank:
-        if all(np.hypot(*(modes[i] - m)) >= bandwidth for m in kept):
-            kept.append(modes[i])
-    modes = np.asarray(kept)
-
-    d2 = ((pts[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
-    assignment = np.argmin(d2, axis=1)
-    return modes, assignment
-
-
 # ---------------------------------------------------------------------------
 # Instances
-
-def _relabel_consecutive(labels: np.ndarray) -> np.ndarray:
-    ids = np.unique(labels)
-    ids = ids[ids > 0]
-    lut = np.zeros(int(labels.max()) + 1 if labels.size else 1, dtype=np.int32)
-    lut[ids] = np.arange(1, len(ids) + 1)
-    return lut[labels]
-
 
 def segment(field, foreground, config: SegmenterConfig) -> np.ndarray:
     """Cluster center estimates i - r_i of the foreground pixels into instances.
@@ -363,7 +300,7 @@ def segment(field, foreground, config: SegmenterConfig) -> np.ndarray:
             out[box][inside] = comp[inside] + nxt
             nxt += ncomp
         labels = out
-    return _relabel_consecutive(labels)
+    return relabel_consecutive(labels)[0]
 
 
 def shrink_instances(labels, distance: float) -> np.ndarray:
@@ -380,11 +317,11 @@ def shrink_instances(labels, distance: float) -> np.ndarray:
     around the bounding box, which is complement too and no farther away.
     Clipping (not padding) keeps the edge rule.  No instance's erosion
     touches another instance's pixels, so the order of instances does not
-    matter.
+    matter.  Negative ids and non-integer dtypes raise :class:`LabelError`.
     """
     if distance < 0:
         raise ValueError("distance must be non-negative")
-    lab = np.asarray(labels).astype(np.int32, copy=True)
+    lab = check_labels(labels).astype(np.int32, copy=True)
     if distance == 0:
         return lab
     for ident, box in enumerate(ndimage.find_objects(lab), start=1):
@@ -395,19 +332,24 @@ def shrink_instances(labels, distance: float) -> np.ndarray:
         sub = lab[grown]
         mask = sub == ident
         sub[mask & (ndimage.distance_transform_edt(mask) <= distance)] = 0
-    return _relabel_consecutive(lab)
+    return relabel_consecutive(lab)[0]
 
 
-def segment_image(params: ModelParams, image, config: SegmenterConfig, seed: int = 0,
-                  tile: int = 252) -> np.ndarray:
-    """Full pipeline for one image: predict, detect foreground, cluster, shrink."""
+def _field_and_foreground(params: ModelParams, image, config: SegmenterConfig, seed: int,
+                          tile: int):
+    """Offset field and noise-variance foreground of one image."""
     field = predict_full(params, image, tile=tile)
     var = embedding_variance(
         params, image, rounds=config.noise_rounds,
         fraction=config.noise_fraction, seed=seed, tile=tile,
     )
-    fg = detect_foreground(var)
-    labels = segment(field, fg, config)
+    return field, detect_foreground(var)
+
+
+def segment_image(params: ModelParams, image, config: SegmenterConfig, seed: int = 0,
+                  tile: int = 252) -> np.ndarray:
+    """Full pipeline for one image: predict, detect foreground, cluster, shrink."""
+    labels = segment(*_field_and_foreground(params, image, config, seed, tile), config)
     return shrink_instances(labels, config.shrink_distance)
 
 
@@ -443,32 +385,21 @@ def bandwidth_search(
     if metric not in ("f1", "seg"):
         raise ValueError(f"unknown metric {metric!r}")
 
-    fields = []
-    fgs = []
-    for i, img in enumerate(images):
-        fields.append(predict_full(params, img, tile=tile))
-        var = embedding_variance(
-            params, img, rounds=config.noise_rounds,
-            fraction=config.noise_fraction, seed=seed + i, tile=tile,
-        )
-        fgs.append(detect_foreground(var))
-
+    stages = [_field_and_foreground(params, img, config, seed + i, tile)
+              for i, img in enumerate(images)]
     rows = []
     best = None
     for bw in sorted(candidates):
         cfg = replace(config, bandwidth=float(bw), shrink_distance=0.0)
-        base_labels = [segment(fields[i], fgs[i], cfg) for i in range(len(images))]
+        base_labels = [segment(field, fg, cfg) for field, fg in stages]
         for s in sorted(shrink_values):
             preds = [shrink_instances(lab, s) for lab in base_labels]
             if metric == "f1":
-                tp = fp = fn = 0
-                for gt, pred in zip(gt_labels, preds):
-                    m = match_at_threshold(gt, pred, iou_threshold)
-                    tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
-                score = scores_from_counts(tp, fp, fn)["f1"]
+                # threshold_sweep's first row is the pooled F1
+                score = threshold_sweep(gt_labels, preds, [iou_threshold])[0][2]
             else:
                 score = float(np.mean([
-                    seg_score(gt, pred) for gt, pred in zip(gt_labels, preds)
+                    seg_score_dataset([gt], [pred]) for gt, pred in zip(gt_labels, preds)
                 ]))
             rows.append((float(bw), float(s), score))
             if best is None or score > best[2]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
+from .data import relabel_consecutive
 from .errors import PlacementError, ShapeError
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
@@ -167,12 +168,7 @@ def build_pseudo_dataset(pred_labels, annotations, background_radius: float = 30
     for m in masks:
         pseudo[m] = next_id
         next_id += 1
-    # relabel to consecutive ids
-    ids = np.unique(pseudo)
-    ids = ids[ids > 0]
-    lut = np.zeros(int(pseudo.max()) + 1, np.int32)
-    lut[ids] = np.arange(1, len(ids) + 1)
-    pseudo = lut[pseudo]
+    pseudo, _ = relabel_consecutive(pseudo)
     if union.any():
         dist = ndimage.distance_transform_edt(~union)
         known_bg = (dist < background_radius) & (pseudo == 0)

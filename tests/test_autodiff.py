@@ -371,3 +371,44 @@ def test_nested_tape_rejected():
         with pytest.raises(RuntimeError):
             with Tape():
                 pass
+
+
+def test_tapes_on_two_threads_match_sequential_runs():
+    import threading
+
+    from oceseg import LossConfig, ModelConfig, forward, init_params, oce_loss, sample_pairs
+
+    def run(seed, barrier=None):
+        params = init_params(ModelConfig(base_fmaps=4), seed)
+        rng = np.random.default_rng(seed)
+        image = Tensor(rng.normal(size=(1, 44, 44)).astype(np.float32))
+        with Tape() as tape:
+            out = forward(params, image)
+            loss = oce_loss(out, sample_pairs(out.shape[1:], LossConfig(), rng), LossConfig())
+            if barrier is not None:
+                barrier.wait(timeout=20)  # both tapes are active at once here
+            tape.backward(loss)
+        return loss.item(), {name: t.grad for name, t in params.items()}
+
+    sequential = [run(seed) for seed in (0, 1)]
+    barrier = threading.Barrier(2)
+    results, errors = {}, []
+
+    def work(seed):
+        try:
+            results[seed] = run(seed, barrier)
+        except BaseException as exc:  # surfaced in the main thread below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors, errors
+    for seed, (loss, grads) in enumerate(sequential):
+        got_loss, got_grads = results[seed]
+        assert got_loss == loss
+        assert grads.keys() == got_grads.keys()
+        assert all(np.array_equal(got_grads[k], grads[k]) for k in grads)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oceseg import DegenerateError, FormatError, ShapeError
+from oceseg import DegenerateError, FormatError, LabelError, ShapeError, data
 from oceseg.data import (
     archive_read,
     archive_write,
@@ -11,6 +11,7 @@ from oceseg.data import (
     pgm_read,
     pgm_write,
     rescale_image,
+    relabel_consecutive,
     rescale_labels,
     save_dataset,
     tensor_read,
@@ -180,6 +181,80 @@ def test_labels_to_gray_without_instances():
         gray, maxval = labels_to_gray(labels)
         assert maxval == 255 and gray.dtype == np.uint8
         assert gray.shape == labels.shape and not gray.any()
+
+
+# ---------------------------------------------------------------------------
+# label masks
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, np.uint16])
+def test_relabel_consecutive_matches_unique_ranks(dtype):
+    rng = np.random.default_rng(6)
+    labels = rng.choice([0, 0, 3, 4, 9, 17, 200], size=(13, 11)).astype(dtype)
+    compact, ids = relabel_consecutive(labels)
+    expected_ids = np.unique(labels[labels > 0])
+    assert ids.dtype == labels.dtype and np.array_equal(ids, expected_ids)
+    assert compact.dtype == np.int32 and compact.shape == labels.shape
+    assert np.array_equal(compact, np.where(labels > 0, np.searchsorted(expected_ids, labels) + 1, 0))
+
+
+def test_relabel_consecutive_without_instances():
+    for labels in (np.zeros((2, 3), np.int32), np.zeros((0, 3), np.int32)):
+        compact, ids = relabel_consecutive(labels)
+        assert compact.shape == labels.shape and not compact.any() and len(ids) == 0
+
+
+@pytest.mark.parametrize("labels, match", [
+    (np.array([[-1, 1, 1, 2]], np.int32), "non-negative"),
+    (np.array([[0.0, 1.0]], np.float32), "integers"),
+    (np.array([[False, True]]), "integers"),
+])
+def test_relabel_consecutive_rejects_bad_ids(labels, match):
+    with pytest.raises(LabelError, match=match):
+        relabel_consecutive(labels)
+    with pytest.raises(LabelError, match=match):
+        labels_to_gray(labels)
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+class _TornFile:
+    """A file whose write stores half of the payload and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, payload):
+        self.fh.write(payload[: len(payload) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("writer, old, new", [
+    (tensor_write, np.arange(6, dtype=np.int32), np.arange(600, dtype=np.int32)),
+    (archive_write, {"w": np.ones((3, 4), np.float32)}, {"w": np.zeros((30, 40), np.float32)}),
+])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer, old, new):
+    path = tmp_path / "target.bin"
+    writer(path, old)
+    before = path.read_bytes()
+    monkeypatch.setattr(data, "open", lambda file, mode="r": _TornFile(open(file, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        writer(path, new)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["target.bin"]
+    monkeypatch.undo()
+    writer(path, new)
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["target.bin"]
 
 
 # ---------------------------------------------------------------------------

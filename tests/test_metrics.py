@@ -11,7 +11,6 @@ from oceseg import (
     iou_matrix,
     match_at_threshold,
     scores_from_counts,
-    seg_score,
     seg_score_dataset,
     threshold_sweep,
 )
@@ -108,15 +107,15 @@ def test_seg_score_hand_cases():
     pred = np.zeros((4, 4), int)
     pred[0, 0] = pred[0, 1] = pred[1, 0] = 1
     pred[2, 2] = 1  # extra px of same instance
-    assert abs(seg_score(gt, pred) - 0.6) < 1e-12  # overlap 3 > 2, IoU 3/5
+    assert abs(seg_score_dataset([gt], [pred]) - 0.6) < 1e-12  # overlap 3 > 2, IoU 3/5
     # exactly half is NOT matched
     pred2 = np.zeros((4, 4), int)
     pred2[0, 0] = pred2[0, 1] = 1
-    assert seg_score(gt, pred2) == 0.0
+    assert seg_score_dataset([gt], [pred2]) == 0.0
     # perfect
-    assert seg_score(gt, gt) == 1.0
+    assert seg_score_dataset([gt], [gt]) == 1.0
     with pytest.raises(DegenerateError):
-        seg_score(np.zeros((4, 4), int), pred)
+        seg_score_dataset([np.zeros((4, 4), int)], [pred])
 
 
 def test_scores_invariant_under_id_permutation():
@@ -129,7 +128,7 @@ def test_scores_invariant_under_id_permutation():
     permuted = match_at_threshold(gt_p, pred, 0.5)
     assert (base.tp, base.fp, base.fn) == (permuted.tp, permuted.fp, permuted.fn)
     if len(np.unique(gt)) > 1:
-        assert abs(seg_score(gt, pred) - seg_score(gt_p, pred)) < 1e-12
+        assert abs(seg_score_dataset([gt], [pred]) - seg_score_dataset([gt_p], [pred])) < 1e-12
 
 
 def test_greedy_equals_exhaustive_at_half():

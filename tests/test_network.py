@@ -222,6 +222,24 @@ def test_train_rejects_bad_inputs():
               TrainConfig(epochs=1, crop_size=96), seed=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("epochs", "5"), ("epochs", 2.0),
+    ("batch_size", 0), ("batch_size", True),
+    ("crop_size", 251), ("crop_size", 18), ("crop_size", "252"),
+    ("base_lr", 0.0), ("base_lr", -1e-3), ("base_lr", float("nan")), ("base_lr", "4e-5"),
+    ("steps_per_epoch", 0), ("steps_per_epoch", 1.5),
+])
+def test_train_config_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_valid_fields():
+    tc = TrainConfig(epochs=1, batch_size=np.int64(1), crop_size=20, base_lr=1, steps_per_epoch=3)
+    assert tc.crop_size == 20 and tc.steps_per_epoch == 3
+    assert TrainConfig().steps_per_epoch is None
+
+
 def test_train_deterministic_and_loss_decreases():
     images = small_images()
     tc = TrainConfig(epochs=6, batch_size=2, crop_size=64, base_lr=2e-3, steps_per_epoch=8)

@@ -5,6 +5,7 @@ import pytest
 from scipy import ndimage
 
 from oceseg import (
+    LabelError,
     ModelConfig,
     SceneSpec,
     ShapeError,
@@ -60,6 +61,61 @@ def test_predict_full_rejects_bad_tile(small_params, tile):
 # ---------------------------------------------------------------------------
 # Mean shift
 
+def mean_shift_reference(points, bandwidth: float, max_iter: int = 300):
+    """Brute-force O(N^2 * iterations) twin of :func:`mean_shift`."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    n = len(pts)
+    if n < 1:
+        raise ShapeError("mean_shift needs at least one point")
+    if bandwidth <= 0:
+        raise ValueError("bandwidth must be positive")
+    keys = np.floor(pts / bandwidth).astype(np.int64)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    sorted_keys = keys[order]
+    boundaries = np.flatnonzero(
+        np.any(np.diff(sorted_keys, axis=0) != 0, axis=1)
+    ) + 1
+    groups = np.split(order, boundaries)
+    seeds = np.array([pts[g].mean(axis=0) for g in groups])
+
+    stop = 1e-3 * bandwidth
+    modes = []
+    supports = []
+    bw_sq = bandwidth * bandwidth
+    for seed in seeds:
+        pos = seed
+        members = None
+        for _ in range(max_iter):
+            sq = ((pts - pos) ** 2).sum(axis=1)
+            idx = np.flatnonzero(sq <= bw_sq)
+            if len(idx) == 0:
+                break
+            new = pts[idx].mean(axis=0)
+            shift = np.hypot(*(new - pos))
+            pos = new
+            members = idx
+            if shift < stop:
+                break
+        if members is None:
+            continue
+        sq = ((pts - pos) ** 2).sum(axis=1)
+        modes.append(pos)
+        supports.append(int((sq <= bw_sq).sum()))
+    modes = np.asarray(modes)
+    supports = np.asarray(supports)
+
+    rank = np.lexsort((modes[:, 1], modes[:, 0], -supports))
+    kept: list[np.ndarray] = []
+    for i in rank:
+        if all(np.hypot(*(modes[i] - m)) >= bandwidth for m in kept):
+            kept.append(modes[i])
+    modes = np.asarray(kept)
+
+    d2 = ((pts[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+    assignment = np.argmin(d2, axis=1)
+    return modes, assignment
+
+
 def _blob_cloud(rng, n_blobs, per_blob, spacing, sigma):
     side = int(np.ceil(np.sqrt(n_blobs)))
     grid = np.argwhere(np.ones((side, side)))[:n_blobs] * spacing
@@ -70,7 +126,7 @@ def _blob_cloud(rng, n_blobs, per_blob, spacing, sigma):
 
 def _assert_same_mean_shift(points, bandwidth):
     modes, assignment = segmentation.mean_shift(points, bandwidth)
-    ref_modes, ref_assignment = segmentation.mean_shift_reference(points, bandwidth)
+    ref_modes, ref_assignment = mean_shift_reference(points, bandwidth)
     assert modes.dtype == ref_modes.dtype and assignment.dtype == ref_assignment.dtype
     assert np.array_equal(modes, ref_modes)
     assert np.array_equal(assignment, ref_assignment)
@@ -217,6 +273,14 @@ def test_shrink_instances_matches_whole_image_edt(scene, distance):
     assert np.array_equal(got, _shrink_oracle(labels, distance))
 
 
+@pytest.mark.parametrize("distance", [0.0, 0.5])
+def test_shrink_instances_rejects_bad_ids(distance):
+    with pytest.raises(LabelError, match="non-negative"):
+        segmentation.shrink_instances([[-1, 1, 1, 2]], distance)
+    with pytest.raises(LabelError, match="integers"):
+        segmentation.shrink_instances(np.ones((3, 3), np.float32), distance)
+
+
 def test_segment_connectivity_relabel_matches_whole_image_loop():
     rng = np.random.default_rng(11)
     fg = np.zeros((80, 72), bool)
@@ -264,6 +328,25 @@ def test_segmenter_config_rejects_bad_min_instance_size(size):
 @pytest.mark.parametrize("size", [0, 1, np.int64(25)])
 def test_segmenter_config_accepts_min_instance_size(size):
     assert segmentation.SegmenterConfig(min_instance_size=size).min_instance_size == size
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_rounds", "abc"), ("noise_rounds", 2.5), ("noise_rounds", True),
+    ("noise_rounds", 1), ("noise_rounds", None),
+    ("bandwidth", "12"), ("bandwidth", float("nan")), ("bandwidth", float("inf")),
+    ("bandwidth", 0.0), ("bandwidth", True),
+    ("noise_fraction", float("nan")), ("noise_fraction", "0.01"), ("noise_fraction", 0.5),
+    ("shrink_distance", float("nan")), ("shrink_distance", "1"), ("shrink_distance", 7.0),
+])
+def test_segmenter_config_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        segmentation.SegmenterConfig(**{field: value})
+
+
+def test_segmenter_config_accepts_numpy_and_int_fields():
+    config = segmentation.SegmenterConfig(noise_rounds=np.int64(3), bandwidth=12,
+                                          noise_fraction=np.float32(0.02), shrink_distance=6)
+    assert config.noise_rounds == 3 and config.bandwidth == 12
 
 
 # ---------------------------------------------------------------------------
