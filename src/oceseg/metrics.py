@@ -90,6 +90,8 @@ def detection_scores(match: MatchResult) -> dict:
 def seg_score_dataset(gt_masks, pred_masks) -> float:
     """Mean IoU over the ground truth objects of all images, each matched to
     the prediction covering strictly more than half of it, else scoring 0."""
+    if len(gt_masks) != len(pred_masks):
+        raise ShapeError("gt and prediction counts differ")
     total = 0.0
     objects = 0
     for gt, pred in zip(gt_masks, pred_masks):

@@ -40,6 +40,9 @@ class SegmenterConfig:
             raise ValueError("bandwidth must be positive")
         if not 0 <= self.shrink_distance <= 6:
             raise ValueError("shrink_distance must be in [0, 6]")
+        if not isinstance(self.connectivity_relabel, (bool, np.bool_)):
+            raise ValueError("connectivity_relabel must be true or false, "
+                             f"got {self.connectivity_relabel!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -373,41 +373,50 @@ def test_nested_tape_rejected():
                 pass
 
 
-def test_tapes_on_two_threads_match_sequential_runs():
+def test_tapes_on_threads_match_sequential_runs():
+    import sys
     import threading
 
     from oceseg import LossConfig, ModelConfig, forward, init_params, oce_loss, sample_pairs
 
-    def run(seed, barrier=None):
+    seeds = range(4)  # more threads than the two cores the suite is sized for
+    barrier = threading.Barrier(len(seeds))
+
+    def run(seed, together=False):
         params = init_params(ModelConfig(base_fmaps=4), seed)
         rng = np.random.default_rng(seed)
         image = Tensor(rng.normal(size=(1, 44, 44)).astype(np.float32))
         with Tape() as tape:
             out = forward(params, image)
             loss = oce_loss(out, sample_pairs(out.shape[1:], LossConfig(), rng), LossConfig())
-            if barrier is not None:
-                barrier.wait(timeout=20)  # both tapes are active at once here
+            if together:
+                barrier.wait(timeout=30)  # every thread's tape is active here
             tape.backward(loss)
         return loss.item(), {name: t.grad for name, t in params.items()}
 
-    sequential = [run(seed) for seed in (0, 1)]
-    barrier = threading.Barrier(2)
+    sequential = [run(seed) for seed in seeds]
     results, errors = {}, []
 
     def work(seed):
         try:
-            results[seed] = run(seed, barrier)
+            results[seed] = run(seed, together=True)
         except BaseException as exc:  # surfaced in the main thread below
             errors.append(exc)
             barrier.abort()
 
-    threads = [threading.Thread(target=work, args=(seed,)) for seed in (0, 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors, errors
-    for seed, (loss, grads) in enumerate(sequential):
+    for seed, (loss, grads) in zip(seeds, sequential):
         got_loss, got_grads = results[seed]
         assert got_loss == loss
         assert grads.keys() == got_grads.keys()

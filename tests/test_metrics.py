@@ -116,6 +116,8 @@ def test_seg_score_hand_cases():
     assert seg_score_dataset([gt], [gt]) == 1.0
     with pytest.raises(DegenerateError):
         seg_score_dataset([np.zeros((4, 4), int)], [pred])
+    with pytest.raises(ShapeError, match="counts differ"):
+        seg_score_dataset([gt, gt], [gt])
 
 
 def test_scores_invariant_under_id_permutation():

@@ -337,6 +337,7 @@ def test_segmenter_config_accepts_min_instance_size(size):
     ("bandwidth", 0.0), ("bandwidth", True),
     ("noise_fraction", float("nan")), ("noise_fraction", "0.01"), ("noise_fraction", 0.5),
     ("shrink_distance", float("nan")), ("shrink_distance", "1"), ("shrink_distance", 7.0),
+    ("connectivity_relabel", "false"), ("connectivity_relabel", 1),
 ])
 def test_segmenter_config_rejects_bad_fields(field, value):
     with pytest.raises(ValueError, match=field):
