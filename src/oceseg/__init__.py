@@ -16,7 +16,6 @@ from .autodiff import (
     relu,
     upsample_nearest2,
 )
-from .data import relabel_consecutive
 from .errors import (
     ConfigError,
     DegenerateError,

@@ -88,14 +88,16 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 def _write_atomic(path, payload: bytes) -> None:
     """Write ``payload`` to a temporary file beside ``path`` and rename it over
     ``path``: readers see the old file or the whole new one, never a
-    truncated one, and a failed write removes its temporary file."""
+    truncated one, and a failed write removes its temporary file.
+
+    There is no fsync: the rename guards against the process dying, not the
+    machine losing power, which keeps dataset and label writes cheap.
+    """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

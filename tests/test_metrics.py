@@ -116,6 +116,11 @@ def test_seg_score_hand_cases():
     assert seg_score_dataset([gt], [gt]) == 1.0
     with pytest.raises(DegenerateError):
         seg_score_dataset([np.zeros((4, 4), int)], [pred])
+
+
+def test_seg_score_dataset_rejects_count_mismatch():
+    gt = np.zeros((4, 4), int)
+    gt[:2, :2] = 1
     with pytest.raises(ShapeError, match="counts differ"):
         seg_score_dataset([gt, gt], [gt])
 
