@@ -67,9 +67,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 

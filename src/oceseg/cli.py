@@ -3,15 +3,19 @@
 Subcommands: synth, train, predict, segment, eval, sweep, theory.  Every
 run that writes artifacts also echoes its effective configuration and seed
 as ``config.json`` next to the outputs, so the run can be reproduced
-bit-for-bit from that file alone (``--config config.json``).
+bit-for-bit from that file alone (``--config config.json``).  The config
+sections model, loss, train, segment and data are the fields of
+``ModelConfig``, ``LossConfig``, ``TrainConfig``, ``SegmenterConfig`` and
+``DataConfig``; a bad value in any of them exits 2 before a command writes
+anything.  ``train`` writes its checkpoint after every epoch.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data or config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import json
 import os
 import sys
@@ -39,53 +43,33 @@ from .segmentation import (
     segment_image,
 )
 
-DEFAULT_CONFIG = {
-    "model": {
-        "in_channels": 1,
-        "base_fmaps": 64,
-        "fmap_factor": 3,
-        "depth": 1,
-        "out_channels": 2,
-    },
-    "loss": {
-        "pair_radius": 10.0,
-        "temperature": 10.0,
-        "reg_weight": 1e-5,
-        "anchor_density": 0.10,
-    },
-    "train": {
-        "epochs": 50,
-        "batch_size": 8,
-        "crop_size": 252,
-        "base_lr": 4e-5,
-    },
-    "segment": {
-        "noise_rounds": 5,
-        "noise_fraction": 0.01,
-        "bandwidth": 10.0,
-        "shrink_distance": 0.0,
-        "min_instance_size": 10,
-        "connectivity_relabel": False,
-    },
-    "data": {
-        "normalize": True,
-        "rescale": 1.0,
-    },
+_SECTIONS = {
+    "model": ModelConfig,
+    "loss": LossConfig,
+    "train": TrainConfig,
+    "segment": SegmenterConfig,
+    "data": dataio.DataConfig,
 }
 
+DEFAULT_CONFIG = {name: dataclasses.asdict(cls()) for name, cls in _SECTIONS.items()}
 
-def _merge_config(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if key not in base:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {path + key!r} must be an object")
-            out[key] = _merge_config(base[key], value, path + key + ".")
-        else:
-            out[key] = value
-    return out
+
+def _build_config(sections: dict) -> dict:
+    """The config objects by section, with ``sections`` overriding defaults;
+    every field is checked here, before a command writes anything."""
+    for name in sections:
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown config key {name!r}")
+    config = {}
+    for name, cls in _SECTIONS.items():
+        given = sections.get(name, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"config section {name!r} must be an object")
+        for key in given:
+            if key not in DEFAULT_CONFIG[name]:
+                raise ConfigError(f"unknown config key {name + '.' + key!r}")
+        config[name] = cls(**given)
+    return config
 
 
 def _load_run_config(path):
@@ -100,14 +84,17 @@ def _load_run_config(path):
     extra = {k for k in payload if k not in ("config", "options", "seed", "command")}
     if "config" in payload and extra:
         raise ConfigError(f"unknown config key {sorted(extra)[0]!r}")
-    return _merge_config(DEFAULT_CONFIG, sections), stored_options, stored_seed
+    if not isinstance(sections, dict):
+        raise ConfigError("config sections must be a JSON object")
+    return sections, stored_options, stored_seed
 
 
 def _echo_config(out_dir, command, seed, options, config) -> None:
     os.makedirs(out_dir, exist_ok=True)
     dataio.write_json(
         os.path.join(out_dir, "config.json"),
-        {"command": command, "seed": seed, "options": options, "config": config},
+        {"command": command, "seed": seed, "options": options,
+         "config": {name: dataclasses.asdict(c) for name, c in config.items()}},
     )
 
 
@@ -122,15 +109,14 @@ def _emit_table(name, table, command, seed, options, config) -> None:
     sys.stdout.write(table)
 
 
-def _prepare_image(arr, config) -> np.ndarray:
+def _prepare_image(arr, data: dataio.DataConfig) -> np.ndarray:
     img = np.asarray(arr, np.float32)
     if img.ndim == 2:
         img = img[None]
-    if config["data"]["normalize"]:
+    if data.normalize:
         img = dataio.normalize_percentile(img)
-    factor = config["data"]["rescale"]
-    if factor != 1.0:
-        img = dataio.rescale_image(img, factor)
+    if data.rescale != 1.0:
+        img = dataio.rescale_image(img, data.rescale)
     return img
 
 
@@ -147,7 +133,7 @@ def _load_labels_dir(path):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_synth(args, config, seed, options):
+def _cmd_synth(config, seed, options):
     spec = synthmod.SceneSpec(
         height=options["size"],
         width=options["size"],
@@ -166,53 +152,42 @@ def _cmd_synth(args, config, seed, options):
     return 0
 
 
-def _cmd_train(args, config, seed, options):
+def _cmd_train(config, seed, options):
     stems, raw_images, _ = dataio.load_dataset(options["data"])
-    images = [_prepare_image(img, config) for img in raw_images]
-    tc = TrainConfig(**config["train"])
+    images = [_prepare_image(img, config["data"]) for img in raw_images]
     resume = None
     if options["resume"]:
         params, adam, next_epoch = load_checkpoint(options["resume"])
         resume = TrainResult(params, adam, [], next_epoch)
     os.makedirs(options["out"], exist_ok=True)
+    ckpt_path = os.path.join(options["out"], "checkpoint.ocec")
     trace_path = os.path.join(options["out"], "loss_trace.tsv")
-    log_rows = []
-
-    def log(epoch, loss):
-        log_rows.append((epoch, loss))
-        print(f"epoch {epoch}: mean loss {loss:.4f}")
-
-    result = train(
-        images,
-        ModelConfig(**config["model"]),
-        LossConfig(**config["loss"]),
-        tc,
-        seed=seed,
-        resume=resume,
-        log=log,
-    )
-    save_checkpoint(
-        os.path.join(options["out"], "checkpoint.ocec"),
-        result.params,
-        result.adam,
-        result.next_epoch,
-    )
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write("epoch\tmean_loss\n")
-        for epoch, loss in log_rows:
+
+    def log(state):
+        save_checkpoint(ckpt_path, state.params, state.adam, state.next_epoch)
+        epoch, loss = state.next_epoch - 1, state.epoch_losses[-1]
+        with open(trace_path, "a", encoding="utf-8") as fh:
             fh.write(f"{epoch}\t{loss:.8f}\n")
+        print(f"epoch {epoch}: mean loss {loss:.4f}")
+
+    result = train(images, config["model"], config["loss"], config["train"],
+                   seed=seed, resume=resume, log=log)
+    if not result.epoch_losses:  # a resume at or past the last epoch runs none
+        save_checkpoint(ckpt_path, result.params, result.adam, result.next_epoch)
     _echo_config(options["out"], "train", seed, options, config)
     print(f"checkpoint written to {options['out']}/checkpoint.ocec")
     return 0
 
 
-def _cmd_predict(args, config, seed, options):
+def _cmd_predict(config, seed, options):
     params, _, _ = load_checkpoint(options["model"])
     stems, raw_images, _ = dataio.load_dataset(options["data"])
     out_dir = os.path.join(options["out"], "fields")
     os.makedirs(out_dir, exist_ok=True)
     for stem, raw in zip(stems, raw_images):
-        img = _prepare_image(raw, config)
+        img = _prepare_image(raw, config["data"])
         field = predict_full(params, img)
         dataio.tensor_write(os.path.join(out_dir, stem + ".ocet"), field)
     _echo_config(options["out"], "predict", seed, options, config)
@@ -220,19 +195,18 @@ def _cmd_predict(args, config, seed, options):
     return 0
 
 
-def _cmd_segment(args, config, seed, options):
+def _cmd_segment(config, seed, options):
     params, _, _ = load_checkpoint(options["model"])
-    seg_cfg = SegmenterConfig(**config["segment"])
     stems, raw_images, _ = dataio.load_dataset(options["data"])
     lab_dir = os.path.join(options["out"], "labels")
     os.makedirs(lab_dir, exist_ok=True)
     vis_dir = os.path.join(options["out"], "vis")
     if options["pgm"]:
         os.makedirs(vis_dir, exist_ok=True)
-    factor = config["data"]["rescale"]
+    factor = config["data"].rescale
     for i, (stem, raw) in enumerate(zip(stems, raw_images)):
-        img = _prepare_image(raw, config)
-        labels = segment_image(params, img, seg_cfg, seed=seed + i)
+        img = _prepare_image(raw, config["data"])
+        labels = segment_image(params, img, config["segment"], seed=seed + i)
         if factor != 1.0:
             original = np.asarray(raw)
             target = original.shape[-2:]
@@ -246,7 +220,7 @@ def _cmd_segment(args, config, seed, options):
     return 0
 
 
-def _cmd_eval(args, config, seed, options):
+def _cmd_eval(config, seed, options):
     gt = _load_labels_dir(options["gt"])
     pred = _load_labels_dir(options["pred"])
     stems = sorted(gt)
@@ -262,19 +236,19 @@ def _cmd_eval(args, config, seed, options):
     return 0
 
 
-def _cmd_sweep(args, config, seed, options):
+def _cmd_sweep(config, seed, options):
     params, _, _ = load_checkpoint(options["model"])
     stems, raw_images, labels = dataio.load_dataset(options["data"])
     if labels is None:
         raise FormatError("sweep needs a dataset with labels/")
-    images = [_prepare_image(img, config) for img in raw_images]
+    images = [_prepare_image(img, config["data"]) for img in raw_images]
     bandwidths = [float(b) for b in options["bandwidths"].split(",") if b]
     best_bw, best_s, rows = bandwidth_search(
         params,
         images,
         labels,
         bandwidths,
-        config=SegmenterConfig(**config["segment"]),
+        config=config["segment"],
         metric=options["metric"],
         iou_threshold=options["threshold"],
         seed=seed,
@@ -287,7 +261,7 @@ def _cmd_sweep(args, config, seed, options):
     return 0
 
 
-def _cmd_theory(args, config, seed, options):
+def _cmd_theory(config, seed, options):
     template, _ = synthmod.object_template(options["radius"])
     p = options["patch"]
     half = template.shape[0] // 2
@@ -318,8 +292,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_OPTION_SPECS = {
-    "synth": {
+# command -> (function, {option: (type, default, help)}); an option whose
+# default is None is required
+_COMMANDS = {
+    "synth": (_cmd_synth, {
         "out": (str, None, "output dataset directory"),
         "images": (int, 50, "number of scenes"),
         "size": (int, 252, "canvas side length"),
@@ -327,40 +303,40 @@ _OPTION_SPECS = {
         "radius_min": (float, 8.0, "smallest object radius"),
         "radius_max": (float, 14.0, "largest object radius"),
         "noise_std": (float, 0.02, "background noise sigma"),
-    },
-    "train": {
+    }),
+    "train": (_cmd_train, {
         "data": (str, None, "dataset directory"),
         "out": (str, None, "output directory"),
         "resume": (str, "", "checkpoint to resume from"),
-    },
-    "predict": {
+    }),
+    "predict": (_cmd_predict, {
         "model": (str, None, "checkpoint file"),
         "data": (str, None, "dataset directory"),
         "out": (str, None, "output directory"),
-    },
-    "segment": {
+    }),
+    "segment": (_cmd_segment, {
         "model": (str, None, "checkpoint file"),
         "data": (str, None, "dataset directory"),
         "out": (str, None, "output directory"),
         "pgm": (bool, False, "also write PGM visualizations"),
-    },
-    "eval": {
+    }),
+    "eval": (_cmd_eval, {
         "gt": (str, None, "ground truth labels (dataset root or directory)"),
         "pred": (str, None, "predicted labels (dataset root or directory)"),
         "thresholds": (str, "0.5", "comma-separated IoU thresholds"),
         "per_image": (bool, False, "average scores per image instead of pooling"),
         "seg": (bool, False, "also report the SEG score"),
         "out": (str, "", "optional output directory"),
-    },
-    "sweep": {
+    }),
+    "sweep": (_cmd_sweep, {
         "model": (str, None, "checkpoint file"),
         "data": (str, None, "labelled validation dataset"),
         "bandwidths": (str, "4,6,8,10,12,14", "comma-separated candidates"),
         "metric": (str, "f1", "f1 or seg"),
         "threshold": (float, 0.5, "IoU threshold for f1"),
         "out": (str, "", "optional output directory"),
-    },
-    "theory": {
+    }),
+    "theory": (_cmd_theory, {
         "scenes": (int, 500, "number of scenes"),
         "objects": (int, 30, "objects per scene"),
         "canvas": (int, 511, "canvas side (odd sides keep wrapped offsets symmetric)"),
@@ -368,34 +344,14 @@ _OPTION_SPECS = {
         "patch": (int, 5, "patch side length"),
         "boundary": (str, "periodic", "periodic or bounded"),
         "out": (str, "", "optional output directory"),
-    },
-}
-
-_REQUIRED = {
-    "synth": ("out",),
-    "train": ("data", "out"),
-    "predict": ("model", "data", "out"),
-    "segment": ("model", "data", "out"),
-    "eval": ("gt", "pred"),
-    "sweep": ("model", "data"),
-    "theory": (),
-}
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "segment": _cmd_segment,
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "theory": _cmd_theory,
+    }),
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="oceseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name, spec in _OPTION_SPECS.items():
+    for name, (_fn, spec) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", type=str, default=None)
@@ -419,13 +375,15 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        config = copy.deepcopy(DEFAULT_CONFIG)
+        sections: dict = {}
         stored_options: dict = {}
         stored_seed = None
         if args.config:
-            config, stored_options, stored_seed = _load_run_config(args.config)
+            sections, stored_options, stored_seed = _load_run_config(args.config)
+        config = _build_config(sections)
+        command, spec = _COMMANDS[args.command]
         options = {}
-        for opt, (typ, default, _help) in _OPTION_SPECS[args.command].items():
+        for opt, (typ, default, _help) in spec.items():
             given = getattr(args, opt)
             if given is not None:
                 options[opt] = given
@@ -433,7 +391,7 @@ def main(argv=None) -> int:
                 options[opt] = stored_options[opt]
             else:
                 options[opt] = default
-        missing = [o for o in _REQUIRED[args.command] if options[o] is None]
+        missing = [o for o in spec if options[o] is None]
         if missing:
             print(
                 f"oceseg {args.command}: missing required option "
@@ -447,7 +405,7 @@ def main(argv=None) -> int:
             seed = stored_seed
         else:
             seed = 0
-        return _COMMANDS[args.command](args, config, seed, options)
+        return command(config, seed, options)
     except (
         ConfigError,
         DegenerateError,

@@ -15,7 +15,8 @@ a counted sequence of named tensor blocks:
     | (name_len u16le | name utf-8 | tensor block) * count
 
 Dataset directories follow the convention ``images/*.ocet`` with optional
-``labels/*.ocet`` under matching stems.
+``labels/*.ocet`` under matching stems.  ``DataConfig`` says how each image
+is prepared before the network sees it.
 """
 
 from __future__ import annotations
@@ -25,10 +26,19 @@ import json
 import os
 import struct
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, FormatError, LabelError, ShapeError
+from .errors import (
+    ConfigError,
+    DegenerateError,
+    FormatError,
+    LabelError,
+    ShapeError,
+    check_bool,
+    check_real,
+)
 
 TENSOR_MAGIC = b"OCET"
 ARCHIVE_MAGIC = b"OCEA"
@@ -235,6 +245,12 @@ def relabel_consecutive(labels) -> tuple[np.ndarray, np.ndarray]:
     """Number the positive ids 1..n in ascending order, keeping 0 as background;
     returns (int32 mask, the n original ids in the mask's dtype)."""
     lab = check_labels(labels)
+    if lab.size and lab.max() > lab.size:
+        # ids beyond the pixel count: sort, as a table by id could be huge
+        ids, inverse = np.unique(lab.ravel(), return_inverse=True)
+        background = int(ids[0] == 0)
+        compact = (inverse.reshape(lab.shape) + (1 - background)).astype(np.int32)
+        return compact, ids[background:]
     present = np.bincount(lab.ravel().astype(np.intp, copy=False), minlength=1) > 0
     present[0] = False
     # absent ids are never looked up, so the running count is the whole table
@@ -254,6 +270,18 @@ def labels_to_gray(labels: np.ndarray) -> tuple[np.ndarray, int]:
 
 # ---------------------------------------------------------------------------
 # Normalization and rescaling
+
+@dataclass(frozen=True)
+class DataConfig:
+    normalize: bool = True   # percentile-normalize each image
+    rescale: float = 1.0     # resampling factor applied before the network
+
+    def __post_init__(self):
+        check_bool("normalize", self.normalize)
+        check_real("rescale", self.rescale)
+        if self.rescale <= 0:
+            raise ConfigError(f"rescale must be positive, got {self.rescale!r}")
+
 
 def normalize_percentile(image: np.ndarray, low: float = 1.0, high: float = 99.8) -> np.ndarray:
     """Affinely map the low percentile to 0 and the high percentile to 1, per channel.

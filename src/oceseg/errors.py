@@ -41,3 +41,9 @@ def check_real(name: str, value) -> None:
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_bool(name: str, value) -> None:
+    """``value`` must be true or false."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .autodiff import Tensor, _accum, _record, gather_coords
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError, check_real
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,16 @@ class LossConfig:
     anchor_density: float = 0.10
 
     def __post_init__(self):
+        for name in ("pair_radius", "temperature", "reg_weight", "anchor_density"):
+            check_real(name, getattr(self, name))
         if self.pair_radius <= 0:
-            raise ValueError("pair_radius must be positive")
+            raise ConfigError("pair_radius must be positive")
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise ConfigError("temperature must be positive")
         if self.reg_weight < 0:
-            raise ValueError("reg_weight must be non-negative")
+            raise ConfigError("reg_weight must be non-negative")
         if not 0 < self.anchor_density <= 1:
-            raise ValueError("anchor_density must be in (0, 1]")
+            raise ConfigError("anchor_density must be in (0, 1]")
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Architecture: one encoder block, a 2x2 max-pool, one bottleneck block, 2x
 nearest upsampling, a center-crop skip concatenation, one decoder block and
-a 1x1 linear head to 2 output channels.  Each block is a [3,1,1,3] sequence
-of valid convolutions with ReLU.  The chain consumes a 16-pixel shape
+a 1x1 linear head to 2 output channels.  Each block is the ``BLOCK_KERNELS``
+sequence [3,1,1,3] of valid convolutions with ReLU.  The chain consumes a 16-pixel shape
 margin (8 per side), so a (C, H, W) input yields a (2, H-16, W-16) field.
 
 The receptive field is wider than that margin: 18 pixels per axis, with a
@@ -32,6 +32,7 @@ from .loss import LossConfig, oce_loss, sample_pairs
 # field is 18 wide: even output row r sees input rows r..r+17, odd r r-1..r+16
 CONTEXT = 16
 MIN_INPUT = 20  # smallest spatial extent the chain supports
+BLOCK_KERNELS = (3, 1, 1, 3)  # kernel sizes of each block's convolutions
 
 
 @dataclass(frozen=True)
@@ -40,18 +41,15 @@ class ModelConfig:
     base_fmaps: int = 64
     fmap_factor: int = 3
     depth: int = 1
-    block_kernels: tuple = (3, 1, 1, 3)
     out_channels: int = 2
 
     def __post_init__(self):
-        if self.in_channels not in (1, 2):
-            raise ValueError("in_channels must be 1 or 2")
+        for name in ("in_channels", "base_fmaps", "fmap_factor", "depth", "out_channels"):
+            check_int(name, getattr(self, name), 1)
+        if self.in_channels > 2:
+            raise ConfigError(f"in_channels must be 1 or 2, got {self.in_channels}")
         if self.depth != 1:
-            raise ValueError("only depth 1 is supported")
-        if tuple(self.block_kernels) != (3, 1, 1, 3):
-            raise ValueError("block kernel sequence is fixed to (3, 1, 1, 3)")
-        if self.base_fmaps < 1 or self.fmap_factor < 1 or self.out_channels < 1:
-            raise ValueError("channel counts must be positive")
+            raise ConfigError(f"only depth 1 is supported, got {self.depth}")
 
 
 def _layer_plan(config: ModelConfig):
@@ -59,13 +57,13 @@ def _layer_plan(config: ModelConfig):
     mid = base * config.fmap_factor
     plan = []
     chans = [config.in_channels] + [base] * 4
-    for i, k in enumerate(config.block_kernels):
+    for i, k in enumerate(BLOCK_KERNELS):
         plan.append((f"enc{i}", chans[i], chans[i + 1], k))
     chans = [base] + [mid] * 4
-    for i, k in enumerate(config.block_kernels):
+    for i, k in enumerate(BLOCK_KERNELS):
         plan.append((f"bot{i}", chans[i], chans[i + 1], k))
     chans = [base + mid] + [base] * 4
-    for i, k in enumerate(config.block_kernels):
+    for i, k in enumerate(BLOCK_KERNELS):
         plan.append((f"dec{i}", chans[i], chans[i + 1], k))
     plan.append(("head", base, config.out_channels, 1))
     return plan
@@ -92,11 +90,6 @@ class ModelParams:
         for t in self.tensors.values():
             t.grad = None
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.config, {k: Tensor(v.data.copy()) for k, v in self.tensors.items()}
-        )
-
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """He-style fan-in scaled normal weights with zero biases, deterministic in seed."""
@@ -111,7 +104,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 
 def _block(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    for i in range(4):
+    for i in range(len(BLOCK_KERNELS)):
         x = relu(conv2d_valid(x, params[f"{prefix}{i}.w"], params[f"{prefix}{i}.b"]))
     return x
 
@@ -196,7 +189,6 @@ class TrainConfig:
     batch_size: int = 8
     crop_size: int = 252
     base_lr: float = 4e-5
-    steps_per_epoch: Optional[int] = None  # default: len(dataset) // batch_size
 
     def __post_init__(self):
         check_int("epochs", self.epochs, 1)
@@ -207,8 +199,6 @@ class TrainConfig:
         check_real("base_lr", self.base_lr)
         if self.base_lr <= 0:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr!r}")
-        if self.steps_per_epoch is not None:
-            check_int("steps_per_epoch", self.steps_per_epoch, 1)
 
 
 @dataclass
@@ -226,14 +216,15 @@ def train(
     train_config: TrainConfig,
     seed: int,
     resume: Optional[TrainResult] = None,
-    checkpoint_path=None,
-    checkpoint_every: int = 0,
     log=None,
 ) -> TrainResult:
     """Run the self-supervised loop; fully deterministic in (inputs, seed).
 
-    Each step draws ``batch_size`` random crops, accumulates loss gradients
-    over them and applies one Adam update at the scheduled rate.  Randomness
+    An epoch is ``max(1, len(images) // batch_size)`` steps.  Each step draws
+    ``batch_size`` random crops, accumulates loss gradients over them and
+    applies one Adam update at the scheduled rate.  After each epoch ``log``,
+    if given, receives the state, whose ``next_epoch`` and last
+    ``epoch_losses`` entry describe the epoch just run.  Randomness
     is drawn from a per-epoch generator seeded by (seed, epoch), so training
     resumed from a checkpoint at an epoch boundary replays the exact stream
     of the uninterrupted run.
@@ -257,7 +248,7 @@ def train(
         state = TrainResult(params, AdamState.fresh(params))
 
     n = len(images)
-    steps = train_config.steps_per_epoch or max(1, n // train_config.batch_size)
+    steps = max(1, n // train_config.batch_size)
     for epoch in range(state.next_epoch, train_config.epochs):
         rng = np.random.default_rng([seed, epoch])
         order = rng.permutation(n)
@@ -282,9 +273,7 @@ def train(
         state.epoch_losses.append(float(np.mean(step_losses)))
         state.next_epoch = epoch + 1
         if log is not None:
-            log(epoch, state.epoch_losses[-1])
-        if checkpoint_path and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-            save_checkpoint(checkpoint_path, state.params, state.adam, state.next_epoch)
+            log(state)
     return state
 
 

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from .autodiff import Tensor
 from .data import check_labels, relabel_consecutive
-from .errors import DegenerateError, ShapeError, check_int, check_real
+from .errors import DegenerateError, ShapeError, check_bool, check_int, check_real
 from .metrics import seg_score_dataset, threshold_sweep
 from .network import CONTEXT, MIN_INPUT, ModelParams, forward
 
@@ -40,9 +40,7 @@ class SegmenterConfig:
             raise ValueError("bandwidth must be positive")
         if not 0 <= self.shrink_distance <= 6:
             raise ValueError("shrink_distance must be in [0, 6]")
-        if not isinstance(self.connectivity_relabel, (bool, np.bool_)):
-            raise ValueError("connectivity_relabel must be true or false, "
-                             f"got {self.connectivity_relabel!r}")
+        check_bool("connectivity_relabel", self.connectivity_relabel)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +112,7 @@ def salt_pepper(image, fraction: float, rng: np.random.Generator) -> np.ndarray:
 
 def embedding_variance(
     params: ModelParams, image, rounds: int = 5, fraction: float = 0.01,
-    seed: int = 0, tile: int = 252,
+    seed: int = 0,
 ) -> np.ndarray:
     """Per-pixel variance of the offset field across noisy re-predictions.
 
@@ -127,7 +125,7 @@ def embedding_variance(
     for r in range(rounds):
         rng = np.random.default_rng([seed, r])
         noisy = salt_pepper(image, fraction, rng)
-        preds.append(predict_full(params, noisy, tile=tile))
+        preds.append(predict_full(params, noisy))
     stack = np.stack(preds)  # (rounds, 2, H, W)
     return np.var(stack, axis=0, ddof=1, dtype=np.float64).sum(axis=0)
 
@@ -338,21 +336,20 @@ def shrink_instances(labels, distance: float) -> np.ndarray:
     return relabel_consecutive(lab)[0]
 
 
-def _field_and_foreground(params: ModelParams, image, config: SegmenterConfig, seed: int,
-                          tile: int):
+def _field_and_foreground(params: ModelParams, image, config: SegmenterConfig, seed: int):
     """Offset field and noise-variance foreground of one image."""
-    field = predict_full(params, image, tile=tile)
+    field = predict_full(params, image)
     var = embedding_variance(
         params, image, rounds=config.noise_rounds,
-        fraction=config.noise_fraction, seed=seed, tile=tile,
+        fraction=config.noise_fraction, seed=seed,
     )
     return field, detect_foreground(var)
 
 
-def segment_image(params: ModelParams, image, config: SegmenterConfig, seed: int = 0,
-                  tile: int = 252) -> np.ndarray:
+def segment_image(params: ModelParams, image, config: SegmenterConfig,
+                  seed: int = 0) -> np.ndarray:
     """Full pipeline for one image: predict, detect foreground, cluster, shrink."""
-    labels = segment(*_field_and_foreground(params, image, config, seed, tile), config)
+    labels = segment(*_field_and_foreground(params, image, config, seed), config)
     return shrink_instances(labels, config.shrink_distance)
 
 
@@ -369,7 +366,6 @@ def bandwidth_search(
     metric: str = "f1",
     iou_threshold: float = 0.5,
     seed: int = 0,
-    tile: int = 252,
 ):
     """Grid search over bandwidth candidates and shrink distances.
 
@@ -388,7 +384,7 @@ def bandwidth_search(
     if metric not in ("f1", "seg"):
         raise ValueError(f"unknown metric {metric!r}")
 
-    stages = [_field_and_foreground(params, img, config, seed + i, tile)
+    stages = [_field_and_foreground(params, img, config, seed + i)
               for i, img in enumerate(images)]
     rows = []
     best = None

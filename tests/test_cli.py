@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oceseg import AdamState, ModelConfig, cli, init_params, save_checkpoint
+from oceseg import AdamState, ModelConfig, cli, init_params, load_checkpoint, save_checkpoint
 from oceseg.data import tensor_read, tensor_write
+
+FIXTURE_DIR = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
 
 @pytest.fixture(scope="module")
@@ -19,12 +22,18 @@ def run_dir(tmp_path_factory):
     return root
 
 
-def _segment(run_dir, out, segment_config):
+def _run(run_dir, command, out, sections):
+    """``oceseg segment`` or ``oceseg train`` on the fixture dataset with
+    ``sections`` as its config file."""
     config = run_dir / f"{out}.json"
-    config.write_text(json.dumps({"segment": segment_config}))
-    return cli.main(["segment", "--model", str(run_dir / "model.ocec"),
-                     "--data", str(run_dir / "data"), "--out", str(run_dir / out),
-                     "--config", str(config)])
+    config.write_text(json.dumps(sections))
+    model = ["--model", str(run_dir / "model.ocec")] if command == "segment" else []
+    return cli.main([command, *model, "--data", str(run_dir / "data"),
+                     "--out", str(run_dir / out), "--config", str(config)])
+
+
+def _segment(run_dir, out, segment_config):
+    return _run(run_dir, "segment", out, {"segment": segment_config})
 
 
 def test_eval_reads_segment_output_root(run_dir, capsys):
@@ -70,10 +79,7 @@ def test_eval_rejects_bad_label_ids(run_dir, capsys, bad):
 
 
 def _train(run_dir, out, train_config):
-    config = run_dir / f"{out}.json"
-    config.write_text(json.dumps({"train": train_config}))
-    return cli.main(["train", "--data", str(run_dir / "data"), "--out", str(run_dir / out),
-                     "--config", str(config)])
+    return _run(run_dir, "train", out, {"train": train_config})
 
 
 @pytest.mark.parametrize("train_config", [
@@ -96,3 +102,86 @@ def test_segment_rejects_bad_config(run_dir, capsys, segment_config):
     assert _segment(run_dir, out, segment_config) == 2
     assert field in capsys.readouterr().err
     assert not (run_dir / out).exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "train"])
+@pytest.mark.parametrize("sections", [
+    {"data": {"rescale": "2"}}, {"data": {"rescale": 0}}, {"data": {"normalize": "yes"}},
+    {"model": {"base_fmaps": "8"}}, {"loss": {"pair_radius": "10"}},
+])
+def test_bad_config_section_exits_before_writing(run_dir, capsys, command, sections):
+    (section, fields), = sections.items()
+    (field, value), = fields.items()
+    out = f"bad_{command}_{section}_{field}_{value}"
+    assert _run(run_dir, command, out, sections) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (run_dir / out).exists()
+
+
+def test_default_config_sections():
+    assert cli.DEFAULT_CONFIG == {
+        "model": {"in_channels": 1, "base_fmaps": 64, "fmap_factor": 3, "depth": 1,
+                  "out_channels": 2},
+        "loss": {"pair_radius": 10.0, "temperature": 10.0, "reg_weight": 1e-5,
+                 "anchor_density": 0.10},
+        "train": {"epochs": 50, "batch_size": 8, "crop_size": 252, "base_lr": 4e-5},
+        "segment": {"noise_rounds": 5, "noise_fraction": 0.01, "bandwidth": 10.0,
+                    "shrink_distance": 0.0, "min_instance_size": 10,
+                    "connectivity_relabel": False},
+        "data": {"normalize": True, "rescale": 1.0},
+    }
+
+
+@pytest.mark.parametrize("name", ["config.json", "segment.json"])
+def test_benchmark_fixture_configs_load(run_dir, name):
+    # config.json is an old train echo; segment.json a bare sections file
+    out = run_dir / f"fixture_{name}"
+    gt = str(run_dir / "data")
+    assert cli.main(["eval", "--gt", gt, "--pred", gt, "--out", str(out),
+                     "--config", str(FIXTURE_DIR / name)]) == 0
+    payload = json.loads((FIXTURE_DIR / name).read_text())
+    expected = {k: dict(v) for k, v in cli.DEFAULT_CONFIG.items()}
+    for section, fields in payload.get("config", payload).items():
+        expected[section].update(fields)
+    assert json.loads((out / "config.json").read_text())["config"] == expected
+
+
+def test_synth_train_segment_eval_and_reproduce(tmp_path, monkeypatch):
+    data, out = tmp_path / "data", tmp_path / "train"
+    assert cli.main(["synth", "--out", str(data), "--images", "2", "--size", "64",
+                     "--objects", "3", "--radius-max", "8", "--seed", "4"]) == 0
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"model": {"base_fmaps": 4},
+                                  "train": {"epochs": 2, "batch_size": 2, "crop_size": 48}}))
+    saved = []
+    save = cli.save_checkpoint
+
+    def recording_save(path, params, adam, next_epoch):
+        saved.append(next_epoch)
+        save(path, params, adam, next_epoch)
+
+    monkeypatch.setattr(cli, "save_checkpoint", recording_save)
+    assert cli.main(["train", "--data", str(data), "--out", str(out),
+                     "--config", str(config), "--seed", "3"]) == 0
+    assert saved == [1, 2]  # a checkpoint after every epoch
+    rows = (out / "loss_trace.tsv").read_text().splitlines()
+    assert rows[0] == "epoch\tmean_loss" and [r.split("\t")[0] for r in rows[1:]] == ["0", "1"]
+    ckpt = out / "checkpoint.ocec"
+    first = ckpt.read_bytes()
+    assert load_checkpoint(ckpt)[2] == 2
+
+    # the echo alone reproduces the run bit for bit
+    assert cli.main(["train", "--config", str(out / "config.json")]) == 0
+    assert ckpt.read_bytes() == first
+    # a resume with no epoch left still writes its checkpoint
+    done = tmp_path / "done"
+    assert cli.main(["train", "--data", str(data), "--out", str(done), "--config", str(config),
+                     "--resume", str(ckpt)]) == 0
+    assert (done / "checkpoint.ocec").read_bytes() == first
+    assert saved[-1] == 2 and len(saved) == 5
+
+    seg = tmp_path / "seg"
+    assert cli.main(["segment", "--model", str(ckpt), "--data", str(data),
+                     "--out", str(seg), "--seed", "3"]) == 0
+    assert cli.main(["eval", "--gt", str(data), "--pred", str(seg), "--seg"]) == 0

@@ -197,6 +197,28 @@ def test_relabel_consecutive_matches_unique_ranks(dtype):
     assert np.array_equal(compact, np.where(labels > 0, np.searchsorted(expected_ids, labels) + 1, 0))
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("background", [True, False])
+def test_relabel_consecutive_huge_ids_stay_small(dtype, background):
+    # a table indexed by id would take gigabytes for an id of 2**31 - 1
+    import tracemalloc
+
+    rng = np.random.default_rng(8)
+    choices = [2**31 - 1, 7, 2**31 - 2, 5_000_000] + [0] * background
+    labels = rng.choice(choices, size=(8, 8)).astype(dtype)
+    tracemalloc.start()
+    try:
+        compact, ids = relabel_consecutive(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.0f} MB"
+    expected_ids = np.unique(labels[labels > 0])
+    assert ids.dtype == labels.dtype and np.array_equal(ids, expected_ids)
+    assert compact.dtype == np.int32 and compact.shape == labels.shape
+    assert np.array_equal(compact, np.where(labels > 0, np.searchsorted(expected_ids, labels) + 1, 0))
+
+
 def test_relabel_consecutive_without_instances():
     for labels in (np.zeros((2, 3), np.int32), np.zeros((0, 3), np.int32)):
         compact, ids = relabel_consecutive(labels)

@@ -40,8 +40,6 @@ def test_config_validation():
         ModelConfig(in_channels=3)
     with pytest.raises(ValueError):
         ModelConfig(depth=2)
-    with pytest.raises(ValueError):
-        ModelConfig(block_kernels=(3, 3))
 
 
 def test_init_deterministic_and_shaped():
@@ -227,7 +225,6 @@ def test_train_rejects_bad_inputs():
     ("batch_size", 0), ("batch_size", True),
     ("crop_size", 251), ("crop_size", 18), ("crop_size", "252"),
     ("base_lr", 0.0), ("base_lr", -1e-3), ("base_lr", float("nan")), ("base_lr", "4e-5"),
-    ("steps_per_epoch", 0), ("steps_per_epoch", 1.5),
 ])
 def test_train_config_rejects_bad_fields(field, value):
     with pytest.raises(ValueError, match=field):
@@ -235,14 +232,13 @@ def test_train_config_rejects_bad_fields(field, value):
 
 
 def test_train_config_accepts_valid_fields():
-    tc = TrainConfig(epochs=1, batch_size=np.int64(1), crop_size=20, base_lr=1, steps_per_epoch=3)
-    assert tc.crop_size == 20 and tc.steps_per_epoch == 3
-    assert TrainConfig().steps_per_epoch is None
+    tc = TrainConfig(epochs=1, batch_size=np.int64(1), crop_size=20, base_lr=1)
+    assert tc.crop_size == 20 and tc.batch_size == 1
 
 
 def test_train_deterministic_and_loss_decreases():
-    images = small_images()
-    tc = TrainConfig(epochs=6, batch_size=2, crop_size=64, base_lr=2e-3, steps_per_epoch=8)
+    images = small_images(n=16)  # 8 steps of 2 per epoch
+    tc = TrainConfig(epochs=6, batch_size=2, crop_size=64, base_lr=2e-3)
     a = train(images, ModelConfig(), LossConfig(), tc, seed=3)
     b = train(images, ModelConfig(), LossConfig(), tc, seed=3)
     assert a.epoch_losses == b.epoch_losses
@@ -252,9 +248,9 @@ def test_train_deterministic_and_loss_decreases():
 
 
 def test_train_resume_matches_uninterrupted(tmp_path):
-    images = small_images()
-    tc4 = TrainConfig(epochs=4, batch_size=2, crop_size=64, base_lr=1e-3, steps_per_epoch=4)
-    tc2 = TrainConfig(epochs=2, batch_size=2, crop_size=64, base_lr=1e-3, steps_per_epoch=4)
+    images = small_images(n=8)  # 4 steps of 2 per epoch
+    tc4 = TrainConfig(epochs=4, batch_size=2, crop_size=64, base_lr=1e-3)
+    tc2 = TrainConfig(epochs=2, batch_size=2, crop_size=64, base_lr=1e-3)
     full = train(images, ModelConfig(), LossConfig(), tc4, seed=9)
     half = train(images, ModelConfig(), LossConfig(), tc2, seed=9)
     ckpt = tmp_path / "mid.ocec"

@@ -364,7 +364,7 @@ def _seg_oracle(gt, pred):
     return total / len(gt_ids)
 
 
-def _sweep_oracle(params, images, gt_labels, bandwidths, metric, seed, tile):
+def _sweep_oracle(params, images, gt_labels, bandwidths, metric, seed):
     """The search written out: F1 from TP/FP/FN pooled over images, or the
     mean of per-image SEG, for every bandwidth and shrink 0..6."""
     rows = []
@@ -372,10 +372,10 @@ def _sweep_oracle(params, images, gt_labels, bandwidths, metric, seed, tile):
         config = segmentation.SegmenterConfig(bandwidth=bw)
         base = []
         for i, img in enumerate(images):
-            field = predict_full(params, img, tile=tile)
+            field = predict_full(params, img)
             var = segmentation.embedding_variance(
                 params, img, rounds=config.noise_rounds,
-                fraction=config.noise_fraction, seed=seed + i, tile=tile,
+                fraction=config.noise_fraction, seed=seed + i,
             )
             base.append(segmentation.segment(field, segmentation.detect_foreground(var), config))
         for s in range(7):
@@ -400,9 +400,9 @@ def test_bandwidth_search_rows_match_oracle(small_params, metric):
     gts = [lab for _, lab in scenes]
     bandwidths = [8.0, 12.0]
     best_bw, best_s, rows = segmentation.bandwidth_search(
-        small_params, images, gts, bandwidths, metric=metric, seed=3, tile=64,
+        small_params, images, gts, bandwidths, metric=metric, seed=3,
     )
-    expected = _sweep_oracle(small_params, images, gts, bandwidths, metric, 3, 64)
+    expected = _sweep_oracle(small_params, images, gts, bandwidths, metric, 3)
     assert rows == expected
     assert len({score for _, _, score in rows}) > 2  # the scores are not all alike
     top = max(score for _, _, score in rows)
