@@ -4,8 +4,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oceseg import AdamState, ModelConfig, cli, init_params, load_checkpoint, save_checkpoint
-from oceseg.data import tensor_read, tensor_write
+from oceseg import (
+    AdamState,
+    ModelConfig,
+    SegmenterConfig,
+    cli,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+    segment_image,
+)
+from oceseg.data import (
+    normalize_percentile,
+    rescale_image,
+    rescale_labels,
+    tensor_read,
+    tensor_write,
+)
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
@@ -45,6 +60,24 @@ def test_eval_reads_segment_output_root(run_dir, capsys):
     assert cli.main(["eval", "--gt", gt, "--pred", str(run_dir / "seg" / "labels")]) == 0
     assert from_root == capsys.readouterr().out
     assert from_root.splitlines()[0].split("\t")[0] == "metric"
+
+
+@pytest.mark.parametrize("rescale", [1.5, 0.75])
+def test_segment_maps_rescaled_labels_to_the_original_shape(run_dir, rescale):
+    out = f"rescale_{rescale}"
+    sections = {"data": {"rescale": rescale}, "segment": {"min_instance_size": 0}}
+    assert _run(run_dir, "segment", out, sections) == 0
+    params, _, _ = load_checkpoint(run_dir / "model.ocec")
+    config = SegmenterConfig(min_instance_size=0)
+    for i, stem in enumerate(["im0000", "im0001"]):
+        raw = tensor_read(run_dir / "data" / "images" / f"{stem}.ocet")
+        img = rescale_image(normalize_percentile(raw), rescale)
+        working = segment_image(params, img, config, seed=i)
+        assert working.shape != raw.shape[1:] and working.max() > 0
+        expected = rescale_labels(working, 1.0 / rescale, out_shape=raw.shape[1:])
+        written = tensor_read(run_dir / out / "labels" / f"{stem}.ocet")
+        assert written.shape == raw.shape[1:]
+        assert np.array_equal(written, expected)
 
 
 def test_eval_still_rejects_a_directory_without_labels(run_dir, capsys):

@@ -5,6 +5,7 @@ import pytest
 from scipy import ndimage
 
 from oceseg import (
+    DegenerateError,
     LabelError,
     ModelConfig,
     SceneSpec,
@@ -56,6 +57,42 @@ def test_predict_full_rejects_bad_tile(small_params, tile):
     img = np.zeros((1, 60, 60), np.float32)
     with pytest.raises(ShapeError, match="tile"):
         predict_full(small_params, img, tile=tile)
+
+
+# ---------------------------------------------------------------------------
+# Noise and foreground
+
+@pytest.mark.parametrize("fraction", [0.013, 0.1])
+def test_salt_pepper_hits_disjoint_pixels_in_every_channel(fraction):
+    img = np.stack([np.full((30, 40), 0.3), np.full((30, 40), 0.6)]).astype(np.float32)
+    before = img.copy()
+    out = segmentation.salt_pepper(img, fraction, np.random.default_rng(5))
+    m = int(np.floor(fraction * 30 * 40 / 2))
+    zeros = (out == 0.0).all(axis=0)
+    ones = (out == 1.0).all(axis=0)
+    assert zeros.sum() == m and ones.sum() == m
+    assert not (zeros & ones).any()
+    # a hit pixel is hit in every channel, every other pixel is untouched
+    assert np.array_equal((out == 0.0).any(axis=0), zeros)
+    assert np.array_equal((out == 1.0).any(axis=0), ones)
+    assert np.array_equal(out[:, ~(zeros | ones)], img[:, ~(zeros | ones)])
+    assert out.dtype == np.float32
+    assert np.array_equal(img, before)
+
+
+def test_otsu_threshold_splits_a_bimodal_sample():
+    rng = np.random.default_rng(0)
+    low, high = rng.normal(1.0, 0.1, 500), rng.normal(5.0, 0.2, 300)
+    values = rng.permutation(np.concatenate([low, high]))
+    threshold = segmentation.otsu_threshold(values)
+    assert 1.0 < threshold < 5.0
+    assert np.array_equal(np.sort(values[values <= threshold]), np.sort(low))
+
+
+@pytest.mark.parametrize("values", [np.full(10, 3.0), np.zeros(0)])
+def test_otsu_threshold_rejects_degenerate_input(values):
+    with pytest.raises(DegenerateError):
+        segmentation.otsu_threshold(values)
 
 
 # ---------------------------------------------------------------------------
