@@ -64,7 +64,7 @@ from .segmentation import (
     segment_image,
     shrink_instances,
 )
-from .synth import SceneSpec, build_pseudo_dataset, generate_dataset, object_template, synth_generate
+from .synth import SceneSpec, generate_dataset, object_template, synth_generate
 from .theory import (
     OccurrenceIndex,
     OffsetDecomposition,

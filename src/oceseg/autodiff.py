@@ -315,7 +315,7 @@ def gather_coords(field: Tensor, coords) -> Tensor:
     """Extract the channel vector at each (row, col); duplicates accumulate in backward."""
     if field.data.ndim != 3:
         raise ShapeError("gather_coords expects (C,H,W)")
-    C, H, W = field.shape
+    _, H, W = field.shape
     pts = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     rows, cols = pts[:, 0], pts[:, 1]
     if pts.size and (
@@ -330,8 +330,7 @@ def gather_coords(field: Tensor, coords) -> Tensor:
         if g is None:
             return
         dfield = np.zeros_like(field.data)
-        for c in range(C):
-            np.add.at(dfield[c], (rows, cols), g[:, c])
+        np.add.at(dfield, (slice(None), rows, cols), g.T)
         _accum(field, dfield)
 
     _record("gather_coords", (field,), backward)

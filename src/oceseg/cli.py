@@ -32,6 +32,7 @@ from .network import (
     ModelConfig,
     TrainConfig,
     TrainResult,
+    check_train_images,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -87,6 +88,15 @@ def _load_run_config(path):
     if not isinstance(sections, dict):
         raise ConfigError("config sections must be a JSON object")
     return sections, stored_options, stored_seed
+
+
+def _stored_option(name, typ, value):
+    """A stored option as ``typ``: a bool takes a JSON bool, an int a non-bool
+    int, a float any number, a str a string; anything else is a ConfigError."""
+    allowed = (int, float) if typ is float else typ
+    if not isinstance(value, allowed) or (typ is not bool and isinstance(value, bool)):
+        raise ConfigError(f"stored option {name!r} must be a {typ.__name__}, got {value!r}")
+    return typ(value)
 
 
 def _echo_config(out_dir, command, seed, options, config) -> None:
@@ -159,6 +169,8 @@ def _cmd_train(config, seed, options):
     if options["resume"]:
         params, adam, next_epoch = load_checkpoint(options["resume"])
         resume = TrainResult(params, adam, [], next_epoch)
+    model = resume.params.config if resume else config["model"]
+    check_train_images(images, model.in_channels, config["train"].crop_size)
     os.makedirs(options["out"], exist_ok=True)
     ckpt_path = os.path.join(options["out"], "checkpoint.ocec")
     trace_path = os.path.join(options["out"], "loss_trace.tsv")
@@ -203,14 +215,11 @@ def _cmd_segment(config, seed, options):
     vis_dir = os.path.join(options["out"], "vis")
     if options["pgm"]:
         os.makedirs(vis_dir, exist_ok=True)
-    factor = config["data"].rescale
     for i, (stem, raw) in enumerate(zip(stems, raw_images)):
         img = _prepare_image(raw, config["data"])
         labels = segment_image(params, img, config["segment"], seed=seed + i)
-        if factor != 1.0:
-            original = np.asarray(raw)
-            target = original.shape[-2:]
-            labels = dataio.rescale_labels(labels, 1.0 / factor, out_shape=target)
+        if config["data"].rescale != 1.0:
+            labels = dataio.rescale_labels(labels, raw.shape[-2:])
         dataio.tensor_write(os.path.join(lab_dir, stem + ".ocet"), labels.astype(np.int32))
         if options["pgm"]:
             gray, maxval = dataio.labels_to_gray(labels)
@@ -388,7 +397,7 @@ def main(argv=None) -> int:
             if given is not None:
                 options[opt] = given
             elif opt in stored_options:
-                options[opt] = stored_options[opt]
+                options[opt] = _stored_option(opt, typ, stored_options[opt])
             else:
                 options[opt] = default
         missing = [o for o in spec if options[o] is None]
@@ -399,12 +408,9 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        if args.seed is not None:
-            seed = args.seed
-        elif stored_seed is not None:
-            seed = stored_seed
-        else:
-            seed = 0
+        seed = args.seed
+        if seed is None:
+            seed = 0 if stored_seed is None else _stored_option("seed", int, stored_seed)
         return command(config, seed, options)
     except (
         ConfigError,

@@ -16,7 +16,8 @@ a counted sequence of named tensor blocks:
 
 Dataset directories follow the convention ``images/*.ocet`` with optional
 ``labels/*.ocet`` under matching stems.  ``DataConfig`` says how each image
-is prepared before the network sees it.
+is prepared before the network sees it; images are (C, H, W) throughout.
+Binary PGM is only ever written, to visualise label masks; nothing reads it.
 """
 
 from __future__ import annotations
@@ -167,50 +168,7 @@ def archive_read(path) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# PGM (binary P5)
-
-def pgm_read(path) -> np.ndarray:
-    """Read a binary P5 image; returns float32 (H, W) scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-
-    def tokens():
-        pos = 0
-        while pos < len(buf):
-            c = buf[pos:pos + 1]
-            if c == b"#":
-                while pos < len(buf) and buf[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                start = pos
-                while pos < len(buf) and not buf[pos:pos + 1].isspace() and buf[pos:pos + 1] != b"#":
-                    pos += 1
-                yield buf[start:pos].decode("ascii"), pos
-        raise FormatError("malformed header")
-
-    gen = tokens()
-    magic, _ = next(gen)
-    if magic != "P5":
-        raise FormatError(f"unsupported format {magic!r} (binary P5 required)")
-    try:
-        width, _ = next(gen)
-        height, _ = next(gen)
-        maxval, end = next(gen)
-        width, height, maxval = int(width), int(height), int(maxval)
-    except (StopIteration, ValueError) as exc:
-        raise FormatError("malformed header") from exc
-    if not 0 < maxval < 65536:
-        raise FormatError(f"maxval {maxval} out of range")
-    data = buf[end + 1:]  # single whitespace byte after maxval
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    need = width * height * dtype.itemsize
-    if len(data) < need:
-        raise FormatError(f"truncated payload (expected {need} bytes, found {len(data)})")
-    img = np.frombuffer(data, dtype=dtype, count=width * height).reshape(height, width)
-    return (img.astype(np.float32) / maxval).astype(np.float32)
-
+# PGM (binary P5), written for visualisation only
 
 def pgm_write(path, image: np.ndarray, maxval: int = 255) -> None:
     """Write (H, W) data as binary P5; floats are quantized against maxval."""
@@ -284,15 +242,15 @@ class DataConfig:
 
 
 def normalize_percentile(image: np.ndarray, low: float = 1.0, high: float = 99.8) -> np.ndarray:
-    """Affinely map the low percentile to 0 and the high percentile to 1, per channel.
+    """Affinely map the low percentile to 0 and the high percentile to 1, per
+    channel of a (C, H, W) image; any other rank raises :class:`ShapeError`.
 
     No clipping is applied; percentiles use linear interpolation of the
     sorted sample.  A constant channel is an error.
     """
     img = np.asarray(image, dtype=np.float32)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[None]
+    if img.ndim != 3:
+        raise ShapeError(f"normalize_percentile expects (C, H, W), got shape {img.shape}")
     out = np.empty_like(img)
     for c in range(img.shape[0]):
         lo = np.percentile(img[c], low)
@@ -300,7 +258,7 @@ def normalize_percentile(image: np.ndarray, low: float = 1.0, high: float = 99.8
         if hi <= lo:
             raise DegenerateError(f"channel {c} has no spread between percentiles")
         out[c] = (img[c] - lo) / (hi - lo)
-    return out[0] if squeeze else out
+    return out
 
 
 def _bilinear_axis_coords(n_out: int, n_in: int, factor: float) -> np.ndarray:
@@ -309,20 +267,16 @@ def _bilinear_axis_coords(n_out: int, n_in: int, factor: float) -> np.ndarray:
 
 
 def rescale_image(image: np.ndarray, factor: float) -> np.ndarray:
-    """Bilinear resampling of (H, W) or (C, H, W) intensity data."""
+    """Bilinear resampling of (C, H, W) intensity data."""
     if factor <= 0:
         raise ShapeError("factor must be positive")
     img = np.asarray(image, dtype=np.float32)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[None]
     _, H, W = img.shape
     Ho, Wo = int(round(H * factor)), int(round(W * factor))
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"output {Ho}x{Wo} smaller than one pixel")
     if factor == 1.0:
-        out = img.copy()
-        return out[0] if squeeze else out
+        return img.copy()
     ys = _bilinear_axis_coords(Ho, H, factor)
     xs = _bilinear_axis_coords(Wo, W, factor)
     y0 = np.floor(ys).astype(np.int64)
@@ -334,32 +288,21 @@ def rescale_image(image: np.ndarray, factor: float) -> np.ndarray:
     top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
     bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
     out = top * (1 - wy)[None, :, None] + bot * wy[None, :, None]
-    out = out.astype(np.float32)
-    return out[0] if squeeze else out
+    return out.astype(np.float32)
 
 
-def rescale_labels(labels: np.ndarray, factor: float, out_shape=None) -> np.ndarray:
-    """Nearest-neighbour resampling of an integer label mask.
-
-    ``out_shape`` overrides the rounded output size, e.g. to map a mask
-    produced at some working scale back onto the exact original grid.
-    """
-    if factor <= 0:
-        raise ShapeError("factor must be positive")
+def rescale_labels(labels: np.ndarray, out_shape) -> np.ndarray:
+    """Nearest-neighbour resampling of an (H, W) integer label mask onto an
+    ``out_shape`` grid, e.g. to map a mask produced at some working scale
+    back onto the exact original grid."""
     lab = np.asarray(labels)
     H, W = lab.shape
-    if out_shape is None:
-        Ho, Wo = int(round(H * factor)), int(round(W * factor))
-    else:
-        Ho, Wo = out_shape
-        factor = Ho / H
+    Ho, Wo = out_shape
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"output {Ho}x{Wo} smaller than one pixel")
-    if factor == 1.0 and (Ho, Wo) == (H, W):
-        return lab.copy()
     ys = np.clip(np.rint((np.arange(Ho) + 0.5) * H / Ho - 0.5), 0, H - 1).astype(np.int64)
     xs = np.clip(np.rint((np.arange(Wo) + 0.5) * W / Wo - 0.5), 0, W - 1).astype(np.int64)
-    return lab[ys][:, xs].copy()
+    return lab[ys][:, xs]
 
 
 # ---------------------------------------------------------------------------

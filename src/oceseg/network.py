@@ -50,6 +50,8 @@ class ModelConfig:
             raise ConfigError(f"in_channels must be 1 or 2, got {self.in_channels}")
         if self.depth != 1:
             raise ConfigError(f"only depth 1 is supported, got {self.depth}")
+        if self.out_channels != 2:
+            raise ConfigError(f"out_channels must be 2 (a 2-D offset), got {self.out_channels}")
 
 
 def _layer_plan(config: ModelConfig):
@@ -209,6 +211,18 @@ class TrainResult:
     next_epoch: int = 0
 
 
+def check_train_images(images, in_channels: int, crop: int) -> None:
+    """Raise unless there are images and each is (in_channels, H, W) with
+    ``crop`` fitting inside; ``train`` runs this before its first step."""
+    if not images:
+        raise ValueError("empty dataset")
+    for img in images:
+        if img.ndim != 3 or img.shape[0] != in_channels:
+            raise ShapeError(f"dataset images must be ({in_channels},H,W), got {img.shape}")
+        if img.shape[1] < crop or img.shape[2] < crop:
+            raise ShapeError(f"crop {crop} larger than image {img.shape[1]}x{img.shape[2]}")
+
+
 def train(
     images,
     model_config: ModelConfig,
@@ -229,16 +243,6 @@ def train(
     resumed from a checkpoint at an epoch boundary replays the exact stream
     of the uninterrupted run.
     """
-    if not images:
-        raise ValueError("empty dataset")
-    crop = train_config.crop_size
-    for img in images:
-        if img.ndim != 3:
-            raise ShapeError("dataset images must be (C,H,W)")
-        if img.shape[1] < crop or img.shape[2] < crop:
-            raise ShapeError(
-                f"crop {crop} larger than image {img.shape[1]}x{img.shape[2]}"
-            )
     if resume is not None:
         state = TrainResult(
             resume.params, resume.adam, list(resume.epoch_losses), resume.next_epoch
@@ -246,6 +250,8 @@ def train(
     else:
         params = init_params(model_config, seed)
         state = TrainResult(params, AdamState.fresh(params))
+    crop = train_config.crop_size
+    check_train_images(images, state.params.config.in_channels, crop)
 
     n = len(images)
     steps = max(1, n // train_config.batch_size)

@@ -56,7 +56,7 @@ def _tile_starts(size: int, tile: int) -> list[int]:
 
 
 def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
-    """Offset field aligned to the input grid: output (2, H, W) for (C, H, W) input.
+    """Offset field aligned to the input grid: (2, H, W) for a (C, H, W) image.
 
     The image is reflect-padded by half the context margin, then processed
     in tiles no larger than ``tile`` per side with overlapping borders; each
@@ -68,9 +68,7 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
     if tile < MIN_INPUT or tile % 2:
         raise ShapeError(f"tile {tile} must be even and at least {MIN_INPUT}")
     img = np.asarray(image, dtype=np.float32)
-    if img.ndim == 2:
-        img = img[None]
-    C, H, W = img.shape
+    _, H, W = img.shape
     if H < MIN_INPUT or W < MIN_INPUT:
         raise ShapeError(f"image {H}x{W} smaller than {MIN_INPUT}x{MIN_INPUT}")
     half = CONTEXT // 2
@@ -92,14 +90,12 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
 
 
 def salt_pepper(image, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Set floor(fraction*H*W/2) random pixels to 0.0 and as many to 1.0.
+    """A copy of the (C, H, W) image with floor(fraction*H*W/2) random pixels
+    set to 0.0 and as many to 1.0.
 
     The two sets are disjoint; a hit pixel is overwritten in all channels.
     """
     img = np.array(image, dtype=np.float32, copy=True)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[None]
     _, H, W = img.shape
     m = int(fraction * H * W / 2)
     if m > 0:
@@ -107,24 +103,21 @@ def salt_pepper(image, fraction: float, rng: np.random.Generator) -> np.ndarray:
         rows, cols = np.divmod(flat, W)
         img[:, rows[:m], cols[:m]] = 0.0
         img[:, rows[m:], cols[m:]] = 1.0
-    return img[0] if squeeze else img
+    return img
 
 
-def embedding_variance(
-    params: ModelParams, image, rounds: int = 5, fraction: float = 0.01,
-    seed: int = 0,
-) -> np.ndarray:
+def embedding_variance(params: ModelParams, image, config: SegmenterConfig,
+                       seed: int = 0) -> np.ndarray:
     """Per-pixel variance of the offset field across noisy re-predictions.
 
-    Runs ``rounds`` independent salt-and-pepper corruptions, predicts each,
-    and sums the per-channel unbiased sample variances into one (H, W) map.
+    Runs ``config.noise_rounds`` independent salt-and-pepper corruptions of
+    the (C, H, W) image at ``config.noise_fraction``, predicts each, and sums
+    the per-channel unbiased sample variances into one (H, W) map.
     """
-    if rounds < 2:
-        raise ValueError("rounds must be at least 2 for an unbiased variance")
     preds = []
-    for r in range(rounds):
+    for r in range(config.noise_rounds):
         rng = np.random.default_rng([seed, r])
-        noisy = salt_pepper(image, fraction, rng)
+        noisy = salt_pepper(image, config.noise_fraction, rng)
         preds.append(predict_full(params, noisy))
     stack = np.stack(preds)  # (rounds, 2, H, W)
     return np.var(stack, axis=0, ddof=1, dtype=np.float64).sum(axis=0)
@@ -339,11 +332,7 @@ def shrink_instances(labels, distance: float) -> np.ndarray:
 def _field_and_foreground(params: ModelParams, image, config: SegmenterConfig, seed: int):
     """Offset field and noise-variance foreground of one image."""
     field = predict_full(params, image)
-    var = embedding_variance(
-        params, image, rounds=config.noise_rounds,
-        fraction=config.noise_fraction, seed=seed,
-    )
-    return field, detect_foreground(var)
+    return field, detect_foreground(embedding_variance(params, image, config, seed))
 
 
 def segment_image(params: ModelParams, image, config: SegmenterConfig,

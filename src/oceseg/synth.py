@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .data import relabel_consecutive
-from .errors import PlacementError, ShapeError
+from .errors import PlacementError
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
 
@@ -136,42 +135,3 @@ def generate_dataset(spec: SceneSpec, count: int, seed: int = 0):
         scenes.append(synth_generate(replace(spec, seed=sub)))
     return scenes
 
-
-# ---------------------------------------------------------------------------
-# Sparse-annotation pseudo dataset
-
-def build_pseudo_dataset(pred_labels, annotations, background_radius: float = 30.0):
-    """Override predictions with sparse annotations.
-
-    Predicted instances that intersect any annotation are removed and the
-    annotation masks become labels; remaining predictions are kept as
-    pseudo labels.  Known background is every pixel strictly closer than
-    ``background_radius`` to an annotated object and not inside any label.
-
-    Returns (pseudo label mask, known-background boolean mask).
-    """
-    pred = np.asarray(pred_labels)
-    masks = [np.asarray(m, bool) for m in annotations]
-    for m in masks:
-        if m.shape != pred.shape:
-            raise ShapeError("annotation shape differs from prediction")
-    union = np.zeros(pred.shape, bool)
-    for m in masks:
-        if (union & m).any():
-            raise ShapeError("annotations overlap")
-        union |= m
-    removed = np.unique(pred[union])
-    removed = removed[removed > 0]
-    pseudo = pred.astype(np.int32, copy=True)
-    pseudo[np.isin(pseudo, removed)] = 0
-    next_id = int(pseudo.max()) + 1
-    for m in masks:
-        pseudo[m] = next_id
-        next_id += 1
-    pseudo, _ = relabel_consecutive(pseudo)
-    if union.any():
-        dist = ndimage.distance_transform_edt(~union)
-        known_bg = (dist < background_radius) & (pseudo == 0)
-    else:
-        known_bg = np.zeros(pred.shape, bool)
-    return pseudo, known_bg

@@ -290,6 +290,23 @@ def test_gather_duplicates_accumulate():
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+def test_gather_backward_equals_per_channel_accumulation(dtype):
+    rng = np.random.default_rng(62)
+    coords = rng.integers(0, 12, size=(500, 2))  # many repeated pixels
+    g = rng.normal(size=(500, 2)).astype(dtype)
+    field = Tensor(np.zeros((2, 12, 12), dtype))
+    with Tape() as tape:
+        out = gather_coords(field, coords)
+    out.grad = g
+    for node in reversed(tape.nodes):
+        node.backward()
+    expected = np.zeros((2, 12, 12), dtype)
+    for c in range(2):  # the same additions, in the same order, channel by channel
+        np.add.at(expected[c], (coords[:, 0], coords[:, 1]), g[:, c])
+    assert field.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_gather_gradcheck(dtype):
     rng = np.random.default_rng(61)
     tol = fd_tolerance(dtype)

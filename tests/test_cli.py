@@ -74,7 +74,7 @@ def test_segment_maps_rescaled_labels_to_the_original_shape(run_dir, rescale):
         img = rescale_image(normalize_percentile(raw), rescale)
         working = segment_image(params, img, config, seed=i)
         assert working.shape != raw.shape[1:] and working.max() > 0
-        expected = rescale_labels(working, 1.0 / rescale, out_shape=raw.shape[1:])
+        expected = rescale_labels(working, raw.shape[1:])
         written = tensor_read(run_dir / out / "labels" / f"{stem}.ocet")
         assert written.shape == raw.shape[1:]
         assert np.array_equal(written, expected)
@@ -150,6 +150,52 @@ def test_bad_config_section_exits_before_writing(run_dir, capsys, command, secti
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
     assert not (run_dir / out).exists()
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"train": {"crop_size": 96}}, "crop 96 larger than image 64x64"),
+    ({"model": {"in_channels": 2}}, "images must be (2,H,W)"),
+    ({"model": {"out_channels": 3}}, "out_channels must be 2"),
+])
+def test_train_checks_model_and_images_before_writing(run_dir, capsys, sections, message):
+    (fields,) = sections.values()
+    (field,) = fields
+    out = f"unfit_train_{field}"
+    assert _run(run_dir, "train", out, sections) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (run_dir / out).exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("images", "2"), ("images", 2.0), ("images", True), ("noise_std", "0.02"),
+    ("noise_std", False), ("out", 3), ("seed", "3"), ("seed", 1.0),
+])
+def test_stored_options_are_type_checked(tmp_path, capsys, option, value):
+    out = tmp_path / "data"
+    options = {"out": str(out), "images": 1, "size": 32, "objects": 1, "radius_min": 4.0,
+               "radius_max": 5.0, "noise_std": 0.02}
+    payload = {"command": "synth", "seed": 0, "options": options, "config": {}}
+    (payload if option == "seed" else options)[option] = value
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(payload))
+    assert cli.main(["synth", "--config", str(echo)]) == 2
+    err = capsys.readouterr().err
+    assert repr(option) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_stored_options_of_the_right_type_load(tmp_path):
+    out = tmp_path / "data"
+    echo = tmp_path / "echo.json"
+    # a float option may be stored as an int, and is read as a float
+    echo.write_text(json.dumps({"command": "synth", "seed": 2, "options": {
+        "out": str(out), "images": 1, "size": 32, "objects": 1, "radius_min": 4,
+        "radius_max": 5.0, "noise_std": 0.02}, "config": {}}))
+    assert cli.main(["synth", "--config", str(echo)]) == 0
+    options = json.loads((out / "config.json").read_text())["options"]
+    assert options["radius_min"] == 4.0 and isinstance(options["radius_min"], float)
+    assert options["images"] == 1 and (out / "images" / "im0000.ocet").exists()
 
 
 def test_default_config_sections():

@@ -8,7 +8,6 @@ from oceseg.data import (
     labels_to_gray,
     load_dataset,
     normalize_percentile,
-    pgm_read,
     pgm_write,
     rescale_image,
     relabel_consecutive,
@@ -117,35 +116,19 @@ def test_archive_truncation(tmp_path):
 # ---------------------------------------------------------------------------
 # PGM
 
-def test_pgm_read_values(tmp_path):
-    path = tmp_path / "x.pgm"
-    path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
-    img = pgm_read(path)
-    assert np.allclose(img, [[0.0, 1.0], [128 / 255, 64 / 255]], atol=1e-7)
+def test_pgm_write_bytes_8bit(tmp_path):
+    # floats are clipped to [0, 1] and rounded half to even against maxval
+    img = np.array([[0.0, 1.0, 0.5], [0.25, 2.0, -1.0]], np.float32)
+    path = tmp_path / "a.pgm"
+    pgm_write(path, img)
+    assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 255, 128, 64, 255, 0])
 
 
-def test_pgm_comments_and_16bit(tmp_path):
-    path = tmp_path / "c.pgm"
-    payload = np.array([[0, 65535], [1000, 30000]], dtype=">u2").tobytes()
-    path.write_bytes(b"P5 # comment\n# another\n2 2\n65535\n" + payload)
-    img = pgm_read(path)
-    assert np.allclose(img, [[0.0, 1.0], [1000 / 65535, 30000 / 65535]], atol=1e-7)
-
-
-def test_pgm_rejects_p6(tmp_path):
-    path = tmp_path / "x.pgm"
-    path.write_bytes(b"P6\n1 1\n255\n\0\0\0")
-    with pytest.raises(FormatError, match="P5"):
-        pgm_read(path)
-
-
-def test_pgm_write_read_write_stable(tmp_path):
-    rng = np.random.default_rng(2)
-    img = (rng.integers(0, 256, size=(5, 7)) / 255).astype(np.float32)
-    a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    pgm_write(a, img)
-    pgm_write(b, pgm_read(a))
-    assert a.read_bytes() == b.read_bytes()
+def test_pgm_write_bytes_16bit(tmp_path):
+    img = np.array([[0, 65535], [1000, 30000]], np.uint16)
+    path = tmp_path / "b.pgm"
+    pgm_write(path, img, maxval=65535)
+    assert path.read_bytes() == b"P5\n2 2\n65535\n" + bytes.fromhex("0000ffff03e87530")
 
 
 def test_labels_to_gray_distinct():
@@ -303,6 +286,12 @@ def test_normalize_constant_raises():
         normalize_percentile(np.full((1, 10, 10), 3.0, np.float32))
 
 
+@pytest.mark.parametrize("shape", [(50, 50), (1, 1, 50, 50)])
+def test_normalize_rejects_other_ranks(shape):
+    with pytest.raises(ShapeError, match="C, H, W"):
+        normalize_percentile(np.arange(2500, dtype=np.float32).reshape(shape))
+
+
 def test_normalize_idempotent_within_rounding():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 80, 80)).astype(np.float32) * 7 + 3
@@ -319,14 +308,14 @@ def test_rescale_identity():
     img = rng.normal(size=(1, 9, 9)).astype(np.float32)
     assert np.array_equal(rescale_image(img, 1.0), img)
     lab = rng.integers(0, 4, size=(9, 9)).astype(np.int32)
-    assert np.array_equal(rescale_labels(lab, 1.0), lab)
+    assert np.array_equal(rescale_labels(lab, (9, 9)), lab)
 
 
 def test_rescale_labels_blocks_roundtrip():
     lab = np.array([[1, 2], [3, 4]], np.int32)
-    up = rescale_labels(lab, 2.0)
+    up = rescale_labels(lab, (4, 4))
     assert np.array_equal(up, np.repeat(np.repeat(lab, 2, 0), 2, 1))
-    assert np.array_equal(rescale_labels(up, 0.5), lab)
+    assert np.array_equal(rescale_labels(up, (2, 2)), lab)
 
 
 def test_rescale_too_small_errors():
@@ -343,8 +332,8 @@ def test_rescale_bilinear_constant_preserved():
 def test_rescale_labels_to_shape():
     lab = np.zeros((7, 7), np.int32)
     lab[2:5, 2:5] = 1
-    up = rescale_labels(lab, 2.0)
-    back = rescale_labels(up, 0.5, out_shape=(7, 7))
+    up = rescale_labels(lab, (14, 14))
+    back = rescale_labels(up, (7, 7))
     assert back.shape == (7, 7)
     assert np.array_equal(back, lab)
 

@@ -5,6 +5,7 @@ import pytest
 
 from oceseg import (
     AdamState,
+    ConfigError,
     FormatError,
     LossConfig,
     ModelConfig,
@@ -40,6 +41,8 @@ def test_config_validation():
         ModelConfig(in_channels=3)
     with pytest.raises(ValueError):
         ModelConfig(depth=2)
+    with pytest.raises(ConfigError, match="out_channels"):
+        ModelConfig(out_channels=3)
 
 
 def test_init_deterministic_and_shaped():

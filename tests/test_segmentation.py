@@ -410,10 +410,7 @@ def _sweep_oracle(params, images, gt_labels, bandwidths, metric, seed):
         base = []
         for i, img in enumerate(images):
             field = predict_full(params, img)
-            var = segmentation.embedding_variance(
-                params, img, rounds=config.noise_rounds,
-                fraction=config.noise_fraction, seed=seed + i,
-            )
+            var = segmentation.embedding_variance(params, img, config, seed=seed + i)
             base.append(segmentation.segment(field, segmentation.detect_foreground(var), config))
         for s in range(7):
             preds = [segmentation.shrink_instances(lab, s) for lab in base]

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from oceseg import PlacementError, ShapeError
+from oceseg import PlacementError
 from oceseg.synth import (
     SceneSpec,
-    build_pseudo_dataset,
     generate_dataset,
     object_template,
     synth_generate,
@@ -77,49 +76,3 @@ def test_template_support_and_texture():
     # texture varies within the object (position identifiable)
     assert len(np.unique(values[support])) > 0.9 * support.sum()
 
-
-# ---------------------------------------------------------------------------
-# pseudo dataset
-
-def test_pseudo_replaces_overlapped_predictions():
-    pred = np.zeros((40, 40), np.int32)
-    pred[5:15, 5:15] = 1
-    pred[20:30, 20:30] = 2
-    ann = np.zeros((40, 40), bool)
-    ann[8:13, 8:13] = True
-    pseudo, known_bg = build_pseudo_dataset(pred, [ann])
-    # object 1 replaced by the annotation, object 2 untouched
-    assert set(np.unique(pseudo)) == {0, 1, 2}
-    ann_id = pseudo[10, 10]
-    assert np.array_equal(pseudo == ann_id, ann)
-    kept_id = pseudo[25, 25]
-    assert np.array_equal(pseudo == kept_id, pred == 2)
-
-
-def test_pseudo_no_annotations_identity():
-    pred = np.zeros((20, 20), np.int32)
-    pred[3:6, 3:6] = 1
-    pseudo, known_bg = build_pseudo_dataset(pred, [])
-    assert np.array_equal(pseudo, pred)
-    assert not known_bg.any()
-
-
-def test_pseudo_known_background_disc():
-    pred = np.zeros((101, 101), np.int32)
-    ann = np.zeros((101, 101), bool)
-    ann[50, 50] = True
-    pseudo, known_bg = build_pseudo_dataset(pred, [ann])
-    ys, xs = np.mgrid[0:101, 0:101]
-    dist = np.hypot(ys - 50.0, xs - 50.0)
-    expect = (dist < 30.0) & (pseudo == 0)
-    assert np.array_equal(known_bg, expect)
-
-
-def test_pseudo_overlapping_annotations_rejected():
-    pred = np.zeros((20, 20), np.int32)
-    a = np.zeros((20, 20), bool)
-    b = np.zeros((20, 20), bool)
-    a[3:8, 3:8] = True
-    b[6:10, 6:10] = True
-    with pytest.raises(ShapeError, match="overlap"):
-        build_pseudo_dataset(pred, [a, b])
