@@ -9,6 +9,21 @@ Ops executed without an active tape are plain forward computations.
 
 Training arithmetic is float32; every op also accepts float64 tensors so
 gradient checks can run at higher precision.
+
+``conv2d_valid`` has one engine for both kernel sizes, im2col over GEMMs
+(Chellapilla et al. 2006).  Output pixel (r, c) of a (C, H, W) input is flat
+position r*W + c, and tap (di, dj) reads the flat input di*W + dj further on.
+The forward walks the flat output positions in chunks of ``CHUNK``: it copies
+the k*k shifted slices of a chunk into a (C*k*k, CHUNK) patch buffer, zeroes
+the columns past the last valid position and runs one (F, C*k*k) GEMM.  The
+backward walks the input positions the same way with patches of the output
+gradient: one GEMM gives the chunk's dX and one adds its share of dW.
+
+Every GEMM of a call has the same shape, whatever the image size.  A BLAS
+GEMM's result for one column can depend on how many columns the call has,
+because blocking and threading follow the shape; with a fixed width, the
+conv of an image window equals the same window of the whole image's conv
+bit for bit, and so tiled inference equals one pass.
 """
 
 from __future__ import annotations
@@ -18,12 +33,12 @@ from typing import Callable, Optional, Sequence
 import threading
 
 import numpy as np
-from scipy.linalg import blas as _blas
 
 from .errors import ShapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
-_GEMM = {np.dtype(np.float32): _blas.sgemm, np.dtype(np.float64): _blas.dgemm}
+# flat positions per conv GEMM: the column count of every GEMM conv2d_valid runs
+CHUNK = 2048
 
 _tls = threading.local()
 
@@ -126,7 +141,10 @@ def _record(op: str, inputs: Sequence[Tensor], backward: Callable[[], None]) -> 
 def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Valid cross-correlation of (C,H,W) with (F,C,k,k) filters plus bias.
 
-    k must be 1 or 3; output is (F, H-k+1, W-k+1).
+    k must be 1 or 3; output is (F, H-k+1, W-k+1).  Both kernel sizes run
+    the engine of the module docstring: im2col patches of ``CHUNK`` flat
+    positions, each chunk one GEMM of the same shape, so an output pixel does
+    not depend on the image size.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise ShapeError("conv2d_valid expects (C,H,W) input and (F,C,k,k) weights")
@@ -141,80 +159,57 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (F,):
         raise ShapeError(f"bias shape {b.shape} != ({F},)")
     Ho, Wo = H - k + 1, W - k + 1
-    xd, wd = x.data, w.data
+    kk, HW, dtype = k * k, H * W, x.data.dtype
+    # tap (di, dj) reads the flat input at offset di*W + dj from the output
+    # pixel (r, c), which sits at flat position r*W + c; positions with
+    # c >= Wo straddle two rows and are cropped, and L - 1 is the last valid
+    shifts = [di * W + dj for di in range(k) for dj in range(k)]
+    L = (Ho - 1) * W + Wo
+    x_flat = x.data.reshape(C, HW)
 
-    # GEMMs run over shifted contiguous views of the flattened image: for
-    # offset (di, dj) the slice x_flat[:, di*W+dj :][:L] aligns input pixel
-    # (r+di, c+dj) with output pixel (r, c).  Row-end positions mix
-    # neighbouring rows, but those columns fall outside the valid output and
-    # are cropped afterwards.  This avoids materializing any patch copies,
-    # and the (pixels, channels) GEMM orientation is what the BLAS prefers.
-    if k == 1:
-        w2 = wd.reshape(F, C)
-        out_arr = w2 @ xd.reshape(C, -1)
-        out_arr += b.data[:, None]
-        out_arr = out_arr.reshape(F, Ho, Wo)
-    else:
-        L = (Ho - 1) * W + Wo
-        x_flat = xd.reshape(C, -1)
-        wk = np.ascontiguousarray(wd.transpose(2, 3, 1, 0))  # (k,k,C,F)
-        acc = _scratch("conv.acc", (H * W, F), xd.dtype)
-        tgt = acc[:L]
-        tmp = _scratch("conv.tmp", (L, F), xd.dtype)
-        for i, (di, dj) in enumerate((p, q) for p in range(k) for q in range(k)):
-            s = di * W + dj
-            np.matmul(x_flat[:, s:s + L].T, wk[di, dj], out=tmp)
-            if i == 0:
-                np.copyto(tgt, tmp)
-            else:
-                tgt += tmp
-        # only positions [0, L) with column < Wo are read here, so the
-        # scratch garbage beyond them never leaks into the output
-        out_arr = np.ascontiguousarray(
-            acc.reshape(H, W, F)[:Ho, :Wo].transpose(2, 0, 1)
-        )
-        out_arr += b.data[:, None, None]
-
+    starts = range(0, L, CHUNK)
+    out_flat = np.empty((F, len(starts) * CHUNK + k - 1), dtype)
+    patches = _scratch("conv.patches", (C, kk, CHUNK), dtype)
+    w2 = w.data.reshape(F, C * kk)  # columns ordered (channel, di, dj) like patches
+    for p0 in starts:
+        m = min(CHUNK, L - p0)
+        for i, s in enumerate(shifts):
+            patches[:, i, :m] = x_flat[:, p0 + s:p0 + s + m]
+        patches[:, :, m:] = 0
+        np.matmul(w2, patches.reshape(C * kk, CHUNK), out=out_flat[:, p0:p0 + CHUNK])
+    out_arr = out_flat[:, :Ho * W].reshape(F, Ho, W)[:, :, :Wo] + b.data[:, None, None]
     out = Tensor(out_arr, dtype=out_arr.dtype)
 
     def backward():
         g = out.grad
         if g is None:
             return
-        g2 = g.reshape(F, -1)
-        _accum(b, g2.sum(axis=1))
-        dw = np.empty_like(wd)
-        if k == 1:
-            w2 = wd.reshape(F, C)
-            x2 = xd.reshape(C, -1)
-            dw[...] = (x2 @ g2.T).T.reshape(F, C, 1, 1)
-            dx = (w2.T @ g2).reshape(C, H, W)
-        else:
-            L = (Ho - 1) * W + Wo
-            x_flat = xd.reshape(C, -1)
-            wk = wd.transpose(2, 3, 0, 1)  # (k,k,F,C), sliced contiguous below
-            gemm = _GEMM[xd.dtype]
-            # grad lands in a zero-padded full-size channels-last buffer so
-            # the shifted flat views stay exact: padding columns are zero and
-            # rows >= Ho never fall inside the [0, L) slice
-            g_buf = _scratch("conv.gcl", (H * W, F), xd.dtype)
-            gv = g_buf.reshape(H, W, F)
-            gv[:Ho, :Wo] = g.transpose(1, 2, 0)
-            gv[:Ho, Wo:] = 0
-            g_cl = g_buf[:L]
-            dx_cl = _scratch("conv.dxcl", (H * W, C), xd.dtype)
-            dx_cl[L:] = 0
-            for i, (di, dj) in enumerate((p, q) for p in range(k) for q in range(k)):
-                s = di * W + dj
-                dw[:, :, di, dj] = (x_flat[:, s:s + L] @ g_cl).T
-                wkc = np.ascontiguousarray(wk[di, dj])
-                # in-place accumulate on the F-contiguous transposed view;
-                # the first offset (s == 0) overwrites, initializing [0, L)
-                gemm(1.0, wkc.T, g_cl.T, beta=0.0 if i == 0 else 1.0,
-                     c=dx_cl[s:s + L].T, overwrite_c=1)
-            dx = np.ascontiguousarray(dx_cl.reshape(H, W, C).transpose(2, 0, 1))
-        _accum(w, dw)
-        _accum(x, dx)
+        _accum(b, g.reshape(F, -1).sum(axis=1))
+        # Input pixel q takes tap s's gradient from output position q - s, so
+        # both gradients come from im2col patches of g over input chunks: g
+        # goes into the flat layout shifted right by the largest tap offset,
+        # zero at cropped and padding positions, and x is zero-padded to whole
+        # chunks.  dX is one GEMM per chunk, written into a chunk-padded
+        # buffer that the gradient views; dW^T sums x_chunk @ patches^T.
+        smax = shifts[-1]
+        dstarts = range(0, HW, CHUNK)
+        width = len(dstarts) * CHUNK
+        g_pad = np.zeros((F, smax + width), dtype)
+        g_pad[:, smax:smax + Ho * W].reshape(F, Ho, W)[:, :, :Wo] = g
+        x_pad = np.zeros((C, width), dtype)
+        x_pad[:, :HW] = x_flat
+        w_t = w.data.transpose(1, 0, 2, 3).reshape(C, F * kk)
+        gpatches = _scratch("conv.gpatches", (F, kk, CHUNK), dtype)
+        gp2 = gpatches.reshape(F * kk, CHUNK)
+        dw_t = np.zeros((C, F * kk), dtype)
+        dx = np.empty((C, width), dtype)
+        for q0 in dstarts:
+            for i, s in enumerate(shifts):
+                gpatches[:, i] = g_pad[:, q0 + smax - s:q0 + smax - s + CHUNK]
+            dw_t += x_pad[:, q0:q0 + CHUNK] @ gp2.T
+            np.matmul(w_t, gp2, out=dx[:, q0:q0 + CHUNK])
+        _accum(w, np.ascontiguousarray(dw_t.reshape(C, F, k, k).transpose(1, 0, 2, 3)))
+        _accum(x, dx[:, :HW].reshape(C, H, W))
 
     _record("conv2d_valid", (x, w, b), backward)
     return out
@@ -235,6 +230,9 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))  # a 2x2 block in row-major order
+
+
 def maxpool2(x: Tensor) -> Tensor:
     """2x2 non-overlapping max pool; gradient routes to the first row-major argmax."""
     if x.data.ndim != 3:
@@ -243,23 +241,26 @@ def maxpool2(x: Tensor) -> Tensor:
     if H % 2 or W % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {H}x{W}")
     H2, W2 = H // 2, W // 2
-    blocks = (
-        x.data.reshape(C, H2, 2, W2, 2)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(C, H2, W2, 4)
-    )
-    idx = blocks.argmax(axis=3)
-    out_arr = np.take_along_axis(blocks, idx[..., None], axis=3)[..., 0]
+    # the four pixels of each block as strided views
+    xv = x.data.reshape(C, H2, 2, W2, 2)
+    corners = [xv[:, :, di, :, dj] for di, dj in _CORNERS]
+    out_arr = np.maximum(np.maximum(corners[0], corners[1]),
+                         np.maximum(corners[2], corners[3]))
     out = Tensor(out_arr, dtype=out_arr.dtype)
 
     def backward():
         g = out.grad
         if g is None:
             return
-        d = np.zeros((C, H2, W2, 4), x.data.dtype)
-        np.put_along_axis(d, idx[..., None], g[..., None], axis=3)
-        dx = d.reshape(C, H2, W2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(C, H, W)
-        _accum(x, np.ascontiguousarray(dx))
+        dx = np.zeros_like(x.data)
+        dxv = dx.reshape(C, H2, 2, W2, 2)
+        taken = np.zeros((C, H2, W2), bool)
+        # a tie goes to the first corner, in row-major order, holding the max
+        for (di, dj), corner in zip(_CORNERS, corners):
+            hit = (corner == out.data) & ~taken
+            np.copyto(dxv[:, :, di, :, dj], g, where=hit)
+            taken |= hit
+        _accum(x, dx)
 
     _record("maxpool2", (x,), backward)
     return out
@@ -277,7 +278,10 @@ def upsample_nearest2(x: Tensor) -> Tensor:
         g = out.grad
         if g is None:
             return
-        _accum(x, g.reshape(C, H, 2, W, 2).sum(axis=(2, 4)))
+        # each row's two copies first, then the rows: the order a sum over the
+        # block axes adds in, so gradients keep their bits
+        top, bottom = g.reshape(C, H, 2, W, 2).transpose(2, 0, 1, 3, 4)
+        _accum(x, (top[..., 0] + top[..., 1]) + (bottom[..., 0] + bottom[..., 1]))
 
     _record("upsample_nearest2", (x,), backward)
     return out

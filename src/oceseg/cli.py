@@ -40,6 +40,7 @@ from .network import (
 from .segmentation import (
     SegmenterConfig,
     bandwidth_search,
+    check_image,
     predict_full,
     segment_image,
 )
@@ -193,13 +194,23 @@ def _cmd_train(config, seed, options):
     return 0
 
 
-def _cmd_predict(config, seed, options):
+def _load_inference_inputs(config, options):
+    """The checkpoint, dataset stems, raw images and prepared images of
+    ``predict``/``segment``; every prepared image is checked against the
+    model before the command writes anything."""
     params, _, _ = load_checkpoint(options["model"])
     stems, raw_images, _ = dataio.load_dataset(options["data"])
+    images = [_prepare_image(raw, config["data"]) for raw in raw_images]
+    for img in images:
+        check_image(img, params.config.in_channels)
+    return params, stems, raw_images, images
+
+
+def _cmd_predict(config, seed, options):
+    params, stems, _, images = _load_inference_inputs(config, options)
     out_dir = os.path.join(options["out"], "fields")
     os.makedirs(out_dir, exist_ok=True)
-    for stem, raw in zip(stems, raw_images):
-        img = _prepare_image(raw, config["data"])
+    for stem, img in zip(stems, images):
         field = predict_full(params, img)
         dataio.tensor_write(os.path.join(out_dir, stem + ".ocet"), field)
     _echo_config(options["out"], "predict", seed, options, config)
@@ -208,15 +219,13 @@ def _cmd_predict(config, seed, options):
 
 
 def _cmd_segment(config, seed, options):
-    params, _, _ = load_checkpoint(options["model"])
-    stems, raw_images, _ = dataio.load_dataset(options["data"])
+    params, stems, raw_images, images = _load_inference_inputs(config, options)
     lab_dir = os.path.join(options["out"], "labels")
     os.makedirs(lab_dir, exist_ok=True)
     vis_dir = os.path.join(options["out"], "vis")
     if options["pgm"]:
         os.makedirs(vis_dir, exist_ok=True)
-    for i, (stem, raw) in enumerate(zip(stems, raw_images)):
-        img = _prepare_image(raw, config["data"])
+    for i, (stem, raw, img) in enumerate(zip(stems, raw_images, images)):
         labels = segment_image(params, img, config["segment"], seed=seed + i)
         if config["data"].rescale != 1.0:
             labels = dataio.rescale_labels(labels, raw.shape[-2:])

@@ -12,8 +12,10 @@ r..r+4; the skip half of those covers input rows r+4..r+12, and the upsampled
 half copies bottleneck row floor(t/2) for concat row t, which covers input
 rows 2*floor(t/2)..2*floor(t/2)+13.  So an even r sees input rows r..r+17 and
 an odd r sees r-1..r+16 (columns alike).  Tiles cut at even origins keep the
-pooling phase of the whole image, which is what makes tiled inference equal a
-single pass.
+pooling phase of the whole image, and ``conv2d_valid`` runs every GEMM at one
+fixed shape, so a pixel's value does not depend on the width of the image it
+sits in; together they make tiled inference equal a single pass bit for bit at
+every model width.
 """
 
 from __future__ import annotations

@@ -55,6 +55,16 @@ def _tile_starts(size: int, tile: int) -> list[int]:
     return starts
 
 
+def check_image(image, in_channels: int) -> None:
+    """Raise unless ``predict_full`` takes the image: (in_channels, H, W)
+    with both sides at least ``MIN_INPUT``."""
+    if image.ndim != 3 or image.shape[0] != in_channels:
+        raise ShapeError(f"image has shape {image.shape}, model expects ({in_channels},H,W)")
+    _, H, W = image.shape
+    if H < MIN_INPUT or W < MIN_INPUT:
+        raise ShapeError(f"image {H}x{W} smaller than {MIN_INPUT}x{MIN_INPUT}")
+
+
 def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
     """Offset field aligned to the input grid: (2, H, W) for a (C, H, W) image.
 
@@ -68,9 +78,8 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
     if tile < MIN_INPUT or tile % 2:
         raise ShapeError(f"tile {tile} must be even and at least {MIN_INPUT}")
     img = np.asarray(image, dtype=np.float32)
+    check_image(img, params.config.in_channels)
     _, H, W = img.shape
-    if H < MIN_INPUT or W < MIN_INPUT:
-        raise ShapeError(f"image {H}x{W} smaller than {MIN_INPUT}x{MIN_INPUT}")
     half = CONTEXT // 2
     padded = np.pad(img, ((0, 0), (half, half), (half, half)), mode="reflect")
     # valid convolutions need even tile sides; pad one extra reflected line

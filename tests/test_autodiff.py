@@ -13,6 +13,7 @@ from oceseg import (
     relu,
     upsample_nearest2,
 )
+from oceseg.autodiff import CHUNK
 
 DTYPES = [np.float64, np.float32]
 
@@ -106,6 +107,68 @@ def test_conv_gradients_match_finite_differences(dtype):
         ]
         err = check_op(lambda x, w, b: conv2d_valid(x, w, b), arrays, dtype, rng)
         assert err < tol, (trial, err)
+
+
+def conv_reference(x, w, b, g):
+    """out, dW, dX and db of a valid convolution with output gradient g, by
+    a float64 loop over the k*k taps."""
+    x, w, b, g = (np.asarray(a, np.float64) for a in (x, w, b, g))
+    F, C, k, _ = w.shape
+    Ho, Wo = x.shape[1] - k + 1, x.shape[2] - k + 1
+    out = np.repeat(b, Ho * Wo).reshape(F, Ho, Wo)
+    dw = np.zeros_like(w)
+    dx = np.zeros_like(x)
+    for di in range(k):
+        for dj in range(k):
+            xs = x[:, di:di + Ho, dj:dj + Wo]
+            out += np.tensordot(w[:, :, di, dj], xs, axes=1)
+            dw[:, :, di, dj] = np.tensordot(g, xs, axes=([1, 2], [1, 2]))
+            dx[:, di:di + Ho, dj:dj + Wo] += np.tensordot(w[:, :, di, dj], g, axes=([0], [0]))
+    return out, dw, dx, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("C, H, W, F", [(3, 70, 90, 5), (64, 100, 100, 64)])
+def test_conv_matches_float64_reference_across_chunks(dtype, k, C, H, W, F):
+    Ho, Wo = H - k + 1, W - k + 1
+    # forward walks (Ho-1)*W + Wo flat outputs and backward H*W flat inputs;
+    # both span at least three chunks and end in a partial one
+    for n in ((Ho - 1) * W + Wo, H * W):
+        assert n > 2 * CHUNK and n % CHUNK
+    rng = np.random.default_rng(C * k + H)
+    x = rng.normal(size=(C, H, W)).astype(dtype)
+    w = (rng.normal(size=(F, C, k, k)) / np.sqrt(C * k * k)).astype(dtype)
+    b = rng.normal(size=F).astype(dtype)
+    g = rng.normal(size=(F, Ho, Wo)).astype(dtype)
+    tx, tw, tb = Tensor(x), Tensor(w), Tensor(b)
+    with Tape() as tape:
+        out = conv2d_valid(tx, tw, tb)
+    out.grad = g
+    tape.nodes[0].backward()
+    tol = 2e-6 if dtype == np.float32 else 1e-13
+    got = (out.data, tw.grad, tx.grad, tb.grad)
+    for name, a, ref in zip(("out", "dW", "dX", "db"), got, conv_reference(x, w, b, g)):
+        assert a.dtype == dtype and a.shape == ref.shape, name
+        err = np.abs(a - ref).max() / np.abs(ref).max()
+        assert err <= tol, (name, err)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("C, F", [(1, 64), (64, 2), (64, 64)])
+def test_conv_window_equals_whole_image_window(k, C, F):
+    """A window of the input convolves to the same window of the output, bit
+    for bit, which is what makes tiled inference equal one pass."""
+    rng = np.random.default_rng(100 * C + F + k)
+    H, W = 64, 80
+    x = rng.normal(size=(C, H, W)).astype(np.float32)
+    w = Tensor((rng.normal(size=(F, C, k, k)) / np.sqrt(C * k * k)).astype(np.float32))
+    b = Tensor(rng.normal(size=F).astype(np.float32))
+    whole = conv2d_valid(Tensor(x), w, b).data
+    for r, c, h, wd in [(0, 0, 6, 6), (9, 17, 6, 6), (5, 3, 21, 33), (30, 40, 21, 33),
+                        (0, 0, H - k + 1, 40), (2, 4, 50, 60)]:
+        window = conv2d_valid(Tensor(x[:, r:r + h + k - 1, c:c + wd + k - 1]), w, b).data
+        assert np.array_equal(window, whole[:, r:r + h, c:c + wd]), (r, c, h, wd)
 
 
 def test_conv_forward_deterministic():

@@ -37,12 +37,12 @@ def run_dir(tmp_path_factory):
     return root
 
 
-def _run(run_dir, command, out, sections):
-    """``oceseg segment`` or ``oceseg train`` on the fixture dataset with
-    ``sections`` as its config file."""
+def _run(run_dir, command, out, sections, model="model.ocec"):
+    """``oceseg segment``, ``predict`` or ``train`` on the fixture dataset
+    with ``sections`` as its config file."""
     config = run_dir / f"{out}.json"
     config.write_text(json.dumps(sections))
-    model = ["--model", str(run_dir / "model.ocec")] if command == "segment" else []
+    model = [] if command == "train" else ["--model", str(run_dir / model)]
     return cli.main([command, *model, "--data", str(run_dir / "data"),
                      "--out", str(run_dir / out), "--config", str(config)])
 
@@ -162,6 +162,26 @@ def test_train_checks_model_and_images_before_writing(run_dir, capsys, sections,
     (field,) = fields
     out = f"unfit_train_{field}"
     assert _run(run_dir, "train", out, sections) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (run_dir / out).exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "predict"])
+@pytest.mark.parametrize("case, message", [
+    ("in_channels", "model expects (2,H,W)"),
+    ("rescale", "image 16x16 smaller than 20x20"),
+], ids=["in_channels", "rescale"])
+def test_inference_checks_images_before_writing(run_dir, capsys, command, case, message):
+    model, sections = "model.ocec", {}
+    if case == "in_channels":
+        params = init_params(ModelConfig(in_channels=2, base_fmaps=4), seed=0)
+        model = "model_2ch.ocec"
+        save_checkpoint(run_dir / model, params, AdamState.fresh(params))
+    else:
+        sections = {"data": {"rescale": 0.25}}
+    out = f"unfit_{command}_{case}"
+    assert _run(run_dir, command, out, sections, model=model) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (run_dir / out).exists()

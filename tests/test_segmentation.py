@@ -38,18 +38,45 @@ def _counting_forward(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape", [(60, 70), (101, 87), (128, 128)])
-@pytest.mark.parametrize("tile", [40, 52, 64])
-def test_predict_full_tiled_equals_single_pass(small_params, monkeypatch, shape, tile):
+def _check_tiled_equals_single_pass(params, monkeypatch, shape, tile):
     img = np.random.default_rng(sum(shape)).normal(size=(1,) + shape).astype(np.float32)
     calls = _counting_forward(monkeypatch)
-    single = predict_full(small_params, img, tile=2 * max(shape))
+    single = predict_full(params, img, tile=2 * max(shape))
     assert len(calls) == 1
     del calls[:]
-    tiled = predict_full(small_params, img, tile=tile)
+    tiled = predict_full(params, img, tile=tile)
     assert len(calls) > 1
     assert tiled.shape == (2,) + shape
     assert np.array_equal(tiled, single)
+
+
+@pytest.mark.parametrize("shape", [(60, 70), (101, 87), (128, 128)])
+@pytest.mark.parametrize("tile", [20, 24, 40, 52, 64])
+def test_predict_full_tiled_equals_single_pass(small_params, monkeypatch, shape, tile):
+    _check_tiled_equals_single_pass(small_params, monkeypatch, shape, tile)
+
+
+@pytest.fixture(scope="module")
+def wide_params():
+    return {base: init_params(ModelConfig(base_fmaps=base), 2) for base in (16, 64)}
+
+
+# every conv runs 2048-column GEMMs however small its input, so small tiles
+# are slow at 64 maps: tile 20 on (101, 87) alone would take about 20 s
+_WIDE_CASES = [
+    (base, shape, tile)
+    for base in (16, 64)
+    for shape in [(60, 70), (101, 87)]
+    for tile in (20, 24, 40, 64)
+    if (base, shape, tile) != (64, (101, 87), 20)
+]
+
+
+@pytest.mark.parametrize("base_fmaps, shape, tile", _WIDE_CASES,
+                         ids=[f"{b}maps-{h}x{w}-tile{t}" for b, (h, w), t in _WIDE_CASES])
+def test_predict_full_tiled_equals_single_pass_at_width(wide_params, monkeypatch, base_fmaps,
+                                                        shape, tile):
+    _check_tiled_equals_single_pass(wide_params[base_fmaps], monkeypatch, shape, tile)
 
 
 @pytest.mark.parametrize("tile", [16, 18, 51, 253])
