@@ -17,7 +17,10 @@ The forward walks the flat output positions in chunks of ``CHUNK``: it copies
 the k*k shifted slices of a chunk into a (C*k*k, CHUNK) patch buffer, zeroes
 the columns past the last valid position and runs one (F, C*k*k) GEMM.  The
 backward walks the input positions the same way with patches of the output
-gradient: one GEMM gives the chunk's dX and one adds its share of dW.
+gradient: one GEMM gives the chunk's dX and one adds its share of dW.  A 1x1
+patch is the input itself, so for k=1 a whole chunk hands its slice of the
+flat input (or output gradient) to the GEMM in place; only the last, partial
+chunk goes through a zero-padded buffer.
 
 Every GEMM of a call has the same shape, whatever the image size.  A BLAS
 GEMM's result for one column can depend on how many columns the call has,
@@ -173,6 +176,9 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     w2 = w.data.reshape(F, C * kk)  # columns ordered (channel, di, dj) like patches
     for p0 in starts:
         m = min(CHUNK, L - p0)
+        if k == 1 and m == CHUNK:  # a 1x1 patch is the input itself
+            np.matmul(w2, x_flat[:, p0:p0 + CHUNK], out=out_flat[:, p0:p0 + CHUNK])
+            continue
         for i, s in enumerate(shifts):
             patches[:, i, :m] = x_flat[:, p0 + s:p0 + s + m]
         patches[:, :, m:] = 0
@@ -191,23 +197,42 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         # zero at cropped and padding positions, and x is zero-padded to whole
         # chunks.  dX is one GEMM per chunk, written into a chunk-padded
         # buffer that the gradient views; dW^T sums x_chunk @ patches^T.
-        smax = shifts[-1]
         dstarts = range(0, HW, CHUNK)
         width = len(dstarts) * CHUNK
-        g_pad = np.zeros((F, smax + width), dtype)
-        g_pad[:, smax:smax + Ho * W].reshape(F, Ho, W)[:, :, :Wo] = g
-        x_pad = np.zeros((C, width), dtype)
-        x_pad[:, :HW] = x_flat
+        if k == 1:
+            # a 1x1 gradient patch is g itself: whole chunks read g and x in
+            # place, and only the last partial chunk goes through zero padding
+            g_flat = g.reshape(F, HW)
+            full = HW - HW % CHUNK
+            x_tail = np.zeros((C, CHUNK), dtype)
+            x_tail[:, :HW - full] = x_flat[:, full:]
+            g_tail = np.zeros((F, CHUNK), dtype)
+            g_tail[:, :HW - full] = g_flat[:, full:]
+
+            def chunk(q0):
+                if q0 < full:
+                    return x_flat[:, q0:q0 + CHUNK], g_flat[:, q0:q0 + CHUNK]
+                return x_tail, g_tail
+        else:
+            smax = shifts[-1]
+            g_pad = np.zeros((F, smax + width), dtype)
+            g_pad[:, smax:smax + Ho * W].reshape(F, Ho, W)[:, :, :Wo] = g
+            x_pad = np.zeros((C, width), dtype)
+            x_pad[:, :HW] = x_flat
+            gpatches = _scratch("conv.gpatches", (F, kk, CHUNK), dtype)
+            gp2 = gpatches.reshape(F * kk, CHUNK)
+
+            def chunk(q0):
+                for i, s in enumerate(shifts):
+                    gpatches[:, i] = g_pad[:, q0 + smax - s:q0 + smax - s + CHUNK]
+                return x_pad[:, q0:q0 + CHUNK], gp2
         w_t = w.data.transpose(1, 0, 2, 3).reshape(C, F * kk)
-        gpatches = _scratch("conv.gpatches", (F, kk, CHUNK), dtype)
-        gp2 = gpatches.reshape(F * kk, CHUNK)
         dw_t = np.zeros((C, F * kk), dtype)
         dx = np.empty((C, width), dtype)
         for q0 in dstarts:
-            for i, s in enumerate(shifts):
-                gpatches[:, i] = g_pad[:, q0 + smax - s:q0 + smax - s + CHUNK]
-            dw_t += x_pad[:, q0:q0 + CHUNK] @ gp2.T
-            np.matmul(w_t, gp2, out=dx[:, q0:q0 + CHUNK])
+            x_chunk, g_patches = chunk(q0)
+            dw_t += x_chunk @ g_patches.T
+            np.matmul(w_t, g_patches, out=dx[:, q0:q0 + CHUNK])
         _accum(w, np.ascontiguousarray(dw_t.reshape(C, F, k, k).transpose(1, 0, 2, 3)))
         _accum(x, dx[:, :HW].reshape(C, H, W))
 

@@ -3,6 +3,14 @@
 Pipeline: tiled full-image inference, noise-variance background detection
 with an Otsu split, mean-shift clustering of per-pixel center estimates
 c_i = i - r_i, small-instance removal and distance-based shrinkage.
+
+Inference splits each axis into the fewest tiles no larger than the
+``tile`` cap and balances their sides, so little of a tile's work is thrown
+away on the overlap; tiled inference equals one pass bit for bit.  The
+noise-variance map keeps one float32 stack of the predictions and reduces
+it in row chunks, so its float64 temporaries do not grow with the image.
+Mean-shift memoises every converged climb, so a seed that reaches a
+position another seed has climbed from takes that climb's mode.
 """
 
 from __future__ import annotations
@@ -55,6 +63,21 @@ def _tile_starts(size: int, tile: int) -> list[int]:
     return starts
 
 
+def _tile_plan(size: int, cap: int) -> tuple[int, list[int]]:
+    """Side and origins of the tiles along one padded axis of even ``size``.
+
+    The fewest tiles of side at most the even ``cap`` that cover the axis,
+    n = ceil((size - CONTEXT) / (cap - CONTEXT)), share its valid extent
+    evenly: the side is CONTEXT + ceil((size - CONTEXT) / n), rounded up to
+    even.  The side and every origin are then even, and a cap of at least
+    ``size`` gives one tile of side ``size``.
+    """
+    n = -(-(size - CONTEXT) // (cap - CONTEXT))
+    side = CONTEXT + -(-(size - CONTEXT) // n)
+    side += side % 2
+    return side, _tile_starts(size, side)
+
+
 def check_image(image, in_channels: int) -> None:
     """Raise unless ``predict_full`` takes the image: (in_channels, H, W)
     with both sides at least ``MIN_INPUT``."""
@@ -69,11 +92,13 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
     """Offset field aligned to the input grid: (2, H, W) for a (C, H, W) image.
 
     The image is reflect-padded by half the context margin, then processed
-    in tiles no larger than ``tile`` per side with overlapping borders; each
-    tile contributes its full valid interior.  ``tile`` must be even and at
-    least ``MIN_INPUT``: every tile origin is then even, so each tile keeps
-    the max-pool phase of the whole image and the result equals one untiled
-    pass bit for bit.
+    in overlapping tiles; each tile contributes its full valid interior.
+    ``tile`` caps the tile side.  Per axis, the fewest tiles under the cap
+    that cover the image share it evenly (``_tile_plan``): a 512x512 image
+    at the default cap of 252 runs nine 188x188 tiles rather than nine of
+    252x252.  ``tile`` must be even and at least ``MIN_INPUT``: every tile
+    side and origin is then even, so each tile keeps the max-pool phase of
+    the whole image and the result equals one untiled pass bit for bit.
     """
     if tile < MIN_INPUT or tile % 2:
         raise ShapeError(f"tile {tile} must be even and at least {MIN_INPUT}")
@@ -88,10 +113,11 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
     if extra_h or extra_w:
         padded = np.pad(padded, ((0, 0), (0, extra_h), (0, extra_w)), mode="reflect")
     Sh, Sw = padded.shape[1], padded.shape[2]
-    Th, Tw = min(tile, Sh), min(tile, Sw)
+    Th, row_starts = _tile_plan(Sh, tile)
+    Tw, col_starts = _tile_plan(Sw, tile)
     out = np.empty((2, Sh - CONTEXT, Sw - CONTEXT), np.float32)
-    for r0 in _tile_starts(Sh, Th):
-        for c0 in _tile_starts(Sw, Tw):
+    for r0 in row_starts:
+        for c0 in col_starts:
             block = np.ascontiguousarray(padded[:, r0:r0 + Th, c0:c0 + Tw])
             field = forward(params, Tensor(block)).data
             out[:, r0:r0 + Th - CONTEXT, c0:c0 + Tw - CONTEXT] = field
@@ -115,6 +141,9 @@ def salt_pepper(image, fraction: float, rng: np.random.Generator) -> np.ndarray:
     return img
 
 
+_VARIANCE_ROWS = 64  # image rows per chunk of embedding_variance's float64 work
+
+
 def embedding_variance(params: ModelParams, image, config: SegmenterConfig,
                        seed: int = 0) -> np.ndarray:
     """Per-pixel variance of the offset field across noisy re-predictions.
@@ -122,14 +151,22 @@ def embedding_variance(params: ModelParams, image, config: SegmenterConfig,
     Runs ``config.noise_rounds`` independent salt-and-pepper corruptions of
     the (C, H, W) image at ``config.noise_fraction``, predicts each, and sums
     the per-channel unbiased sample variances into one (H, W) map.
+
+    The predictions fill one float32 (rounds, 2, H, W) stack, and the
+    float64 variance runs over ``_VARIANCE_ROWS`` rows at a time.  Each
+    pixel's arithmetic is that of the whole-stack formula, so the map is
+    the same bit for bit.
     """
-    preds = []
+    _, H, W = np.shape(image)
+    stack = np.empty((config.noise_rounds, 2, H, W), np.float32)
     for r in range(config.noise_rounds):
         rng = np.random.default_rng([seed, r])
-        noisy = salt_pepper(image, config.noise_fraction, rng)
-        preds.append(predict_full(params, noisy))
-    stack = np.stack(preds)  # (rounds, 2, H, W)
-    return np.var(stack, axis=0, ddof=1, dtype=np.float64).sum(axis=0)
+        stack[r] = predict_full(params, salt_pepper(image, config.noise_fraction, rng))
+    var = np.empty((H, W), np.float64)
+    for r0 in range(0, H, _VARIANCE_ROWS):
+        rows = slice(r0, r0 + _VARIANCE_ROWS)
+        var[rows] = np.var(stack[:, :, rows], axis=0, ddof=1, dtype=np.float64).sum(axis=0)
+    return var
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +214,14 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
 
     Seeds are the per-bin means of a bandwidth-sized grid; each seed climbs
     to the mean of in-bandwidth points until the shift drops below
-    1e-3 * bandwidth.  Converged modes closer than the bandwidth merge,
-    keeping the mode with larger support; points go to their nearest mode
-    by the squared distance ``((p - m) ** 2).sum()``, and a point equally
-    near several modes goes to the one with the lowest index, as
-    ``np.argmin`` over all modes would choose.
+    1e-3 * bandwidth.  The next step depends only on the current position,
+    so a seed that reaches a position a converged climb queried from takes
+    that climb's mode, if its remaining ``max_iter`` budget covers the
+    queries that climb still needed.  Converged modes closer than the
+    bandwidth merge, keeping the mode with larger support; points go to
+    their nearest mode by the squared distance ``((p - m) ** 2).sum()``, and
+    a point equally near several modes goes to the one with the lowest
+    index, as ``np.argmin`` over all modes would choose.
 
     Returns (modes (M, 2), assignment (N,)).
     """
@@ -202,27 +242,39 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
 
     tree = cKDTree(pts)
     stop = 1e-3 * bandwidth
+    # a climb is a function of its position: the exact bytes of every
+    # position a converged climb queried from map to (mode, queries left)
+    memo: dict[bytes, tuple[np.ndarray, int]] = {}
     modes = []
-    supports = []
     for seed in seeds:
         pos = seed
-        members = None
-        for _ in range(max_iter):
-            idx = np.sort(tree.query_ball_point(pos, bandwidth))
+        path = []
+        mode = None
+        while len(path) < max_iter:
+            key = pos.tobytes()
+            hit = memo.get(key)
+            if hit is not None and hit[1] <= max_iter - len(path):
+                mode, left = hit
+                break
+            idx = tree.query_ball_point(pos, bandwidth, return_sorted=True)
             if len(idx) == 0:
                 break
-            new = pts[idx].mean(axis=0)
+            # the sum and division of pts[idx].mean(axis=0)
+            new = np.add.reduce(pts[idx], axis=0) / len(idx)
+            path.append(key)
             shift = np.hypot(*(new - pos))
             pos = new
-            members = idx
             if shift < stop:
+                mode, left = pos, 0
                 break
-        if members is None:
-            continue
-        modes.append(pos)
-        supports.append(tree.query_ball_point(pos, bandwidth, return_length=True))
+        if mode is not None:
+            for i, key in enumerate(path):
+                memo[key] = (mode, len(path) - i + left)
+            modes.append(mode)
+        elif path:  # out of iterations, or an empty query after a step
+            modes.append(pos)
     modes = np.asarray(modes)
-    supports = np.asarray(supports)
+    supports = tree.query_ball_point(modes, bandwidth, return_length=True)
 
     # merge near-duplicate modes, larger support first
     rank = np.lexsort((modes[:, 1], modes[:, 0], -supports))

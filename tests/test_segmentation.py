@@ -79,6 +79,32 @@ def test_predict_full_tiled_equals_single_pass_at_width(wide_params, monkeypatch
     _check_tiled_equals_single_pass(wide_params[base_fmaps], monkeypatch, shape, tile)
 
 
+@pytest.mark.parametrize("size, cap", [
+    (528, 252), (252, 252), (254, 252), (268, 252), (270, 252), (1040, 252), (2080, 252),
+    (40, 20), (100, 20), (102, 24), (96, 40), (130, 64), (528, 284),
+])
+def test_tile_plan_is_the_fewest_balanced_tiles_under_the_cap(size, cap):
+    side, starts = segmentation._tile_plan(size, cap)
+    assert side <= cap
+    assert side % 2 == 0 and all(s % 2 == 0 for s in starts)
+    # the valid interiors, side - CONTEXT wide, cover the valid extent
+    assert starts[0] == 0 and starts[-1] + side == size
+    assert all(b - a <= side - segmentation.CONTEXT for a, b in zip(starts, starts[1:]))
+    # one tile fewer, even at the cap, would not cover it
+    assert (len(starts) - 1) * (cap - segmentation.CONTEXT) < size - segmentation.CONTEXT
+
+
+def test_tile_plan_of_a_512_image_at_the_default_cap():
+    assert segmentation._tile_plan(528, 252) == (188, [0, 172, 340])
+
+
+def test_predict_full_runs_balanced_tiles(small_params, monkeypatch):
+    img = np.random.default_rng(2).normal(size=(1, 512, 512)).astype(np.float32)
+    calls = _counting_forward(monkeypatch)
+    assert predict_full(small_params, img).shape == (2, 512, 512)
+    assert calls == [(1, 188, 188)] * 9
+
+
 @pytest.mark.parametrize("tile", [16, 18, 51, 253])
 def test_predict_full_rejects_bad_tile(small_params, tile):
     img = np.zeros((1, 60, 60), np.float32)
@@ -107,6 +133,32 @@ def test_salt_pepper_hits_disjoint_pixels_in_every_channel(fraction):
     assert np.array_equal(img, before)
 
 
+def test_embedding_variance_memory_stays_bounded(monkeypatch):
+    # at 2048^2 and five rounds the float32 stack alone is 168 MB; a list of
+    # rounds plus np.stack and whole-stack float64 temporaries peaked at 822 MB
+    import tracemalloc
+
+    def stub(params, image):  # a cheap deterministic field that follows the noise
+        return np.stack([ndimage.uniform_filter(image[0], 7), image[0] * 0.5])
+
+    monkeypatch.setattr(segmentation, "predict_full", stub)
+    config = segmentation.SegmenterConfig()
+    image = np.random.default_rng(0).random((1, 2048, 2048), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        var = segmentation.embedding_variance(None, image, config, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300e6, f"peak {peak / 1e6:.0f} MB"
+    stack = np.empty((config.noise_rounds, 2) + image.shape[1:], np.float32)
+    for r in range(config.noise_rounds):
+        rng = np.random.default_rng([3, r])
+        stack[r] = stub(None, segmentation.salt_pepper(image, config.noise_fraction, rng))
+    assert np.array_equal(var, np.var(stack, axis=0, ddof=1, dtype=np.float64).sum(axis=0))
+    assert (var > 0).mean() > 0.5
+
+
 def test_otsu_threshold_splits_a_bimodal_sample():
     rng = np.random.default_rng(0)
     low, high = rng.normal(1.0, 0.1, 500), rng.normal(5.0, 0.2, 300)
@@ -125,8 +177,9 @@ def test_otsu_threshold_rejects_degenerate_input(values):
 # ---------------------------------------------------------------------------
 # Mean shift
 
-def mean_shift_reference(points, bandwidth: float, max_iter: int = 300):
-    """Brute-force O(N^2 * iterations) twin of :func:`mean_shift`."""
+def mean_shift_reference(points, bandwidth: float, max_iter: int = 300, steps=None):
+    """Brute-force O(N^2 * iterations) twin of :func:`mean_shift`; appends
+    the number of climbing steps of each seed to ``steps`` if given."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = len(pts)
     if n < 1:
@@ -149,7 +202,7 @@ def mean_shift_reference(points, bandwidth: float, max_iter: int = 300):
     for seed in seeds:
         pos = seed
         members = None
-        for _ in range(max_iter):
+        for step in range(max_iter):
             sq = ((pts - pos) ** 2).sum(axis=1)
             idx = np.flatnonzero(sq <= bw_sq)
             if len(idx) == 0:
@@ -160,6 +213,8 @@ def mean_shift_reference(points, bandwidth: float, max_iter: int = 300):
             members = idx
             if shift < stop:
                 break
+        if steps is not None:
+            steps.append(step + 1)
         if members is None:
             continue
         sq = ((pts - pos) ** 2).sum(axis=1)
@@ -188,9 +243,9 @@ def _blob_cloud(rng, n_blobs, per_blob, spacing, sigma):
             + rng.normal(0.0, sigma, size=(n_blobs * per_blob, 2)))
 
 
-def _assert_same_mean_shift(points, bandwidth):
-    modes, assignment = segmentation.mean_shift(points, bandwidth)
-    ref_modes, ref_assignment = mean_shift_reference(points, bandwidth)
+def _assert_same_mean_shift(points, bandwidth, max_iter=300, steps=None):
+    modes, assignment = segmentation.mean_shift(points, bandwidth, max_iter)
+    ref_modes, ref_assignment = mean_shift_reference(points, bandwidth, max_iter, steps)
     assert modes.dtype == ref_modes.dtype and assignment.dtype == ref_assignment.dtype
     assert np.array_equal(modes, ref_modes)
     assert np.array_equal(assignment, ref_assignment)
@@ -216,6 +271,44 @@ def test_mean_shift_matches_reference_on_lattice_ties(side, step, bandwidth):
     tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) >= 2
     assert tied.sum() >= 40  # the case really has exact equidistant points
     assert np.array_equal(assignment, np.argmin(d2, axis=1))
+
+
+def _counting_ball_queries(monkeypatch):
+    """Record the single-point ``query_ball_point`` calls of ``mean_shift``."""
+    queries = []
+
+    class CountingTree(segmentation.cKDTree):
+        def query_ball_point(self, x, *args, **kwargs):
+            if np.ndim(x) == 1:
+                queries.append(np.asarray(x).tobytes())
+            return super().query_ball_point(x, *args, **kwargs)
+
+    monkeypatch.setattr(segmentation, "cKDTree", CountingTree)
+    return queries
+
+
+def _shared_mode_cloud():
+    # six wide blobs at a small bandwidth: about ten bin seeds climb to each mode
+    return _blob_cloud(np.random.default_rng(4), 6, 500, 40.0, 4.0)
+
+
+def test_mean_shift_memo_reuses_converged_climbs(monkeypatch):
+    points = _shared_mode_cloud()
+    queries = _counting_ball_queries(monkeypatch)
+    steps = []
+    _assert_same_mean_shift(points, 3.0, steps=steps)
+    # no position is queried twice, and the memo saves over a quarter of the
+    # queries the climbs would make without it
+    assert len(set(queries)) == len(queries)
+    assert len(queries) < 0.75 * sum(steps)
+
+
+# at 20 and 23 iterations some seeds reach a memoised position with fewer
+# iterations left than its climb needed, and taking the entry anyway would
+# change the modes
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 20, 23])
+def test_mean_shift_memo_respects_the_iteration_budget(max_iter):
+    _assert_same_mean_shift(_shared_mode_cloud(), 3.0, max_iter)
 
 
 def test_mean_shift_single_point():
