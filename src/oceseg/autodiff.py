@@ -7,6 +7,21 @@ gathers.  Ops executed inside a ``with Tape()`` block record a node per
 call; ``Tape.backward`` replays the nodes in exact reverse creation order.
 Ops executed without an active tape are plain forward computations.
 
+Replay is one-shot and frees as it goes: ``Tape.backward`` pops each node
+before running it, so a node's closure, its output tensor and that output's
+gradient die once their last reader has run, and a training step never holds
+every activation and every activation gradient at once (Chen et al. 2016).
+Leaf tensors, such as parameters, keep their gradients.
+
+``relu(x, inplace=True)`` writes into ``x``'s buffer, as PyTorch's in-place
+ReLU does.  That is legal only when no backward pass but the ReLU's own reads
+``x.data``: neither the op that produced ``x`` nor another consumer of it.  Of
+the ops here, ``relu`` (its mask) and ``maxpool2`` (its argmax) read their own
+output in backward; ``conv2d_valid`` reads its input, weights and output
+gradient, never its output.  So a ReLU may overwrite a conv output that feeds
+nothing else, which is how the network's blocks call it, but not a max-pool's
+or a ReLU's output, nor a leaf tensor the caller still reads.
+
 Training arithmetic is float32; every op also accepts float64 tensors so
 gradient checks can run at higher precision.
 
@@ -19,8 +34,9 @@ the columns past the last valid position and runs one (F, C*k*k) GEMM.  The
 backward walks the input positions the same way with patches of the output
 gradient: one GEMM gives the chunk's dX and one adds its share of dW.  A 1x1
 patch is the input itself, so for k=1 a whole chunk hands its slice of the
-flat input (or output gradient) to the GEMM in place; only the last, partial
-chunk goes through a zero-padded buffer.
+flat input (or output gradient) to the GEMM in place.  The dW GEMM of either
+kernel size reads whole chunks of the flat input in place too.  Only the last,
+partial chunk goes through a zero-padded buffer.
 
 Every GEMM of a call has the same shape, whatever the image size.  A BLAS
 GEMM's result for one column can depend on how many columns the call has,
@@ -111,10 +127,14 @@ class Tape:
 
     The active tape is per thread: each thread can record under its own
     ``with Tape()`` block, and nesting within one thread is an error.
+    ``backward`` replays the tape once, popping each node before it runs so
+    that intermediate tensors are freed during the replay; a second call
+    raises ``RuntimeError``.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         if getattr(_tls, "tape", None) is not None:
@@ -127,12 +147,15 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Seed the scalar loss gradient and replay nodes newest-first."""
+        """Seed the scalar loss gradient and replay nodes newest-first, once."""
+        if self._replayed:
+            raise RuntimeError("the tape has already been replayed")
         if loss.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
+        self._replayed = True
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            node.backward()
+        while self.nodes:
+            self.nodes.pop().backward()
 
 
 def _record(op: str, inputs: Sequence[Tensor], backward: Callable[[], None]) -> None:
@@ -192,47 +215,44 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             return
         _accum(b, g.reshape(F, -1).sum(axis=1))
         # Input pixel q takes tap s's gradient from output position q - s, so
-        # both gradients come from im2col patches of g over input chunks: g
-        # goes into the flat layout shifted right by the largest tap offset,
-        # zero at cropped and padding positions, and x is zero-padded to whole
-        # chunks.  dX is one GEMM per chunk, written into a chunk-padded
-        # buffer that the gradient views; dW^T sums x_chunk @ patches^T.
+        # both gradients come from im2col patches of g over input chunks of x.
+        # Whole chunks of x go to the dW GEMM in place, and only the last
+        # partial chunk goes through a zero-padded buffer.  dX is one GEMM per
+        # chunk, written into a chunk-padded buffer that the gradient views;
+        # dW^T sums x_chunk @ patches^T.
         dstarts = range(0, HW, CHUNK)
         width = len(dstarts) * CHUNK
+        full = HW - HW % CHUNK
+        x_tail = np.zeros((C, CHUNK), dtype)
+        x_tail[:, :HW - full] = x_flat[:, full:]
         if k == 1:
-            # a 1x1 gradient patch is g itself: whole chunks read g and x in
-            # place, and only the last partial chunk goes through zero padding
+            # a 1x1 gradient patch is g itself, read in place like x
             g_flat = g.reshape(F, HW)
-            full = HW - HW % CHUNK
-            x_tail = np.zeros((C, CHUNK), dtype)
-            x_tail[:, :HW - full] = x_flat[:, full:]
             g_tail = np.zeros((F, CHUNK), dtype)
             g_tail[:, :HW - full] = g_flat[:, full:]
 
-            def chunk(q0):
-                if q0 < full:
-                    return x_flat[:, q0:q0 + CHUNK], g_flat[:, q0:q0 + CHUNK]
-                return x_tail, g_tail
+            def g_patches(q0):
+                return g_flat[:, q0:q0 + CHUNK] if q0 < full else g_tail
         else:
+            # g goes into the flat layout shifted right by the largest tap
+            # offset, zero at cropped and padding positions
             smax = shifts[-1]
             g_pad = np.zeros((F, smax + width), dtype)
             g_pad[:, smax:smax + Ho * W].reshape(F, Ho, W)[:, :, :Wo] = g
-            x_pad = np.zeros((C, width), dtype)
-            x_pad[:, :HW] = x_flat
             gpatches = _scratch("conv.gpatches", (F, kk, CHUNK), dtype)
-            gp2 = gpatches.reshape(F * kk, CHUNK)
 
-            def chunk(q0):
+            def g_patches(q0):
                 for i, s in enumerate(shifts):
                     gpatches[:, i] = g_pad[:, q0 + smax - s:q0 + smax - s + CHUNK]
-                return x_pad[:, q0:q0 + CHUNK], gp2
+                return gpatches.reshape(F * kk, CHUNK)
         w_t = w.data.transpose(1, 0, 2, 3).reshape(C, F * kk)
         dw_t = np.zeros((C, F * kk), dtype)
         dx = np.empty((C, width), dtype)
         for q0 in dstarts:
-            x_chunk, g_patches = chunk(q0)
-            dw_t += x_chunk @ g_patches.T
-            np.matmul(w_t, g_patches, out=dx[:, q0:q0 + CHUNK])
+            x_chunk = x_flat[:, q0:q0 + CHUNK] if q0 < full else x_tail
+            gp = g_patches(q0)
+            dw_t += x_chunk @ gp.T
+            np.matmul(w_t, gp, out=dx[:, q0:q0 + CHUNK])
         _accum(w, np.ascontiguousarray(dw_t.reshape(C, F, k, k).transpose(1, 0, 2, 3)))
         _accum(x, dx[:, :HW].reshape(C, H, W))
 
@@ -240,9 +260,13 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); gradient is zero at inputs <= 0."""
-    out_arr = np.maximum(x.data, 0)
+def relu(x: Tensor, inplace: bool = False) -> Tensor:
+    """Elementwise max(0, x); gradient is zero at inputs <= 0.
+
+    With ``inplace`` the result is written into ``x.data`` and the returned
+    tensor shares that buffer; see the module docstring for when that is legal.
+    """
+    out_arr = np.maximum(x.data, 0, out=x.data if inplace else None)
     out = Tensor(out_arr, dtype=out_arr.dtype)
 
     def backward():

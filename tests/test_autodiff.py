@@ -154,6 +154,50 @@ def test_conv_matches_float64_reference_across_chunks(dtype, k, C, H, W, F):
         assert err <= tol, (name, err)
 
 
+def conv3_backward_padded(x, w, g):
+    """dX and dW of a 3x3 conv by im2col over an input copied whole into a
+    chunk-padded buffer, the GEMMs conv2d_valid runs, with no in-place chunks."""
+    C, H, W = x.shape
+    F = w.shape[0]
+    Ho, Wo, HW, dtype = H - 2, W - 2, H * W, x.dtype
+    shifts = [di * W + dj for di in range(3) for dj in range(3)]
+    smax, width = shifts[-1], -(-HW // CHUNK) * CHUNK
+    g_pad = np.zeros((F, smax + width), dtype)
+    g_pad[:, smax:smax + Ho * W].reshape(F, Ho, W)[:, :, :Wo] = g
+    x_pad = np.zeros((C, width), dtype)
+    x_pad[:, :HW] = x.reshape(C, HW)
+    gpatches = np.empty((F, 9, CHUNK), dtype)
+    w_t = w.transpose(1, 0, 2, 3).reshape(C, F * 9)
+    dw_t = np.zeros((C, F * 9), dtype)
+    dx = np.empty((C, width), dtype)
+    for q0 in range(0, HW, CHUNK):
+        for i, s in enumerate(shifts):
+            gpatches[:, i] = g_pad[:, q0 + smax - s:q0 + smax - s + CHUNK]
+        gp = gpatches.reshape(F * 9, CHUNK)
+        dw_t += x_pad[:, q0:q0 + CHUNK] @ gp.T
+        np.matmul(w_t, gp, out=dx[:, q0:q0 + CHUNK])
+    return dx[:, :HW].reshape(C, H, W), dw_t.reshape(C, F, 3, 3).transpose(1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("C, H, W, F", [(3, 64, 64, 5), (3, 70, 90, 5), (16, 48, 40, 8)])
+def test_conv3_backward_equals_padded_input_formulation(dtype, C, H, W, F):
+    """Whole input chunks go to the dW GEMM in place and only the tail is
+    padded; (3, 64, 64) has no tail, the others end in a partial chunk."""
+    rng = np.random.default_rng(C + H + W)
+    x = rng.normal(size=(C, H, W)).astype(dtype)
+    w = rng.normal(size=(F, C, 3, 3)).astype(dtype)
+    g = rng.normal(size=(F, H - 2, W - 2)).astype(dtype)
+    tx, tw = Tensor(x), Tensor(w)
+    with Tape() as tape:
+        out = conv2d_valid(tx, tw, Tensor(np.zeros(F, dtype)))
+    out.grad = g
+    tape.nodes[0].backward()
+    dx, dw = conv3_backward_padded(x, w, g)
+    assert np.array_equal(tx.grad, dx)
+    assert np.array_equal(tw.grad, dw)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("C, F", [(1, 64), (64, 2), (64, 64)])
 def test_conv_window_equals_whole_image_window(k, C, F):
@@ -206,6 +250,57 @@ def test_relu_gradcheck(dtype):
         a[np.abs(a) < 10 * h] += 0.5  # keep FD away from the kink
         err = check_op(lambda x: relu(x), [a], dtype, rng)
         assert err < tol, (trial, err)
+
+
+def test_relu_leaves_input_untouched():
+    a = np.array([-1.0, 0.5, -2.0, 3.0])
+    x = Tensor(a.copy())
+    relu(x)
+    assert np.array_equal(x.data, a)
+
+
+def test_relu_inplace_shares_input_buffer():
+    x = Tensor(np.array([-1.0, 0.5, -2.0, 3.0]))
+    out = relu(x, inplace=True)
+    assert np.shares_memory(out.data, x.data)
+    assert np.array_equal(out.data, [0.0, 0.5, 0.0, 3.0])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_conv_relu_inplace_gradients_equal_functional(dtype):
+    rng = np.random.default_rng(23)
+    arrays = [rng.normal(size=(3, 9, 11)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)]
+    proj = rng.normal(size=(4, 7, 9))
+    grads = {}
+    for inplace in (False, True):
+        tensors = [Tensor(a, dtype) for a in arrays]
+        with Tape() as tape:
+            out = relu(conv2d_valid(*tensors), inplace=inplace)
+        out.grad = proj.astype(dtype)
+        for node in reversed(tape.nodes):
+            node.backward()
+        grads[inplace] = (out.data, *(t.grad for t in tensors))
+    for got, ref in zip(grads[True], grads[False]):
+        assert got.dtype == dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_conv_relu_inplace_gradcheck(dtype):
+    rng = np.random.default_rng(24)
+    tol = fd_tolerance(dtype)
+    h = fd_step(dtype)
+    trials = 0
+    while trials < 10:
+        C, F = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        arrays = [rng.normal(size=(C, 4, 5)), rng.normal(size=(F, C, 3, 3)), rng.normal(size=F)]
+        pre = conv2d_valid(*(Tensor(a, np.float64) for a in arrays)).data
+        # keep every pre-activation further from the kink than an FD step moves it
+        if np.abs(pre).min() < 10 * h * max(np.abs(arrays[0]).max(), np.abs(arrays[1]).max()):
+            continue
+        err = check_op(lambda x, w, b: relu(conv2d_valid(x, w, b), inplace=True),
+                       arrays, dtype, rng)
+        assert err < tol, (trials, err)
+        trials += 1
 
 
 # ---------------------------------------------------------------------------
