@@ -68,9 +68,7 @@ from .synth import SceneSpec, generate_dataset, object_template, synth_generate
 from .theory import (
     OccurrenceIndex,
     OffsetDecomposition,
-    OffsetStats,
     decompose_offsets,
-    expected_offset_mc,
     make_scenes,
     offset_report,
     place_scene,

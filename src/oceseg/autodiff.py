@@ -7,6 +7,15 @@ gathers.  Ops executed inside a ``with Tape()`` block record a node per
 call; ``Tape.backward`` replays the nodes in exact reverse creation order.
 Ops executed without an active tape are plain forward computations.
 
+Every op, the loss's included, computes its output array and a ``grads(g)``
+that maps the output's gradient to one gradient per input, or ``None`` for an
+input it does not reach, and hands both to ``_op``.  ``_op`` owns the rest of
+the node: it wraps the output, skips the node when no gradient reached the
+output, and accumulates each returned array into its input.  The first array
+an input receives becomes its ``grad`` and later ones are added into it, so
+``grads`` must return fresh arrays, never views of ``g``, of an input or of a
+buffer the op reuses.
+
 Replay is one-shot and frees as it goes: ``Tape.backward`` pops each node
 before running it, so a node's closure, its output tensor and that output's
 gradient die once their last reader has run, and a training step never holds
@@ -66,7 +75,7 @@ def _scratch(tag: str, shape, dtype) -> np.ndarray:
     """Reusable per-thread work buffer; contents are undefined on entry.
 
     Only for op-internal temporaries whose lifetime ends before the op
-    returns; anything handed to the tape or a gradient buffer must be fresh.
+    returns.
     """
     pool = getattr(_tls, "pool", None)
     if pool is None:
@@ -106,7 +115,6 @@ class Tensor:
 
 
 def _accum(t: Tensor, delta: np.ndarray) -> None:
-    # delta must be freshly allocated by the caller; it is adopted on first use
     if t.grad is None:
         t.grad = delta
     else:
@@ -158,10 +166,23 @@ class Tape:
             self.nodes.pop().backward()
 
 
-def _record(op: str, inputs: Sequence[Tensor], backward: Callable[[], None]) -> None:
+def _op(op: str, inputs: Sequence[Tensor], out_arr: np.ndarray,
+        grads: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
+    """Wrap ``out_arr`` as the output of ``op`` and, under an active tape,
+    record its node; the module docstring gives the contract of ``grads``."""
+    out = Tensor(out_arr, dtype=out_arr.dtype)
     tape = getattr(_tls, "tape", None)
     if tape is not None:
+        def backward():
+            g = out.grad
+            if g is None:
+                return
+            for t, delta in zip(inputs, grads(g)):
+                if delta is not None:
+                    _accum(t, delta)
+
         tape.nodes.append(TapeNode(op, inputs, backward))
+    return out
 
 
 def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -207,13 +228,8 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         patches[:, :, m:] = 0
         np.matmul(w2, patches.reshape(C * kk, CHUNK), out=out_flat[:, p0:p0 + CHUNK])
     out_arr = out_flat[:, :Ho * W].reshape(F, Ho, W)[:, :, :Wo] + b.data[:, None, None]
-    out = Tensor(out_arr, dtype=out_arr.dtype)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _accum(b, g.reshape(F, -1).sum(axis=1))
+    def grads(g):
         # Input pixel q takes tap s's gradient from output position q - s, so
         # both gradients come from im2col patches of g over input chunks of x.
         # Whole chunks of x go to the dW GEMM in place, and only the last
@@ -253,11 +269,10 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             gp = g_patches(q0)
             dw_t += x_chunk @ gp.T
             np.matmul(w_t, gp, out=dx[:, q0:q0 + CHUNK])
-        _accum(w, np.ascontiguousarray(dw_t.reshape(C, F, k, k).transpose(1, 0, 2, 3)))
-        _accum(x, dx[:, :HW].reshape(C, H, W))
+        dw = np.ascontiguousarray(dw_t.reshape(C, F, k, k).transpose(1, 0, 2, 3))
+        return dx[:, :HW].reshape(C, H, W), dw, g.reshape(F, -1).sum(axis=1)
 
-    _record("conv2d_valid", (x, w, b), backward)
-    return out
+    return _op("conv2d_valid", (x, w, b), out_arr, grads)
 
 
 def relu(x: Tensor, inplace: bool = False) -> Tensor:
@@ -267,16 +282,7 @@ def relu(x: Tensor, inplace: bool = False) -> Tensor:
     tensor shares that buffer; see the module docstring for when that is legal.
     """
     out_arr = np.maximum(x.data, 0, out=x.data if inplace else None)
-    out = Tensor(out_arr, dtype=out_arr.dtype)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _accum(x, g * (out.data > 0))
-
-    _record("relu", (x,), backward)
-    return out
+    return _op("relu", (x,), out_arr, lambda g: (g * (out_arr > 0),))
 
 
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))  # a 2x2 block in row-major order
@@ -295,24 +301,19 @@ def maxpool2(x: Tensor) -> Tensor:
     corners = [xv[:, :, di, :, dj] for di, dj in _CORNERS]
     out_arr = np.maximum(np.maximum(corners[0], corners[1]),
                          np.maximum(corners[2], corners[3]))
-    out = Tensor(out_arr, dtype=out_arr.dtype)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
+    def grads(g):
         dx = np.zeros_like(x.data)
         dxv = dx.reshape(C, H2, 2, W2, 2)
         taken = np.zeros((C, H2, W2), bool)
         # a tie goes to the first corner, in row-major order, holding the max
         for (di, dj), corner in zip(_CORNERS, corners):
-            hit = (corner == out.data) & ~taken
+            hit = (corner == out_arr) & ~taken
             np.copyto(dxv[:, :, di, :, dj], g, where=hit)
             taken |= hit
-        _accum(x, dx)
+        return (dx,)
 
-    _record("maxpool2", (x,), backward)
-    return out
+    return _op("maxpool2", (x,), out_arr, grads)
 
 
 def upsample_nearest2(x: Tensor) -> Tensor:
@@ -321,19 +322,14 @@ def upsample_nearest2(x: Tensor) -> Tensor:
         raise ShapeError("upsample_nearest2 expects (C,H,W)")
     C, H, W = x.shape
     out_arr = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
-    out = Tensor(out_arr, dtype=out_arr.dtype)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
+    def grads(g):
         # each row's two copies first, then the rows: the order a sum over the
         # block axes adds in, so gradients keep their bits
         top, bottom = g.reshape(C, H, 2, W, 2).transpose(2, 0, 1, 3, 4)
-        _accum(x, (top[..., 0] + top[..., 1]) + (bottom[..., 0] + bottom[..., 1]))
+        return ((top[..., 0] + top[..., 1]) + (bottom[..., 0] + bottom[..., 1]),)
 
-    _record("upsample_nearest2", (x,), backward)
-    return out
+    return _op("upsample_nearest2", (x,), out_arr, grads)
 
 
 def crop_concat(skip: Tensor, up: Tensor) -> Tensor:
@@ -349,19 +345,13 @@ def crop_concat(skip: Tensor, up: Tensor) -> Tensor:
     out_arr = np.concatenate(
         [skip.data[:, r0:r0 + H2, c0:c0 + W2], up.data], axis=0
     )
-    out = Tensor(out_arr, dtype=out_arr.dtype)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
+    def grads(g):
         dskip = np.zeros_like(skip.data)
         dskip[:, r0:r0 + H2, c0:c0 + W2] = g[:C1]
-        _accum(skip, dskip)
-        _accum(up, g[C1:].copy())
+        return dskip, g[C1:].copy()
 
-    _record("crop_concat", (skip, up), backward)
-    return out
+    return _op("crop_concat", (skip, up), out_arr, grads)
 
 
 def gather_coords(field: Tensor, coords) -> Tensor:
@@ -376,15 +366,10 @@ def gather_coords(field: Tensor, coords) -> Tensor:
     ):
         raise ShapeError("coordinate out of bounds")
     out_arr = np.ascontiguousarray(field.data[:, rows, cols].T)
-    out = Tensor(out_arr, dtype=out_arr.dtype)
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
+    def grads(g):
         dfield = np.zeros_like(field.data)
         np.add.at(dfield, (slice(None), rows, cols), g.T)
-        _accum(field, dfield)
+        return (dfield,)
 
-    _record("gather_coords", (field,), backward)
-    return out
+    return _op("gather_coords", (field,), out_arr, grads)

@@ -7,7 +7,8 @@ bit-for-bit from that file alone (``--config config.json``).  The config
 sections model, loss, train, segment and data are the fields of
 ``ModelConfig``, ``LossConfig``, ``TrainConfig``, ``SegmenterConfig`` and
 ``DataConfig``; a bad value in any of them exits 2 before a command writes
-anything.  ``train`` writes its checkpoint after every epoch.
+anything.  A command that loads a checkpoint echoes the checkpoint's model,
+the one that ran.  ``train`` writes its checkpoint after every epoch.
 
 Exit codes: 0 success, 1 usage error, 2 data or config error.
 """
@@ -170,8 +171,8 @@ def _cmd_train(config, seed, options):
     if options["resume"]:
         params, adam, next_epoch = load_checkpoint(options["resume"])
         resume = TrainResult(params, adam, [], next_epoch)
-    model = resume.params.config if resume else config["model"]
-    check_train_images(images, model.in_channels, config["train"].crop_size)
+        config = {**config, "model": params.config}
+    check_train_images(images, config["model"].in_channels, config["train"].crop_size)
     os.makedirs(options["out"], exist_ok=True)
     ckpt_path = os.path.join(options["out"], "checkpoint.ocec")
     trace_path = os.path.join(options["out"], "loss_trace.tsv")
@@ -195,19 +196,20 @@ def _cmd_train(config, seed, options):
 
 
 def _load_inference_inputs(config, options):
-    """The checkpoint, dataset stems, raw images and prepared images of
-    ``predict``/``segment``; every prepared image is checked against the
-    model before the command writes anything."""
+    """The checkpoint, the config with the checkpoint's model, and the dataset
+    stems, raw images and prepared images of ``predict``/``segment``; every
+    prepared image is checked against the model before the command writes
+    anything."""
     params, _, _ = load_checkpoint(options["model"])
     stems, raw_images, _ = dataio.load_dataset(options["data"])
     images = [_prepare_image(raw, config["data"]) for raw in raw_images]
     for img in images:
         check_image(img, params.config.in_channels)
-    return params, stems, raw_images, images
+    return params, {**config, "model": params.config}, stems, raw_images, images
 
 
 def _cmd_predict(config, seed, options):
-    params, stems, _, images = _load_inference_inputs(config, options)
+    params, config, stems, _, images = _load_inference_inputs(config, options)
     out_dir = os.path.join(options["out"], "fields")
     os.makedirs(out_dir, exist_ok=True)
     for stem, img in zip(stems, images):
@@ -219,7 +221,7 @@ def _cmd_predict(config, seed, options):
 
 
 def _cmd_segment(config, seed, options):
-    params, stems, raw_images, images = _load_inference_inputs(config, options)
+    params, config, stems, raw_images, images = _load_inference_inputs(config, options)
     lab_dir = os.path.join(options["out"], "labels")
     os.makedirs(lab_dir, exist_ok=True)
     vis_dir = os.path.join(options["out"], "vis")
@@ -256,6 +258,7 @@ def _cmd_eval(config, seed, options):
 
 def _cmd_sweep(config, seed, options):
     params, _, _ = load_checkpoint(options["model"])
+    config = {**config, "model": params.config}
     stems, raw_images, labels = dataio.load_dataset(options["data"])
     if labels is None:
         raise FormatError("sweep needs a dataset with labels/")

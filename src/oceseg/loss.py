@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, _accum, _record, gather_coords
+from .autodiff import Tensor, _op, gather_coords
 from .errors import ConfigError, ShapeError, check_real
 
 
@@ -130,12 +130,8 @@ def oce_loss(field: Tensor, pairs: PairSet, config: LossConfig) -> Tensor:
     dt = field.dtype
     resid, sig, anorm = _loss_pieces(a.data, p.data, pairs, config)
     total = sig.sum() + dt.type(config.reg_weight) * anorm.sum()
-    out = Tensor(np.asarray(total, dtype=dt))
 
-    def backward():
-        g = out.grad
-        if g is None:
-            return
+    def grads(g):
         gs = dt.type(g.item())
         dsig = sig * (1.0 - sig) * dt.type(2.0 / config.temperature)
         dresid = (gs * dsig)[:, None] * resid
@@ -145,8 +141,6 @@ def oce_loss(field: Tensor, pairs: PairSet, config: LossConfig) -> Tensor:
             da = da + (gs * dt.type(config.reg_weight)) * (a.data / safe[:, None]) * (
                 anorm > 0
             )[:, None]
-        _accum(a, da.astype(dt, copy=False))
-        _accum(p, dresid.copy())
+        return da.astype(dt, copy=False), dresid
 
-    _record("pair_offset_loss", (a, p), backward)
-    return out
+    return _op("pair_offset_loss", (a, p), np.asarray(total, dtype=dt), grads)

@@ -148,14 +148,14 @@ def forward(params: ModelParams, image) -> Tensor:
 # ---------------------------------------------------------------------------
 # Optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def fresh(cls, params: ModelParams) -> "AdamState":
@@ -171,14 +171,14 @@ def adam_step(state: AdamState, params: ModelParams, lr: float) -> None:
         if t.grad is None:
             raise ValueError(f"missing gradient for {name}")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name, t in params.items():
         g = t.grad
         m, v = state.m[name], state.v[name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        t.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        t.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def lr_schedule(epoch: int, base: float = 4e-5) -> float:

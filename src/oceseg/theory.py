@@ -126,15 +126,6 @@ class OccurrenceIndex:
         return np.asarray(found, np.int64).reshape(-1, 2)
 
 
-@dataclass
-class OffsetStats:
-    mean: np.ndarray        # (2,) float
-    se: np.ndarray          # (2,) standard error over scene means
-    count: int
-    total: np.ndarray       # (2,) int64 pair sum
-    scene_means: np.ndarray  # (S, 2)
-
-
 def _pair_offsets(la: np.ndarray, lb: np.ndarray, sample: SceneSample) -> np.ndarray:
     d = (lb[None, :, :] - la[:, None, :]).reshape(-1, 2)
     if sample.periodic:
@@ -143,33 +134,12 @@ def _pair_offsets(la: np.ndarray, lb: np.ndarray, sample: SceneSample) -> np.nda
     return d
 
 
-def expected_offset_mc(patch_a, patch_b, samples) -> OffsetStats:
-    """Mean offset over all occurrence pairs of the two patches, with the
-    standard error estimated from per-scene means."""
-    totals = np.zeros(2, np.int64)
-    count = 0
-    scene_means = []
-    for sample in samples:
-        index = OccurrenceIndex(sample)
-        la = index.locations(patch_a)
-        lb = index.locations(patch_b)
-        if len(la) == 0 or len(lb) == 0:
-            raise DegenerateError("patch does not occur in every scene")
-        d = _pair_offsets(la, lb, sample)
-        totals += d.sum(axis=0)
-        count += len(d)
-        scene_means.append(d.mean(axis=0))
-    scene_means = np.asarray(scene_means)
-    mean = totals / count
-    if len(scene_means) > 1:
-        se = scene_means.std(axis=0, ddof=1) / np.sqrt(len(scene_means))
-    else:
-        se = np.full(2, np.nan)
-    return OffsetStats(mean, se, count, totals, scene_means)
-
-
 @dataclass
 class OffsetDecomposition:
+    mean: np.ndarray         # (2,) over all pairs
+    se: np.ndarray           # (2,) standard error over per-scene means of all pairs
+    count: int
+    total: np.ndarray        # (2,) int64, summed over all pairs
     same_mean: np.ndarray
     cross_mean: np.ndarray
     cross_se: np.ndarray
@@ -200,13 +170,23 @@ def _membership(locs: np.ndarray, sample: SceneSample, patch_shape) -> np.ndarra
     return owners
 
 
+def _standard_error(means: np.ndarray) -> np.ndarray:
+    if len(means) > 1:
+        return means.std(axis=0, ddof=1) / np.sqrt(len(means))
+    return np.full(2, np.nan)
+
+
 def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
-    """Split occurrence-pair offsets into same-object and cross-object parts."""
+    """Mean offset over all occurrence pairs of the two patches, split into
+    same-object and cross-object parts; standard errors are estimated from
+    per-scene means."""
     pa = np.asarray(patch_a, np.float32)
     pb = np.asarray(patch_b, np.float32)
+    total = np.zeros(2, np.int64)
     same_total = np.zeros(2, np.int64)
     cross_total = np.zeros(2, np.int64)
-    n_same = n_cross = 0
+    count = n_same = n_cross = 0
+    scene_means = []
     cross_means = []
     for sample in samples:
         index = OccurrenceIndex(sample)
@@ -216,7 +196,11 @@ def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
             raise DegenerateError("patch does not occur in every scene")
         oa = _membership(la, sample, pa.shape)
         ob = _membership(lb, sample, pb.shape)
-        d = _pair_offsets(la, lb, sample).reshape(len(la), len(lb), 2)
+        d = _pair_offsets(la, lb, sample)
+        total += d.sum(axis=0)
+        count += len(d)
+        scene_means.append(d.mean(axis=0))
+        d = d.reshape(len(la), len(lb), 2)
         same_mask = oa[:, None] == ob[None, :]
         ds = d[same_mask]
         dc = d[~same_mask]
@@ -227,14 +211,14 @@ def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
         if len(dc):
             cross_means.append(dc.mean(axis=0))
     cross_means = np.asarray(cross_means)
-    if len(cross_means) > 1:
-        cross_se = cross_means.std(axis=0, ddof=1) / np.sqrt(len(cross_means))
-    else:
-        cross_se = np.full(2, np.nan)
     return OffsetDecomposition(
+        mean=total / count,
+        se=_standard_error(np.asarray(scene_means)),
+        count=count,
+        total=total,
         same_mean=same_total / max(n_same, 1),
         cross_mean=cross_total / max(n_cross, 1),
-        cross_se=cross_se,
+        cross_se=_standard_error(cross_means),
         n_same=n_same,
         n_cross=n_cross,
         same_total=same_total,

@@ -541,6 +541,41 @@ def test_backward_populates_all_reachable_grads():
         assert t.grad is not None and t.grad.shape == t.shape
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_unreached_ops_contribute_nothing(dtype):
+    from oceseg import LossConfig, oce_loss, sample_pairs
+
+    rng = np.random.default_rng(91)
+    shapes = [(1, 30, 30), (2, 1, 3, 3), (2,), (3, 1, 3, 3), (3,)]
+    arrays = [rng.normal(size=s) for s in shapes]
+    config = LossConfig(pair_radius=3.0)
+    pairs = sample_pairs((28, 28), config, rng)
+
+    def run(dead_branch):
+        x, w, b, w_dead, b_dead = tensors = [Tensor(a, dtype) for a in arrays]
+        dead = []
+        with Tape() as tape:
+            field = conv2d_valid(x, w, b)
+            live = relu(field)
+            if dead_branch:
+                # one branch off the live conv output, one off a conv of its own
+                dead.append(relu(field))
+                dead.append(conv2d_valid(x, w_dead, b_dead))
+                dead.append(relu(dead[-1], inplace=True))
+                dead += [gather_coords(t, [(0, 0), (5, 7), (5, 7)]) for t in (dead[0], dead[2])]
+            loss = oce_loss(live, pairs, config)
+            tape.backward(loss)
+        return loss.data, tensors, dead
+
+    loss, (x, w, b, w_dead, b_dead), dead = run(True)
+    ref_loss, ref, _ = run(False)
+    assert np.array_equal(loss, ref_loss)
+    for t, r in zip((x, w, b), ref):
+        assert t.grad is not None and np.array_equal(t.grad, r.grad)
+    assert w_dead.grad is None and b_dead.grad is None
+    assert all(t.grad is None for t in dead)
+
+
 def test_nested_tape_rejected():
     with Tape():
         with pytest.raises(RuntimeError):

@@ -284,3 +284,24 @@ def test_synth_train_segment_eval_and_reproduce(tmp_path, monkeypatch):
     assert cli.main(["segment", "--model", str(ckpt), "--data", str(data),
                      "--out", str(seg), "--seed", "3"]) == 0
     assert cli.main(["eval", "--gt", str(data), "--pred", str(seg), "--seg"]) == 0
+
+
+def test_commands_echo_the_checkpoint_model(run_dir):
+    # the fixture checkpoint has 4 maps; no config section names the model,
+    # so the defaults (64 maps) are what a stale echo would show
+    def echoed_model(out):
+        return json.loads((run_dir / out / "config.json").read_text())["config"]["model"]
+
+    train = {"train": {"epochs": 1, "batch_size": 2, "crop_size": 48}}
+    config = run_dir / "resume.json"
+    config.write_text(json.dumps(train))
+    assert cli.main(["train", "--data", str(run_dir / "data"), "--out", str(run_dir / "resumed"),
+                     "--config", str(config), "--resume", str(run_dir / "model.ocec")]) == 0
+    resumed = run_dir / "resumed" / "checkpoint.ocec"
+    assert load_checkpoint(resumed)[0].config.base_fmaps == 4
+    assert echoed_model("resumed") == {**cli.DEFAULT_CONFIG["model"], "base_fmaps": 4}
+    for command, extra in (("segment", []), ("predict", []), ("sweep", ["--bandwidths", "8"])):
+        out = f"echo_{command}"
+        assert cli.main([command, "--model", str(resumed), "--data", str(run_dir / "data"),
+                         "--out", str(run_dir / out), *extra]) == 0
+        assert echoed_model(out)["base_fmaps"] == 4

@@ -6,7 +6,6 @@ from oceseg.synth import object_template
 from oceseg.theory import (
     OccurrenceIndex,
     decompose_offsets,
-    expected_offset_mc,
     make_scenes,
     offset_report,
     place_scene,
@@ -79,31 +78,30 @@ def test_missing_patch_errors():
     samples = [place_scene(TEMPLATE, 2, (96, 96), rng, "bounded")]
     alien = np.full((5, 5), 123.0, np.float32)
     with pytest.raises(DegenerateError):
-        expected_offset_mc(alien, PATCH_B, samples)
+        decompose_offsets(alien, PATCH_B, samples)
 
 
 def test_single_object_mean_is_intra_offset():
     samples = make_scenes(4, 1, 96, TEMPLATE, seed=5, boundary="bounded")
-    stats = expected_offset_mc(PATCH_A, PATCH_B, samples)
-    assert np.allclose(stats.mean, INTRA)
-    assert stats.count == 4
+    dec = decompose_offsets(PATCH_A, PATCH_B, samples)
+    assert np.allclose(dec.mean, INTRA)
+    assert dec.count == 4
 
 
 def test_same_patch_mean_is_zero_by_symmetry():
     samples = make_scenes(6, 8, 255, TEMPLATE, seed=6, boundary="periodic")
-    stats = expected_offset_mc(PATCH_A, PATCH_A, samples)
-    assert np.array_equal(stats.total, np.zeros(2, np.int64))  # i<->j symmetry, exact
+    dec = decompose_offsets(PATCH_A, PATCH_A, samples)
+    assert np.array_equal(dec.total, np.zeros(2, np.int64))  # i<->j symmetry, exact
 
 
 def test_decomposition_counts_and_identity():
     samples = make_scenes(25, 12, 255, TEMPLATE, seed=7, boundary="periodic")
-    stats = expected_offset_mc(PATCH_A, PATCH_B, samples)
     dec = decompose_offsets(PATCH_A, PATCH_B, samples)
     assert dec.n_same == 12 * 25
     assert dec.n_cross == 12 * 11 * 25
-    assert stats.count == dec.n_same + dec.n_cross
+    assert dec.count == dec.n_same + dec.n_cross
     # bookkeeping identity is exact in integer arithmetic
-    assert np.array_equal(stats.total, dec.same_total + dec.cross_total)
+    assert np.array_equal(dec.total, dec.same_total + dec.cross_total)
     # same-object offsets are exactly the intra-object offset, every scene
     assert np.allclose(dec.same_mean, INTRA)
     assert np.array_equal(dec.same_total, INTRA * dec.n_same)
@@ -118,11 +116,10 @@ def test_periodic_cross_term_within_three_se():
 
 def test_proportionality_overall_mean():
     samples = make_scenes(120, 12, 255, TEMPLATE, seed=9, boundary="periodic")
-    stats = expected_offset_mc(PATCH_A, PATCH_B, samples)
     dec = decompose_offsets(PATCH_A, PATCH_B, samples)
-    target = dec.n_same / stats.count * INTRA
-    band = 3 * dec.n_cross / stats.count * dec.cross_se
-    assert np.all(np.abs(stats.mean - target) <= band)
+    target = dec.n_same / dec.count * INTRA
+    band = 3 * dec.n_cross / dec.count * dec.cross_se
+    assert np.all(np.abs(dec.mean - target) <= band)
 
 
 def test_cross_distribution_negation_symmetric():
