@@ -24,10 +24,9 @@ from .errors import (
     PlacementError,
     ShapeError,
 )
-from .loss import LossConfig, PairSet, oce_loss, pair_term_and_reg, sample_pairs, sigmoid_distance
+from .loss import LossConfig, PairSet, oce_loss, sample_pairs
 from .metrics import (
     MatchResult,
-    detection_scores,
     format_score_table,
     iou_matrix,
     match_at_threshold,
@@ -47,7 +46,6 @@ from .network import (
     init_params,
     load_checkpoint,
     lr_schedule,
-    parameter_count,
     save_checkpoint,
     train,
 )
@@ -66,10 +64,10 @@ from .segmentation import (
 )
 from .synth import SceneSpec, generate_dataset, object_template, synth_generate
 from .theory import (
-    OccurrenceIndex,
     OffsetDecomposition,
     decompose_offsets,
     make_scenes,
+    occurrences,
     offset_report,
     place_scene,
 )

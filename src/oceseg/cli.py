@@ -33,18 +33,13 @@ from .network import (
     ModelConfig,
     TrainConfig,
     TrainResult,
+    check_image,
     check_train_images,
     load_checkpoint,
     save_checkpoint,
     train,
 )
-from .segmentation import (
-    SegmenterConfig,
-    bandwidth_search,
-    check_image,
-    predict_full,
-    segment_image,
-)
+from .segmentation import SegmenterConfig, bandwidth_search, predict_full, segment_image
 
 _SECTIONS = {
     "model": ModelConfig,
@@ -176,8 +171,13 @@ def _cmd_train(config, seed, options):
     os.makedirs(options["out"], exist_ok=True)
     ckpt_path = os.path.join(options["out"], "checkpoint.ocec")
     trace_path = os.path.join(options["out"], "loss_trace.tsv")
+    rows = ["epoch\tmean_loss\n"]
+    if resume is not None and os.path.exists(trace_path):
+        # resuming into the run's own directory keeps the epochs already run
+        with open(trace_path, encoding="utf-8") as fh:
+            rows += [r for r in fh.readlines()[1:] if int(r.split("\t")[0]) < resume.next_epoch]
     with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch\tmean_loss\n")
+        fh.writelines(rows)
 
     def log(state):
         save_checkpoint(ckpt_path, state.params, state.adam, state.next_epoch)
@@ -197,19 +197,19 @@ def _cmd_train(config, seed, options):
 
 def _load_inference_inputs(config, options):
     """The checkpoint, the config with the checkpoint's model, and the dataset
-    stems, raw images and prepared images of ``predict``/``segment``; every
-    prepared image is checked against the model before the command writes
-    anything."""
+    stems, raw images, prepared images and labels (or None) of ``predict``,
+    ``segment`` and ``sweep``; every prepared image is checked against the
+    model before the command writes anything."""
     params, _, _ = load_checkpoint(options["model"])
-    stems, raw_images, _ = dataio.load_dataset(options["data"])
+    stems, raw_images, labels = dataio.load_dataset(options["data"])
     images = [_prepare_image(raw, config["data"]) for raw in raw_images]
     for img in images:
         check_image(img, params.config.in_channels)
-    return params, {**config, "model": params.config}, stems, raw_images, images
+    return params, {**config, "model": params.config}, stems, raw_images, images, labels
 
 
 def _cmd_predict(config, seed, options):
-    params, config, stems, _, images = _load_inference_inputs(config, options)
+    params, config, stems, _, images, _ = _load_inference_inputs(config, options)
     out_dir = os.path.join(options["out"], "fields")
     os.makedirs(out_dir, exist_ok=True)
     for stem, img in zip(stems, images):
@@ -221,7 +221,7 @@ def _cmd_predict(config, seed, options):
 
 
 def _cmd_segment(config, seed, options):
-    params, config, stems, raw_images, images = _load_inference_inputs(config, options)
+    params, config, stems, raw_images, images, _ = _load_inference_inputs(config, options)
     lab_dir = os.path.join(options["out"], "labels")
     os.makedirs(lab_dir, exist_ok=True)
     vis_dir = os.path.join(options["out"], "vis")
@@ -257,12 +257,9 @@ def _cmd_eval(config, seed, options):
 
 
 def _cmd_sweep(config, seed, options):
-    params, _, _ = load_checkpoint(options["model"])
-    config = {**config, "model": params.config}
-    stems, raw_images, labels = dataio.load_dataset(options["data"])
+    params, config, _, _, images, labels = _load_inference_inputs(config, options)
     if labels is None:
         raise FormatError("sweep needs a dataset with labels/")
-    images = [_prepare_image(img, config["data"]) for img in raw_images]
     bandwidths = [float(b) for b in options["bandwidths"].split(",") if b]
     best_bw, best_s, rows = bandwidth_search(
         params,

@@ -184,9 +184,7 @@ def pgm_write(path, image: np.ndarray, maxval: int = 255) -> None:
         quant = np.rint(np.clip(image, 0.0, 1.0) * maxval)
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(quant.astype(dtype).tobytes())
+    _write_atomic(path, header + quant.astype(dtype).tobytes())
 
 
 def check_labels(labels) -> np.ndarray:
@@ -241,9 +239,9 @@ class DataConfig:
             raise ConfigError(f"rescale must be positive, got {self.rescale!r}")
 
 
-def normalize_percentile(image: np.ndarray, low: float = 1.0, high: float = 99.8) -> np.ndarray:
-    """Affinely map the low percentile to 0 and the high percentile to 1, per
-    channel of a (C, H, W) image; any other rank raises :class:`ShapeError`.
+def normalize_percentile(image: np.ndarray) -> np.ndarray:
+    """Affinely map the 1st percentile to 0 and the 99.8th to 1, per channel
+    of a (C, H, W) image; any other rank raises :class:`ShapeError`.
 
     No clipping is applied; percentiles use linear interpolation of the
     sorted sample.  A constant channel is an error.
@@ -253,8 +251,8 @@ def normalize_percentile(image: np.ndarray, low: float = 1.0, high: float = 99.8
         raise ShapeError(f"normalize_percentile expects (C, H, W), got shape {img.shape}")
     out = np.empty_like(img)
     for c in range(img.shape[0]):
-        lo = np.percentile(img[c], low)
-        hi = np.percentile(img[c], high)
+        lo = np.percentile(img[c], 1.0)
+        hi = np.percentile(img[c], 99.8)
         if hi <= lo:
             raise DegenerateError(f"channel {c} has no spread between percentiles")
         out[c] = (img[c] - lo) / (hi - lo)
@@ -351,6 +349,4 @@ def load_dataset(root):
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))

@@ -87,15 +87,6 @@ def sample_pairs(field_shape, config: LossConfig, rng: np.random.Generator) -> P
     return PairSet(anchors, partners)
 
 
-def sigmoid_distance(delta, temperature: float = 10.0) -> float:
-    """1 / (1 + exp(-|delta|^2 / temperature)); 0.5 at zero, saturating toward 1."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    d = np.asarray(delta, dtype=np.float64)
-    sq = float((d * d).sum())
-    return float(1.0 / (1.0 + np.exp(-sq / temperature)))
-
-
 def _loss_pieces(a: np.ndarray, p: np.ndarray, pairs: PairSet, config: LossConfig):
     """Residuals, sigmoids and anchor norms from the (N, 2) anchor and partner values."""
     dt = a.dtype
@@ -105,15 +96,6 @@ def _loss_pieces(a: np.ndarray, p: np.ndarray, pairs: PairSet, config: LossConfi
     sig = 1.0 / (1.0 + np.exp(-sq / dt.type(config.temperature)))
     anorm = np.sqrt((a * a).sum(axis=1))
     return resid, sig, anorm
-
-
-def pair_term_and_reg(field_data: np.ndarray, pairs: PairSet, config: LossConfig):
-    """Forward-only evaluation; returns (pair term, unweighted anchor-norm sum)."""
-    f = np.asarray(field_data)
-    a = f[:, pairs.anchors[:, 0], pairs.anchors[:, 1]].T
-    p = f[:, pairs.partners[:, 0], pairs.partners[:, 1]].T
-    _, sig, anorm = _loss_pieces(a, p, pairs, config)
-    return float(np.sum(sig, dtype=np.float64)), float(np.sum(anorm, dtype=np.float64))
 
 
 def oce_loss(field: Tensor, pairs: PairSet, config: LossConfig) -> Tensor:

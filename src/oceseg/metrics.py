@@ -83,10 +83,6 @@ def scores_from_counts(tp: int, fp: int, fn: int) -> dict:
     return {"f1": f1, "recall": recall, "precision": precision, "accuracy": accuracy}
 
 
-def detection_scores(match: MatchResult) -> dict:
-    return scores_from_counts(match.tp, match.fp, match.fn)
-
-
 def seg_score_dataset(gt_masks, pred_masks) -> float:
     """Mean IoU over the ground truth objects of all images, each matched to
     the prediction covering strictly more than half of it, else scoring 0."""
@@ -122,7 +118,7 @@ def threshold_sweep(gt_masks, pred_masks, thresholds, per_image: bool = False):
     for t in thresholds:
         matches = [match_at_threshold(gt, pred, t) for gt, pred in zip(gt_masks, pred_masks)]
         if per_image:
-            scores = [detection_scores(m) for m in matches]
+            scores = [scores_from_counts(m.tp, m.fp, m.fn) for m in matches]
         else:
             counts = (sum(m.tp for m in matches), sum(m.fp for m in matches),
                       sum(m.fn for m in matches))

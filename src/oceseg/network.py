@@ -79,10 +79,6 @@ def _layer_plan(config: ModelConfig):
     return plan
 
 
-def parameter_count(config: ModelConfig) -> int:
-    return sum(co * ci * k * k + co for _, ci, co, k in _layer_plan(config))
-
-
 class ModelParams:
     """Ordered named weight/bias tensors for one model instance."""
 
@@ -121,18 +117,22 @@ def _block(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     return x
 
 
-def forward(params: ModelParams, image) -> Tensor:
-    """Dense offset field for a (C, H, W) image; output is (2, H-16, W-16)."""
-    x = image if isinstance(image, Tensor) else Tensor(image)
-    if x.data.ndim != 3:
-        raise ShapeError("forward expects (C,H,W)")
-    C, H, W = x.shape
-    if C != params.config.in_channels:
-        raise ShapeError(
-            f"image has {C} channels, model expects {params.config.in_channels}"
-        )
+def check_image(image, in_channels: int) -> None:
+    """Raise unless the model takes the image: (in_channels, H, W) with both
+    sides at least ``MIN_INPUT``."""
+    if image.ndim != 3 or image.shape[0] != in_channels:
+        raise ShapeError(f"image has shape {image.shape}, model expects ({in_channels},H,W)")
+    _, H, W = image.shape
     if H < MIN_INPUT or W < MIN_INPUT:
-        raise ShapeError(f"input {H}x{W} too small for the valid-convolution chain")
+        raise ShapeError(f"image {H}x{W} smaller than {MIN_INPUT}x{MIN_INPUT}")
+
+
+def forward(params: ModelParams, image) -> Tensor:
+    """Dense offset field for a (C, H, W) image of even sides; output is
+    (2, H-16, W-16)."""
+    x = image if isinstance(image, Tensor) else Tensor(image)
+    check_image(x.data, params.config.in_channels)
+    _, H, W = x.shape
     if H % 2 or W % 2:
         raise ShapeError(f"input {H}x{W} leads to odd intermediate dims")
     h = _block(x, params, "enc")
@@ -181,7 +181,7 @@ def adam_step(state: AdamState, params: ModelParams, lr: float) -> None:
         t.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def lr_schedule(epoch: int, base: float = 4e-5) -> float:
+def lr_schedule(epoch: int, base: float) -> float:
     """Base rate for the first 20 epochs, then /10, then /100 from epoch 30."""
     if epoch < 0:
         raise ValueError("epoch must be non-negative")

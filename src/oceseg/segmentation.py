@@ -25,7 +25,10 @@ from .autodiff import Tensor
 from .data import check_labels, relabel_consecutive
 from .errors import DegenerateError, ShapeError, check_bool, check_int, check_real
 from .metrics import seg_score_dataset, threshold_sweep
-from .network import CONTEXT, MIN_INPUT, ModelParams, forward
+from .network import CONTEXT, MIN_INPUT, ModelParams, check_image, forward
+
+
+MAX_SHRINK = 6  # largest shrink distance, and the last one bandwidth_search tries
 
 
 @dataclass(frozen=True)
@@ -46,22 +49,13 @@ class SegmenterConfig:
             raise ValueError("noise_fraction must be in (0, 0.5)")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if not 0 <= self.shrink_distance <= 6:
-            raise ValueError("shrink_distance must be in [0, 6]")
+        if not 0 <= self.shrink_distance <= MAX_SHRINK:
+            raise ValueError(f"shrink_distance must be in [0, {MAX_SHRINK}]")
         check_bool("connectivity_relabel", self.connectivity_relabel)
 
 
 # ---------------------------------------------------------------------------
 # Dense inference
-
-def _tile_starts(size: int, tile: int) -> list[int]:
-    if tile >= size:
-        return [0]
-    step = tile - CONTEXT
-    starts = list(range(0, size - tile, step))
-    starts.append(size - tile)
-    return starts
-
 
 def _tile_plan(size: int, cap: int) -> tuple[int, list[int]]:
     """Side and origins of the tiles along one padded axis of even ``size``.
@@ -75,17 +69,7 @@ def _tile_plan(size: int, cap: int) -> tuple[int, list[int]]:
     n = -(-(size - CONTEXT) // (cap - CONTEXT))
     side = CONTEXT + -(-(size - CONTEXT) // n)
     side += side % 2
-    return side, _tile_starts(size, side)
-
-
-def check_image(image, in_channels: int) -> None:
-    """Raise unless ``predict_full`` takes the image: (in_channels, H, W)
-    with both sides at least ``MIN_INPUT``."""
-    if image.ndim != 3 or image.shape[0] != in_channels:
-        raise ShapeError(f"image has shape {image.shape}, model expects ({in_channels},H,W)")
-    _, H, W = image.shape
-    if H < MIN_INPUT or W < MIN_INPUT:
-        raise ShapeError(f"image {H}x{W} smaller than {MIN_INPUT}x{MIN_INPUT}")
+    return side, list(range(0, size - side, side - CONTEXT)) + [size - side]
 
 
 def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
@@ -172,7 +156,7 @@ def embedding_variance(params: ModelParams, image, config: SegmenterConfig,
 # ---------------------------------------------------------------------------
 # Foreground detection
 
-def otsu_threshold(values, bins: int = 256) -> float:
+def otsu_threshold(values) -> float:
     """Histogram threshold maximizing between-class variance; ties take the
     lowest boundary.  Returns a bin edge of the 256-bin histogram over
     [min, max]."""
@@ -182,7 +166,7 @@ def otsu_threshold(values, bins: int = 256) -> float:
     vmin, vmax = float(flat.min()), float(flat.max())
     if vmin == vmax:
         raise DegenerateError("constant input has no threshold")
-    counts, edges = np.histogram(flat, bins=bins, range=(vmin, vmax))
+    counts, edges = np.histogram(flat, bins=256, range=(vmin, vmax))
     centers = 0.5 * (edges[:-1] + edges[1:])
     w = counts.astype(np.float64)
     total = w.sum()
@@ -411,13 +395,13 @@ def bandwidth_search(
     images,
     gt_labels,
     candidates,
-    shrink_values=tuple(range(7)),
     config: SegmenterConfig = SegmenterConfig(),
     metric: str = "f1",
     iou_threshold: float = 0.5,
     seed: int = 0,
 ):
-    """Grid search over bandwidth candidates and shrink distances.
+    """Grid search over bandwidth candidates and the shrink distances
+    0..``MAX_SHRINK``.
 
     Scores each combination on the validation set with the chosen metric
     (dataset-aggregated F1 at ``iou_threshold`` by default, or mean SEG) and
@@ -441,7 +425,7 @@ def bandwidth_search(
     for bw in sorted(candidates):
         cfg = replace(config, bandwidth=float(bw), shrink_distance=0.0)
         base_labels = [segment(field, fg, cfg) for field, fg in stages]
-        for s in sorted(shrink_values):
+        for s in range(MAX_SHRINK + 1):
             preds = [shrink_instances(lab, s) for lab in base_labels]
             if metric == "f1":
                 # threshold_sweep's first row is the pooled F1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import PlacementError
+from .errors import PlacementError, check_int
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
 
@@ -128,7 +128,9 @@ def synth_generate(spec: SceneSpec):
 
 
 def generate_dataset(spec: SceneSpec, count: int, seed: int = 0):
-    """A list of (image, labels) scenes with per-scene seeds derived from seed."""
+    """A list of ``count`` (image, labels) scenes, at least one, with
+    per-scene seeds derived from seed."""
+    check_int("count", count, 1)
     scenes = []
     for i in range(count):
         sub = int(np.random.default_rng([seed, i]).integers(0, 2**31 - 1))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, PlacementError, ShapeError
+from .errors import DegenerateError, PlacementError
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
 
@@ -93,37 +93,33 @@ def place_scene(template, n: int, canvas, rng: np.random.Generator,
     return SceneSample(scene, np.asarray(origins, np.int64).reshape(-1, 2), (th, tw), periodic)
 
 
-class OccurrenceIndex:
-    """Exact-content lookup: every returned location reproduces the patch."""
-
-    def __init__(self, sample: SceneSample):
-        self.sample = sample
-
-    def locations(self, patch) -> np.ndarray:
-        patch = np.asarray(patch, dtype=np.float32)
-        ph, pw = patch.shape
-        scene = self.sample.scene
-        H, W = scene.shape
-        anchor = np.unravel_index(int(np.abs(patch).argmax()), patch.shape)
-        val = patch[anchor]
-        hits = np.argwhere(scene == val)
-        rows = np.arange(ph)
-        cols = np.arange(pw)
-        found = []
-        for (hr, hc) in hits:
-            r0, c0 = int(hr - anchor[0]), int(hc - anchor[1])
-            if self.sample.periodic:
-                r0 %= H
-                c0 %= W
-                window = scene[np.ix_((r0 + rows) % H, (c0 + cols) % W)]
-            else:
-                if not (0 <= r0 <= H - ph and 0 <= c0 <= W - pw):
-                    continue
-                window = scene[r0:r0 + ph, c0:c0 + pw]
-            if np.array_equal(window, patch):
-                found.append((r0, c0))
-        found = sorted(set(found))
-        return np.asarray(found, np.int64).reshape(-1, 2)
+def occurrences(sample: SceneSample, patch) -> np.ndarray:
+    """Sorted (row, col) origins of every window of the scene that equals
+    ``patch`` exactly; on a periodic scene windows wrap around."""
+    patch = np.asarray(patch, dtype=np.float32)
+    ph, pw = patch.shape
+    scene = sample.scene
+    H, W = scene.shape
+    anchor = np.unravel_index(int(np.abs(patch).argmax()), patch.shape)
+    val = patch[anchor]
+    hits = np.argwhere(scene == val)
+    rows = np.arange(ph)
+    cols = np.arange(pw)
+    found = []
+    for (hr, hc) in hits:
+        r0, c0 = int(hr - anchor[0]), int(hc - anchor[1])
+        if sample.periodic:
+            r0 %= H
+            c0 %= W
+            window = scene[np.ix_((r0 + rows) % H, (c0 + cols) % W)]
+        else:
+            if not (0 <= r0 <= H - ph and 0 <= c0 <= W - pw):
+                continue
+            window = scene[r0:r0 + ph, c0:c0 + pw]
+        if np.array_equal(window, patch):
+            found.append((r0, c0))
+    found = sorted(set(found))
+    return np.asarray(found, np.int64).reshape(-1, 2)
 
 
 def _pair_offsets(la: np.ndarray, lb: np.ndarray, sample: SceneSample) -> np.ndarray:
@@ -180,6 +176,8 @@ def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
     """Mean offset over all occurrence pairs of the two patches, split into
     same-object and cross-object parts; standard errors are estimated from
     per-scene means."""
+    if len(samples) == 0:
+        raise DegenerateError("no scenes to average over")
     pa = np.asarray(patch_a, np.float32)
     pb = np.asarray(patch_b, np.float32)
     total = np.zeros(2, np.int64)
@@ -189,9 +187,8 @@ def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
     scene_means = []
     cross_means = []
     for sample in samples:
-        index = OccurrenceIndex(sample)
-        la = index.locations(pa)
-        lb = index.locations(pb)
+        la = occurrences(sample, pa)
+        lb = occurrences(sample, pb)
         if len(la) == 0 or len(lb) == 0:
             raise DegenerateError("patch does not occur in every scene")
         oa = _membership(la, sample, pa.shape)

@@ -286,6 +286,39 @@ def test_synth_train_segment_eval_and_reproduce(tmp_path, monkeypatch):
     assert cli.main(["eval", "--gt", str(data), "--pred", str(seg), "--seg"]) == 0
 
 
+def test_resume_into_the_run_directory_keeps_the_loss_trace(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--images", "2", "--size", "64",
+                     "--objects", "3", "--radius-max", "8", "--seed", "4"]) == 0
+
+    def train(out, epochs, resume=()):
+        config = tmp_path / f"epochs{epochs}.json"
+        config.write_text(json.dumps({"model": {"base_fmaps": 4}, "train": {
+            "epochs": epochs, "batch_size": 2, "crop_size": 48}}))
+        assert cli.main(["train", "--data", str(data), "--out", str(out), "--config",
+                         str(config), "--seed", "3", *resume]) == 0
+        return (out / "loss_trace.tsv").read_text(), (out / "checkpoint.ocec").read_bytes()
+
+    whole = train(tmp_path / "whole", 3)
+    run = tmp_path / "run"
+    train(run, 2)
+    assert train(run, 3, ["--resume", str(run / "checkpoint.ocec")]) == whole
+    assert len(whole[0].splitlines()) == 4  # the header and epochs 0, 1 and 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--images", "-2"], ["synth", "--images", "0"],
+    ["theory", "--scenes", "0", "--objects", "2", "--canvas", "63"],
+])
+def test_fewer_than_one_scene_exits_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_commands_echo_the_checkpoint_model(run_dir):
     # the fixture checkpoint has 4 maps; no config section names the model,
     # so the defaults (64 maps) are what a stale echo would show

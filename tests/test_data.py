@@ -15,6 +15,7 @@ from oceseg.data import (
     save_dataset,
     tensor_read,
     tensor_write,
+    write_json,
 )
 
 
@@ -245,6 +246,8 @@ class _TornFile:
 @pytest.mark.parametrize("writer, old, new", [
     (tensor_write, np.arange(6, dtype=np.int32), np.arange(600, dtype=np.int32)),
     (archive_write, {"w": np.ones((3, 4), np.float32)}, {"w": np.zeros((30, 40), np.float32)}),
+    (write_json, {"a": 1}, {"a": 1, "z": list(range(100))}),
+    (pgm_write, np.zeros((2, 3), np.float32), np.ones((20, 30), np.float32)),
 ])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer, old, new):
     path = tmp_path / "target.bin"
@@ -260,6 +263,16 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer, old, ne
     writer(path, new)
     assert path.read_bytes() != before
     assert [p.name for p in tmp_path.iterdir()] == ["target.bin"]
+
+
+def test_write_json_keeps_previous_file_when_a_value_cannot_be_encoded(tmp_path):
+    path = tmp_path / "config.json"
+    write_json(path, {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, {"a": 1, "z": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ from oceseg import (
     Tape,
     Tensor,
     oce_loss,
-    pair_term_and_reg,
     sample_pairs,
-    sigmoid_distance,
 )
+from oceseg.loss import _loss_pieces
 
 
 def run_loss(field_arr, pairs, config, dtype=np.float64):
@@ -21,6 +20,21 @@ def run_loss(field_arr, pairs, config, dtype=np.float64):
         loss = oce_loss(t, pairs, config)
         tape.backward(loss)
     return loss.item(), t.grad
+
+
+def loss_value(field_arr, pairs, config, dtype=np.float64):
+    """``oce_loss`` evaluated outside a tape."""
+    return oce_loss(Tensor(field_arr, dtype), pairs, config).item()
+
+
+def loss_sigmoid(deltas, temperature=10.0):
+    """The loss's sigmoid of |delta|^2 / temperature for each (2,) residual
+    delta: a zero anchor value paired with itself at value delta."""
+    deltas = np.asarray(deltas, np.float64).reshape(-1, 2)
+    same = np.zeros((len(deltas), 2), np.int64)
+    _, sig, _ = _loss_pieces(np.zeros_like(deltas), deltas, PairSet(same, same),
+                             LossConfig(temperature=temperature))
+    return sig
 
 
 # ---------------------------------------------------------------------------
@@ -72,27 +86,27 @@ def test_sample_pairs_corner_anchor_in_bounds():
 # sigmoid distance
 
 def test_sigma_zero_is_half():
-    assert sigmoid_distance((0.0, 0.0), 10.0) == 0.5
+    assert loss_sigmoid([(0.0, 0.0)])[0] == 0.5
 
 
 def test_sigma_closed_form_value():
     # |delta|^2 = 10, tau = 10 -> 1/(1+e^-1)
-    val = sigmoid_distance((np.sqrt(10.0), 0.0), 10.0)
+    val = loss_sigmoid([(np.sqrt(10.0), 0.0)], 10.0)[0]
     assert abs(val - 0.7310585786300049) < 1e-12
 
 
 def test_sigma_monotone_bounded():
     # strictly increasing wherever float64 can resolve the tail, never 1
-    vals = [sigmoid_distance((r, 0.0), 10.0) for r in np.linspace(0, 15, 100)]
+    vals = loss_sigmoid([(r, 0.0) for r in np.linspace(0, 15, 100)], 10.0)
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[0] == 0.5 and vals[-1] < 1.0
-    far = [sigmoid_distance((r, 0.0), 10.0) for r in (15.0, 20.0, 40.0)]
+    far = loss_sigmoid([(r, 0.0) for r in (15.0, 20.0, 40.0)], 10.0)
     assert all(b >= a for a, b in zip(far, far[1:]))
 
 
 def test_sigma_rejects_bad_temperature():
-    with pytest.raises(ValueError):
-        sigmoid_distance((1.0, 1.0), 0.0)
+    with pytest.raises(ValueError, match="temperature"):
+        loss_sigmoid([(1.0, 1.0)], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +144,7 @@ def test_loss_fixed_point_same_object_pairs():
     cfg = LossConfig(reg_weight=0.0)
     val, _ = run_loss(field, pairs, cfg)
     assert abs(val - 0.5 * len(pairs)) < 1e-9 * len(pairs)
-    pair_term, _ = pair_term_and_reg(field, pairs, cfg)
-    assert abs(pair_term - 0.5 * len(pairs)) < 1e-9 * len(pairs)
+    assert loss_value(field, pairs, cfg) == val  # the same value outside a tape
 
 
 def test_loss_lower_bound():
@@ -148,11 +161,16 @@ def test_regularizer_zero_iff_anchor_field_zero():
     cfg = LossConfig()
     field = np.zeros((2, 30, 30))
     pairs = PairSet(np.array([[3, 3], [10, 10]]), np.array([[3, 5], [12, 10]]))
-    _, reg = pair_term_and_reg(field, pairs, cfg)
-    assert reg == 0.0
+
+    def reg():
+        # the unweighted regulariser: the sum of the loss's anchor norms
+        a = field[:, pairs.anchors[:, 0], pairs.anchors[:, 1]].T
+        p = field[:, pairs.partners[:, 0], pairs.partners[:, 1]].T
+        return _loss_pieces(a, p, pairs, cfg)[2].sum()
+
+    assert reg() == 0.0
     field[0, 3, 3] = 2.0
-    _, reg = pair_term_and_reg(field, pairs, cfg)
-    assert reg == 2.0
+    assert reg() == 2.0
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -168,11 +186,8 @@ def test_loss_gradient_matches_finite_differences(dtype):
         pairs = PairSet(pairs.anchors[:20], pairs.partners[:20])
         _, grad = run_loss(field, pairs, cfg, dtype)
 
-        def f(a):
-            t, reg = pair_term_and_reg(a.astype(dtype), pairs, cfg)
-            return t + cfg.reg_weight * reg
-
-        fd = central_diff_grad(f, field.astype(dtype), h)
+        # float64 oracle: the loss of the same perturbed inputs, evaluated exactly
+        fd = central_diff_grad(lambda a: loss_value(a, pairs, cfg), field.astype(dtype), h)
         worst = max(worst, rel_err(grad, fd))
     assert worst < tol, worst
 
@@ -187,14 +202,14 @@ def test_fixed_point_perturbations_strictly_increase():
     rng = np.random.default_rng(23)
     pairs = sample_pairs((H, W), LossConfig(pair_radius=6.0), rng)
     cfg = LossConfig(reg_weight=0.0)
-    base, _ = pair_term_and_reg(field, pairs, cfg)
+    base = loss_value(field, pairs, cfg)
     assert abs(base - 0.5 * len(pairs)) < 1e-9 * len(pairs)
     for _ in range(50):
         k = rng.integers(len(pairs))
         target = pairs.anchors[k] if rng.integers(2) else pairs.partners[k]
         bumped = field.copy()
         bumped[:, target[0], target[1]] += rng.normal(scale=1.0, size=2)
-        val, _ = pair_term_and_reg(bumped, pairs, cfg)
+        val = loss_value(bumped, pairs, cfg)
         assert val > base
 
 

@@ -6,7 +6,6 @@ import pytest
 from oceseg import (
     DegenerateError,
     ShapeError,
-    detection_scores,
     format_score_table,
     iou_matrix,
     match_at_threshold,
@@ -158,7 +157,8 @@ def test_threshold_sweep_single_image_and_monotone():
     for metric, t, v in rows:
         by_metric.setdefault(metric, []).append(v)
         assert 0.0 <= v <= 1.0
-        single = detection_scores(match_at_threshold(gt, pred, t))
+        m = match_at_threshold(gt, pred, t)
+        single = scores_from_counts(m.tp, m.fp, m.fn)
         assert abs(single[metric] - v) < 1e-12
     for metric, vals in by_metric.items():
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])), metric

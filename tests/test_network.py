@@ -22,7 +22,7 @@ from oceseg import (
     load_checkpoint,
     lr_schedule,
     oce_loss,
-    parameter_count,
+    predict_full,
     sample_pairs,
     save_checkpoint,
     train,
@@ -74,10 +74,8 @@ def test_init_he_variance():
 
 
 def test_parameter_count_closed_form():
-    cfg = ModelConfig()
-    p = init_params(cfg, 0)
+    p = init_params(ModelConfig(), 0)
     total = sum(t.data.size for _, t in p.items())
-    assert total == parameter_count(cfg)
     base, mid = 64, 192
     expected = 0
     for cin, cout, k in [
@@ -160,6 +158,29 @@ def test_forward_channel_mismatch():
     p = init_params(ModelConfig(in_channels=2), 1)
     with pytest.raises(ShapeError):
         forward(p, np.zeros((1, 40, 40), np.float32))
+
+
+@pytest.mark.parametrize("in_channels, shape, message", [
+    (1, (40, 40), r"shape \(40, 40\), model expects \(1,H,W\)"),
+    (2, (1, 40, 40), r"shape \(1, 40, 40\), model expects \(2,H,W\)"),
+    (1, (1, 18, 40), "image 18x40 smaller than 20x20"),
+], ids=["2-D", "channels", "18-pixel-side"])
+def test_forward_and_predict_full_reject_an_image_alike(in_channels, shape, message):
+    p = init_params(ModelConfig(in_channels=in_channels, base_fmaps=4), 1)
+    img = np.zeros(shape, np.float32)
+    with pytest.raises(ShapeError, match=message) as direct:
+        forward(p, img)
+    with pytest.raises(ShapeError) as tiled:
+        predict_full(p, img)
+    assert str(tiled.value) == str(direct.value)
+
+
+def test_only_forward_rejects_an_odd_side():
+    p = init_params(ModelConfig(base_fmaps=4), 1)
+    img = np.zeros((1, 21, 22), np.float32)
+    with pytest.raises(ShapeError, match="odd"):
+        forward(p, img)
+    assert predict_full(p, img).shape == (2, 21, 22)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +296,16 @@ def test_adam_step_counter():
 
 
 def test_lr_schedule_breakpoints():
-    assert math.isclose(lr_schedule(0), 4e-5)
-    assert math.isclose(lr_schedule(19), 4e-5)
-    assert math.isclose(lr_schedule(20), 4e-6)
-    assert math.isclose(lr_schedule(29), 4e-6)
-    assert math.isclose(lr_schedule(30), 4e-7)
-    assert math.isclose(lr_schedule(45), 4e-7)
+    base = TrainConfig().base_lr
+    assert base == 4e-5
+    assert math.isclose(lr_schedule(0, base), 4e-5)
+    assert math.isclose(lr_schedule(19, base), 4e-5)
+    assert math.isclose(lr_schedule(20, base), 4e-6)
+    assert math.isclose(lr_schedule(29, base), 4e-6)
+    assert math.isclose(lr_schedule(30, base), 4e-7)
+    assert math.isclose(lr_schedule(45, base), 4e-7)
     with pytest.raises(ValueError):
-        lr_schedule(-1)
+        lr_schedule(-1, base)
 
 
 # ---------------------------------------------------------------------------

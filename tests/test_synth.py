@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from oceseg import PlacementError
+from oceseg import ConfigError, PlacementError
 from oceseg.synth import (
     SceneSpec,
     generate_dataset,
@@ -59,6 +59,12 @@ def test_labeled_pixels_brighter_than_background():
 def test_placement_failure_raises():
     with pytest.raises(PlacementError):
         synth_generate(SceneSpec(height=64, width=64, n_objects=50, seed=0))
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_generate_dataset_needs_a_scene(count):
+    with pytest.raises(ConfigError, match="count"):
+        generate_dataset(SceneSpec(), count)
 
 
 def test_generate_dataset_distinct_scenes():

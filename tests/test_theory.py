@@ -4,9 +4,9 @@ import pytest
 from oceseg import DegenerateError, PlacementError
 from oceseg.synth import object_template
 from oceseg.theory import (
-    OccurrenceIndex,
     decompose_offsets,
     make_scenes,
+    occurrences,
     offset_report,
     place_scene,
 )
@@ -63,8 +63,7 @@ def test_occurrences_reproduce_content_and_count():
     rng = np.random.default_rng(3)
     for boundary, canvas in (("bounded", 128), ("periodic", 127)):
         sample = place_scene(TEMPLATE, 5, (canvas, canvas), rng, boundary)
-        index = OccurrenceIndex(sample)
-        locs = index.locations(PATCH_A)
+        locs = occurrences(sample, PATCH_A)
         assert len(locs) == 5
         H, W = sample.scene.shape
         for (r, c) in locs:
@@ -79,6 +78,11 @@ def test_missing_patch_errors():
     alien = np.full((5, 5), 123.0, np.float32)
     with pytest.raises(DegenerateError):
         decompose_offsets(alien, PATCH_B, samples)
+
+
+def test_decompose_needs_a_scene():
+    with pytest.raises(DegenerateError, match="no scenes"):
+        decompose_offsets(PATCH_A, PATCH_B, [])
 
 
 def test_single_object_mean_is_intra_offset():
@@ -129,9 +133,8 @@ def test_cross_distribution_negation_symmetric():
     from oceseg.theory import _pair_offsets, _membership
 
     for sample in samples:
-        index = OccurrenceIndex(sample)
-        la = index.locations(PATCH_A)
-        lb = index.locations(PATCH_B)
+        la = occurrences(sample, PATCH_A)
+        lb = occurrences(sample, PATCH_B)
         oa = _membership(la, sample, PATCH_A.shape)
         ob = _membership(lb, sample, PATCH_B.shape)
         d = _pair_offsets(la, lb, sample).reshape(len(la), len(lb), 2)
