@@ -37,15 +37,15 @@ gradient checks can run at higher precision.
 ``conv2d_valid`` has one engine for both kernel sizes, im2col over GEMMs
 (Chellapilla et al. 2006).  Output pixel (r, c) of a (C, H, W) input is flat
 position r*W + c, and tap (di, dj) reads the flat input di*W + dj further on.
-The forward walks the flat output positions in chunks of ``CHUNK``: it copies
-the k*k shifted slices of a chunk into a (C*k*k, CHUNK) patch buffer, zeroes
-the columns past the last valid position and runs one (F, C*k*k) GEMM.  The
-backward walks the input positions the same way with patches of the output
-gradient: one GEMM gives the chunk's dX and one adds its share of dW.  A 1x1
-patch is the input itself, so for k=1 a whole chunk hands its slice of the
-flat input (or output gradient) to the GEMM in place.  The dW GEMM of either
-kernel size reads whole chunks of the flat input in place too.  Only the last,
-partial chunk goes through a zero-padded buffer.
+One reader, ``_chunks``, builds every GEMM operand: it walks the first n
+columns of a flat array in chunks of ``CHUNK`` and yields, per chunk, the
+slices at a list of column offsets stacked into one patch, zero past column
+n.  A whole chunk at the single offset 0 is a view of the array; any other
+chunk is copied into one buffer per call.  The forward reads the flat input
+at the k*k tap offsets and runs one (F, C*k*k) GEMM per output chunk.  The
+backward reads the flat input at offset 0 and the output gradient, shifted
+into the input's flat layout, at the reversed tap offsets; per input chunk
+one GEMM gives dX and one adds its share of dW.
 
 Every GEMM of a call has the same shape, whatever the image size.  A BLAS
 GEMM's result for one column can depend on how many columns the call has,
@@ -56,7 +56,7 @@ bit for bit, and so tiled inference equals one pass.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import threading
 
@@ -71,20 +71,28 @@ CHUNK = 2048
 _tls = threading.local()
 
 
-def _scratch(tag: str, shape, dtype) -> np.ndarray:
-    """Reusable per-thread work buffer; contents are undefined on entry.
+def _chunks(flat: np.ndarray, offsets: list[int], n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(p0, patch)`` for each ``CHUNK`` of the first ``n`` columns of
+    the 2-D ``flat``.
 
-    Only for op-internal temporaries whose lifetime ends before the op
-    returns.
+    Row block i of the (rows * len(offsets), CHUNK) patch holds ``flat``'s
+    columns from p0 + offsets[i] on, zero where p0 plus the patch column
+    reaches n.  The caller reads a patch before asking for the next one,
+    since later chunks reuse its buffer.
     """
-    pool = getattr(_tls, "pool", None)
-    if pool is None:
-        pool = _tls.pool = {}
-    key = (tag, shape, np.dtype(dtype).str)
-    buf = pool.get(key)
-    if buf is None:
-        buf = pool[key] = np.empty(shape, dtype)
-    return buf
+    rows = flat.shape[0]
+    buf = None
+    for p0 in range(0, n, CHUNK):
+        m = min(CHUNK, n - p0)
+        if m == CHUNK and offsets == [0]:
+            yield p0, flat[:, p0:p0 + CHUNK]
+            continue
+        if buf is None:
+            buf = np.empty((rows, len(offsets), CHUNK), flat.dtype)
+        for i, s in enumerate(offsets):
+            buf[:, i, :m] = flat[:, p0 + s:p0 + s + m]
+        buf[:, :, m:] = 0
+        yield p0, buf.reshape(rows * len(offsets), CHUNK)
 
 
 class Tensor:
@@ -214,59 +222,30 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     L = (Ho - 1) * W + Wo
     x_flat = x.data.reshape(C, HW)
 
-    starts = range(0, L, CHUNK)
-    out_flat = np.empty((F, len(starts) * CHUNK + k - 1), dtype)
-    patches = _scratch("conv.patches", (C, kk, CHUNK), dtype)
+    out_flat = np.empty((F, -(-L // CHUNK) * CHUNK + k - 1), dtype)
     w2 = w.data.reshape(F, C * kk)  # columns ordered (channel, di, dj) like patches
-    for p0 in starts:
-        m = min(CHUNK, L - p0)
-        if k == 1 and m == CHUNK:  # a 1x1 patch is the input itself
-            np.matmul(w2, x_flat[:, p0:p0 + CHUNK], out=out_flat[:, p0:p0 + CHUNK])
-            continue
-        for i, s in enumerate(shifts):
-            patches[:, i, :m] = x_flat[:, p0 + s:p0 + s + m]
-        patches[:, :, m:] = 0
-        np.matmul(w2, patches.reshape(C * kk, CHUNK), out=out_flat[:, p0:p0 + CHUNK])
+    for p0, patches in _chunks(x_flat, shifts, L):
+        np.matmul(w2, patches, out=out_flat[:, p0:p0 + CHUNK])
     out_arr = out_flat[:, :Ho * W].reshape(F, Ho, W)[:, :, :Wo] + b.data[:, None, None]
 
     def grads(g):
-        # Input pixel q takes tap s's gradient from output position q - s, so
-        # both gradients come from im2col patches of g over input chunks of x.
-        # Whole chunks of x go to the dW GEMM in place, and only the last
-        # partial chunk goes through a zero-padded buffer.  dX is one GEMM per
-        # chunk, written into a chunk-padded buffer that the gradient views;
-        # dW^T sums x_chunk @ patches^T.
-        dstarts = range(0, HW, CHUNK)
-        width = len(dstarts) * CHUNK
-        full = HW - HW % CHUNK
-        x_tail = np.zeros((C, CHUNK), dtype)
-        x_tail[:, :HW - full] = x_flat[:, full:]
+        # Input pixel q takes tap s's gradient from output position q - s.
+        # With g shifted right by the largest offset smax into the flat input
+        # layout (zero at cropped positions), that is column q + smax - s, so
+        # both gradients come from im2col patches of g over input chunks of x:
+        # dX is one GEMM per chunk, written into a chunk-padded buffer that
+        # the gradient views, and dW^T sums x_chunk @ patches^T.
+        smax = shifts[-1]
         if k == 1:
-            # a 1x1 gradient patch is g itself, read in place like x
-            g_flat = g.reshape(F, HW)
-            g_tail = np.zeros((F, CHUNK), dtype)
-            g_tail[:, :HW - full] = g_flat[:, full:]
-
-            def g_patches(q0):
-                return g_flat[:, q0:q0 + CHUNK] if q0 < full else g_tail
+            g_src = g.reshape(F, HW)
         else:
-            # g goes into the flat layout shifted right by the largest tap
-            # offset, zero at cropped and padding positions
-            smax = shifts[-1]
-            g_pad = np.zeros((F, smax + width), dtype)
-            g_pad[:, smax:smax + Ho * W].reshape(F, Ho, W)[:, :, :Wo] = g
-            gpatches = _scratch("conv.gpatches", (F, kk, CHUNK), dtype)
-
-            def g_patches(q0):
-                for i, s in enumerate(shifts):
-                    gpatches[:, i] = g_pad[:, q0 + smax - s:q0 + smax - s + CHUNK]
-                return gpatches.reshape(F * kk, CHUNK)
+            g_src = np.zeros((F, smax + HW), dtype)
+            g_src[:, smax:smax + Ho * W].reshape(F, Ho, W)[:, :, :Wo] = g
         w_t = w.data.transpose(1, 0, 2, 3).reshape(C, F * kk)
         dw_t = np.zeros((C, F * kk), dtype)
-        dx = np.empty((C, width), dtype)
-        for q0 in dstarts:
-            x_chunk = x_flat[:, q0:q0 + CHUNK] if q0 < full else x_tail
-            gp = g_patches(q0)
+        dx = np.empty((C, -(-HW // CHUNK) * CHUNK), dtype)
+        for (q0, x_chunk), (_, gp) in zip(_chunks(x_flat, [0], HW),
+                                          _chunks(g_src, [smax - s for s in shifts], HW)):
             dw_t += x_chunk @ gp.T
             np.matmul(w_t, gp, out=dx[:, q0:q0 + CHUNK])
         dw = np.ascontiguousarray(dw_t.reshape(C, F, k, k).transpose(1, 0, 2, 3))

@@ -280,9 +280,14 @@ def _cmd_sweep(config, seed, options):
 
 
 def _cmd_theory(config, seed, options):
-    template, _ = synthmod.object_template(options["radius"])
-    p = options["patch"]
+    radius, p = options["radius"], options["patch"]
+    if not 0 < radius < np.inf:
+        raise ConfigError(f"--radius must be a finite number > 0, got {radius:g}")
+    template, _ = synthmod.object_template(radius)
     half = template.shape[0] // 2
+    # patch a ends at the template center and patch b starts there
+    if not 1 <= p <= half + 1:
+        raise ConfigError(f"--patch must be in 1..{half + 1} at --radius {radius:g}, got {p}")
     off_a = (half - p + 1, half - p + 1)
     off_b = (half, half)
     pa = template[off_a[0]:off_a[0] + p, off_a[1]:off_a[1] + p]
@@ -359,8 +364,10 @@ _COMMANDS = {
         "objects": (int, 30, "objects per scene"),
         "canvas": (int, 511, "canvas side (odd sides keep wrapped offsets symmetric)"),
         "radius": (float, 7.0, "template radius"),
-        "patch": (int, 5, "patch side length"),
-        "boundary": (str, "periodic", "periodic or bounded"),
+        "patch": (int, 5, "patch side length, 1 to ceil(radius) + 1"),
+        "boundary": (str, "periodic",
+                     "periodic (cross term of mean zero) or bounded (cross term exactly "
+                     "the intra-object offset)"),
         "out": (str, "", "optional output directory"),
     }),
 }

@@ -1,15 +1,17 @@
 """Instance segmentation scores: IoU matching, detection rates and SEG.
 
 Detection metrics use one-to-one greedy matching by descending IoU at a
-threshold; for thresholds >= 0.5 a pixel can give an instance at most one
-partner with that much overlap, so the greedy matching is the unique
-optimal one.  SEG follows the cell-tracking convention: a ground truth
+threshold.  Above 0.5 an instance has at most one partner with that much
+overlap, so the greedy matching is the unique optimal one.  At exactly 0.5
+it can have two (a 1x4 object split into two 1x2 predictions has IoU 0.5
+with both), and the lower gt id, then the lower prediction id, breaks the
+tie.  SEG follows the cell-tracking convention: a ground truth
 object matches the prediction covering strictly more than half of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +21,9 @@ from .errors import DegenerateError, ShapeError
 
 @dataclass
 class MatchResult:
-    pairs: list = field(default_factory=list)  # (gt id, pred id, IoU)
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+    tp: int
+    fp: int
+    fn: int
 
 
 def iou_matrix(gt, pred):
@@ -62,16 +63,13 @@ def match_at_threshold(gt, pred, threshold: float) -> MatchResult:
     )
     used_g = np.zeros(G, bool)
     used_p = np.zeros(P, bool)
-    result = MatchResult()
-    for _, gid, pid, g, p in order:
+    tp = 0
+    for _, _, _, g, p in order:
         if used_g[g] or used_p[p]:
             continue
         used_g[g] = used_p[p] = True
-        result.pairs.append((int(gid), int(pid), float(iou[g, p])))
-    result.tp = len(result.pairs)
-    result.fp = P - result.tp
-    result.fn = G - result.tp
-    return result
+        tp += 1
+    return MatchResult(tp, P - tp, G - tp)
 
 
 def scores_from_counts(tp: int, fp: int, fn: int) -> dict:

@@ -3,8 +3,12 @@
 Scenes hold identical copies of one template at random non-overlapping
 positions.  For two fixed patch contents a and b, the average offset over
 all occurrence pairs decomposes into a same-object part (exactly the
-intra-object offset) and a cross-object part whose mean vanishes under
-random placement; on a periodic canvas that symmetry is exact.  All pair
+intra-object offset) and a cross-object part.  On a periodic canvas the
+cross part has mean zero under random placement, so the overall mean is
+the intra-object offset scaled by the share of same-object pairs.  On a
+bounded canvas it does not vanish: each ordered pair of objects occurs in
+both orders, their origin differences cancel, and every scene's cross sum
+is exactly its cross-pair count times the intra-object offset.  All pair
 sums are accumulated in int64, so the decomposition identity
 ``total = same + cross`` holds exactly.
 """
@@ -133,7 +137,6 @@ def _pair_offsets(la: np.ndarray, lb: np.ndarray, sample: SceneSample) -> np.nda
 @dataclass
 class OffsetDecomposition:
     mean: np.ndarray         # (2,) over all pairs
-    se: np.ndarray           # (2,) standard error over per-scene means of all pairs
     count: int
     total: np.ndarray        # (2,) int64, summed over all pairs
     same_mean: np.ndarray
@@ -143,7 +146,6 @@ class OffsetDecomposition:
     n_cross: int
     same_total: np.ndarray   # int64
     cross_total: np.ndarray  # int64
-    cross_scene_means: np.ndarray
 
 
 def _membership(locs: np.ndarray, sample: SceneSample, patch_shape) -> np.ndarray:
@@ -174,8 +176,8 @@ def _standard_error(means: np.ndarray) -> np.ndarray:
 
 def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
     """Mean offset over all occurrence pairs of the two patches, split into
-    same-object and cross-object parts; standard errors are estimated from
-    per-scene means."""
+    same-object and cross-object parts; the cross part's standard error is
+    estimated from per-scene means."""
     if len(samples) == 0:
         raise DegenerateError("no scenes to average over")
     pa = np.asarray(patch_a, np.float32)
@@ -184,7 +186,6 @@ def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
     same_total = np.zeros(2, np.int64)
     cross_total = np.zeros(2, np.int64)
     count = n_same = n_cross = 0
-    scene_means = []
     cross_means = []
     for sample in samples:
         la = occurrences(sample, pa)
@@ -196,7 +197,6 @@ def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
         d = _pair_offsets(la, lb, sample)
         total += d.sum(axis=0)
         count += len(d)
-        scene_means.append(d.mean(axis=0))
         d = d.reshape(len(la), len(lb), 2)
         same_mask = oa[:, None] == ob[None, :]
         ds = d[same_mask]
@@ -207,20 +207,17 @@ def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
         n_cross += len(dc)
         if len(dc):
             cross_means.append(dc.mean(axis=0))
-    cross_means = np.asarray(cross_means)
     return OffsetDecomposition(
         mean=total / count,
-        se=_standard_error(np.asarray(scene_means)),
         count=count,
         total=total,
         same_mean=same_total / max(n_same, 1),
         cross_mean=cross_total / max(n_cross, 1),
-        cross_se=_standard_error(cross_means),
+        cross_se=_standard_error(np.asarray(cross_means)),
         n_same=n_same,
         n_cross=n_cross,
         same_total=same_total,
         cross_total=cross_total,
-        cross_scene_means=cross_means,
     )
 
 

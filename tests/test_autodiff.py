@@ -154,46 +154,47 @@ def test_conv_matches_float64_reference_across_chunks(dtype, k, C, H, W, F):
         assert err <= tol, (name, err)
 
 
-def conv3_backward_padded(x, w, g):
-    """dX and dW of a 3x3 conv by im2col over an input copied whole into a
+def conv_backward_padded(x, w, g):
+    """dX and dW of a kxk conv by im2col over an input copied whole into a
     chunk-padded buffer, the GEMMs conv2d_valid runs, with no in-place chunks."""
     C, H, W = x.shape
-    F = w.shape[0]
-    Ho, Wo, HW, dtype = H - 2, W - 2, H * W, x.dtype
-    shifts = [di * W + dj for di in range(3) for dj in range(3)]
+    F, _, k, _ = w.shape
+    Ho, Wo, HW, dtype = H - k + 1, W - k + 1, H * W, x.dtype
+    shifts = [di * W + dj for di in range(k) for dj in range(k)]
     smax, width = shifts[-1], -(-HW // CHUNK) * CHUNK
     g_pad = np.zeros((F, smax + width), dtype)
     g_pad[:, smax:smax + Ho * W].reshape(F, Ho, W)[:, :, :Wo] = g
     x_pad = np.zeros((C, width), dtype)
     x_pad[:, :HW] = x.reshape(C, HW)
-    gpatches = np.empty((F, 9, CHUNK), dtype)
-    w_t = w.transpose(1, 0, 2, 3).reshape(C, F * 9)
-    dw_t = np.zeros((C, F * 9), dtype)
+    gpatches = np.empty((F, k * k, CHUNK), dtype)
+    w_t = w.transpose(1, 0, 2, 3).reshape(C, F * k * k)
+    dw_t = np.zeros((C, F * k * k), dtype)
     dx = np.empty((C, width), dtype)
     for q0 in range(0, HW, CHUNK):
         for i, s in enumerate(shifts):
             gpatches[:, i] = g_pad[:, q0 + smax - s:q0 + smax - s + CHUNK]
-        gp = gpatches.reshape(F * 9, CHUNK)
+        gp = gpatches.reshape(F * k * k, CHUNK)
         dw_t += x_pad[:, q0:q0 + CHUNK] @ gp.T
         np.matmul(w_t, gp, out=dx[:, q0:q0 + CHUNK])
-    return dx[:, :HW].reshape(C, H, W), dw_t.reshape(C, F, 3, 3).transpose(1, 0, 2, 3)
+    return dx[:, :HW].reshape(C, H, W), dw_t.reshape(C, F, k, k).transpose(1, 0, 2, 3)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("C, H, W, F", [(3, 64, 64, 5), (3, 70, 90, 5), (16, 48, 40, 8)])
-def test_conv3_backward_equals_padded_input_formulation(dtype, C, H, W, F):
-    """Whole input chunks go to the dW GEMM in place and only the tail is
+def test_conv_backward_equals_padded_input_formulation(dtype, k, C, H, W, F):
+    """Whole chunks at offset 0 go to the GEMMs in place and only the tail is
     padded; (3, 64, 64) has no tail, the others end in a partial chunk."""
     rng = np.random.default_rng(C + H + W)
     x = rng.normal(size=(C, H, W)).astype(dtype)
-    w = rng.normal(size=(F, C, 3, 3)).astype(dtype)
-    g = rng.normal(size=(F, H - 2, W - 2)).astype(dtype)
+    w = rng.normal(size=(F, C, k, k)).astype(dtype)
+    g = rng.normal(size=(F, H - k + 1, W - k + 1)).astype(dtype)
     tx, tw = Tensor(x), Tensor(w)
     with Tape() as tape:
         out = conv2d_valid(tx, tw, Tensor(np.zeros(F, dtype)))
     out.grad = g
     tape.nodes[0].backward()
-    dx, dw = conv3_backward_padded(x, w, g)
+    dx, dw = conv_backward_padded(x, w, g)
     assert np.array_equal(tx.grad, dx)
     assert np.array_equal(tw.grad, dw)
 

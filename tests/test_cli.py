@@ -319,6 +319,27 @@ def test_fewer_than_one_scene_exits_before_writing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--patch", "100"], "--patch must be in 1..8 at --radius 7, got 100"),
+    (["--patch", "16"], "--patch must be in 1..8 at --radius 7, got 16"),
+    (["--patch", "9"], "--patch must be in 1..8 at --radius 7, got 9"),
+    (["--patch", "0"], "--patch must be in 1..8 at --radius 7, got 0"),
+    (["--patch", "-3"], "--patch must be in 1..8 at --radius 7, got -3"),
+    (["--radius", "3", "--patch", "5"], "--patch must be in 1..4 at --radius 3, got 5"),
+    (["--radius", "0"], "--radius must be a finite number > 0, got 0"),
+    (["--radius", "-2"], "--radius must be a finite number > 0, got -2"),
+    (["--radius", "nan"], "--radius must be a finite number > 0, got nan"),
+])
+def test_theory_rejects_unusable_patch_or_radius(tmp_path, capsys, argv, message):
+    # patch a ends at the template center and patch b starts there, so a side
+    # past ceil(radius) + 1 used to be clipped silently by the slicing
+    out = tmp_path / "out"
+    assert cli.main(["theory", "--scenes", "2", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_commands_echo_the_checkpoint_model(run_dir):
     # the fixture checkpoint has 4 maps; no config section names the model,
     # so the defaults (64 maps) are what a stale echo would show

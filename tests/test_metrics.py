@@ -90,6 +90,15 @@ def test_match_counts_mixed():
     assert m.tp == 1 and m.fp == 1 and m.fn == 1
 
 
+def test_match_tie_at_half_is_one_pair():
+    # a 1x4 object split into two 1x2 predictions has IoU 0.5 with both
+    gt, pred = np.array([[1, 1, 1, 1]]), np.array([[3, 3, 2, 2]])
+    assert np.array_equal(iou_matrix(gt, pred)[0], [[0.5, 0.5]])
+    m = match_at_threshold(gt, pred, 0.5)
+    assert (m.tp, m.fp, m.fn) == (1, 1, 0)
+    assert match_at_threshold(gt, pred, 0.51).tp == 0
+
+
 def test_detection_scores_formulas():
     s = scores_from_counts(1, 1, 1)
     assert s["f1"] == 0.5 and s["recall"] == 0.5 and abs(s["accuracy"] - 1 / 3) < 1e-12

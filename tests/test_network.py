@@ -240,7 +240,7 @@ def test_default_model_crop_memory_peak():
     the tape dies, with a fresh buffer per ReLU, took 210 MB."""
     params = init_params(ModelConfig(), 5)
     image = np.random.default_rng(5).normal(size=(1, 124, 124)).astype(np.float32)
-    crop_step(params, image, 5)  # per-thread conv scratch buffers outlive the trace
+    crop_step(params, image, 5)  # warm-up: one-off first-call allocations stay out of the trace
     params.zero_grads()
     tracemalloc.start()
     try:

@@ -118,6 +118,17 @@ def test_periodic_cross_term_within_three_se():
     assert np.all(np.abs(z) < 3), z
 
 
+@pytest.mark.parametrize("canvas", [200, 511])
+def test_bounded_cross_sum_is_exactly_intra_offset(canvas):
+    """Without wrapping, each ordered pair of objects occurs in both orders,
+    so origin differences cancel and every scene's cross sum is n_cross *
+    INTRA: the cross term does not vanish on a bounded canvas."""
+    for sample in make_scenes(8, 12, canvas, TEMPLATE, seed=12, boundary="bounded"):
+        dec = decompose_offsets(PATCH_A, PATCH_B, [sample])
+        assert dec.n_cross == 12 * 11
+        assert np.array_equal(dec.cross_total, INTRA * dec.n_cross)
+
+
 def test_proportionality_overall_mean():
     samples = make_scenes(120, 12, 255, TEMPLATE, seed=9, boundary="periodic")
     dec = decompose_offsets(PATCH_A, PATCH_B, samples)
