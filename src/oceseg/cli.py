@@ -167,7 +167,8 @@ def _cmd_train(config, seed, options):
         params, adam, next_epoch = load_checkpoint(options["resume"])
         resume = TrainResult(params, adam, [], next_epoch)
         config = {**config, "model": params.config}
-    check_train_images(images, config["model"].in_channels, config["train"].crop_size)
+    check_train_images(images, config["model"].in_channels, config["train"].crop_size,
+                       config["loss"].pair_radius)
     os.makedirs(options["out"], exist_ok=True)
     ckpt_path = os.path.join(options["out"], "checkpoint.ocec")
     trace_path = os.path.join(options["out"], "loss_trace.tsv")
@@ -229,12 +230,10 @@ def _cmd_segment(config, seed, options):
         os.makedirs(vis_dir, exist_ok=True)
     for i, (stem, raw, img) in enumerate(zip(stems, raw_images, images)):
         labels = segment_image(params, img, config["segment"], seed=seed + i)
-        if config["data"].rescale != 1.0:
-            labels = dataio.rescale_labels(labels, raw.shape[-2:])
+        labels = dataio.rescale_labels(labels, raw.shape[-2:])
         dataio.tensor_write(os.path.join(lab_dir, stem + ".ocet"), labels.astype(np.int32))
         if options["pgm"]:
-            gray, maxval = dataio.labels_to_gray(labels)
-            dataio.pgm_write(os.path.join(vis_dir, stem + ".pgm"), gray, maxval=maxval)
+            dataio.pgm_write(os.path.join(vis_dir, stem + ".pgm"), dataio.labels_to_gray(labels))
     _echo_config(options["out"], "segment", seed, options, config)
     print(f"wrote {len(stems)} label masks to {lab_dir}")
     return 0
@@ -301,7 +300,7 @@ def _cmd_theory(config, seed, options):
         boundary=options["boundary"],
     )
     label = f"a@{off_a}/b@{off_b}"
-    table = theorymod.offset_report([(label, pa, pb)], samples)
+    table = theorymod.offset_report(label, pa, pb, samples)
     _emit_table("theory", table, "theory", seed, options, config)
     return 0
 

@@ -170,21 +170,16 @@ def archive_read(path) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # PGM (binary P5), written for visualisation only
 
-def pgm_write(path, image: np.ndarray, maxval: int = 255) -> None:
-    """Write (H, W) data as binary P5; floats are quantized against maxval."""
+def pgm_write(path, image: np.ndarray) -> None:
+    """Write an (H, W) uint8 or uint16 image as binary P5 with maxval 255 or
+    65535, the range of its dtype."""
     if image.ndim != 2:
         raise ShapeError("pgm_write expects (H, W)")
-    if not 0 < maxval < 65536:
-        raise FormatError(f"maxval {maxval} out of range")
-    if image.dtype in (np.uint8, np.uint16):
-        quant = image
-        if quant.max(initial=0) > maxval:
-            raise FormatError("integer image exceeds maxval")
-    else:
-        quant = np.rint(np.clip(image, 0.0, 1.0) * maxval)
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    if image.dtype not in (np.uint8, np.uint16):
+        raise FormatError(f"pgm_write expects uint8 or uint16, got {image.dtype}")
+    maxval = np.iinfo(image.dtype).max
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode("ascii")
-    _write_atomic(path, header + quant.astype(dtype).tobytes())
+    _write_atomic(path, header + image.astype(image.dtype.newbyteorder(">")).tobytes())
 
 
 def check_labels(labels) -> np.ndarray:
@@ -214,14 +209,14 @@ def relabel_consecutive(labels) -> tuple[np.ndarray, np.ndarray]:
     return lut[lab], np.flatnonzero(present).astype(lab.dtype)
 
 
-def labels_to_gray(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Map the id of rank k among n ids to gray level ``k * maxval // n``;
-    returns (uint8 image, 255) up to 255 ids, else (uint16 image, 65535)."""
+def labels_to_gray(labels: np.ndarray) -> np.ndarray:
+    """Map the id of rank k among n ids to gray level ``k * maxval // n``: a
+    uint8 image (maxval 255) up to 255 ids, else uint16 (maxval 65535)."""
     compact, ids = relabel_consecutive(labels)
     n = len(ids)
-    maxval = 255 if n <= 255 else 65535
-    gray = compact.astype(np.int64) * maxval // max(n, 1)
-    return gray.astype(np.uint8 if maxval == 255 else np.uint16), maxval
+    dtype = np.uint8 if n <= 255 else np.uint16
+    gray = compact.astype(np.int64) * np.iinfo(dtype).max // max(n, 1)
+    return gray.astype(dtype)
 
 
 # ---------------------------------------------------------------------------

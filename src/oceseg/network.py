@@ -221,14 +221,17 @@ class TrainResult:
     next_epoch: int = 0
 
 
-def check_train_images(images, in_channels: int, crop: int) -> None:
-    """Raise unless there are images and each is (in_channels, H, W) with
-    ``crop`` fitting inside; ``train`` runs this before its first step."""
+def check_train_images(images, in_channels: int, crop: int, pair_radius: float) -> None:
+    """Raise unless the crop's field is wider than twice ``pair_radius``, there
+    are images, and the model takes each with ``crop`` fitting inside;
+    ``train`` runs this before its first step."""
+    if crop - CONTEXT <= 2 * pair_radius:
+        raise ConfigError(f"crop_size {crop} gives a {crop - CONTEXT}x{crop - CONTEXT} field, "
+                          f"not larger than twice the pair radius {pair_radius}")
     if not images:
         raise ValueError("empty dataset")
     for img in images:
-        if img.ndim != 3 or img.shape[0] != in_channels:
-            raise ShapeError(f"dataset images must be ({in_channels},H,W), got {img.shape}")
+        check_image(img, in_channels)
         if img.shape[1] < crop or img.shape[2] < crop:
             raise ShapeError(f"crop {crop} larger than image {img.shape[1]}x{img.shape[2]}")
 
@@ -261,7 +264,7 @@ def train(
         params = init_params(model_config, seed)
         state = TrainResult(params, AdamState.fresh(params))
     crop = train_config.crop_size
-    check_train_images(images, state.params.config.in_channels, crop)
+    check_train_images(images, state.params.config.in_channels, crop, loss_config.pair_radius)
 
     n = len(images)
     steps = max(1, n // train_config.batch_size)

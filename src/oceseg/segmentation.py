@@ -22,7 +22,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .autodiff import Tensor
-from .data import check_labels, relabel_consecutive
+from .data import check_labels, relabel_consecutive, rescale_labels
 from .errors import DegenerateError, ShapeError, check_bool, check_int, check_real
 from .metrics import seg_score_dataset, threshold_sweep
 from .network import CONTEXT, MIN_INPUT, ModelParams, check_image, forward
@@ -417,16 +417,22 @@ def bandwidth_search(
         raise ValueError("ground truth required for every validation image")
     if metric not in ("f1", "seg"):
         raise ValueError(f"unknown metric {metric!r}")
+    if not 0 < iou_threshold <= 1:
+        raise ValueError(f"IoU threshold must be in (0, 1], got {iou_threshold!r}")
+    configs = [replace(config, bandwidth=float(bw), shrink_distance=0.0)
+               for bw in sorted(candidates)]
 
     stages = [_field_and_foreground(params, img, config, seed + i)
               for i, img in enumerate(images)]
     rows = []
     best = None
-    for bw in sorted(candidates):
-        cfg = replace(config, bandwidth=float(bw), shrink_distance=0.0)
+    for cfg in configs:
+        bw = cfg.bandwidth
         base_labels = [segment(field, fg, cfg) for field, fg in stages]
         for s in range(MAX_SHRINK + 1):
-            preds = [shrink_instances(lab, s) for lab in base_labels]
+            # labels found at the working scale are scored on the ground truth's grid
+            preds = [rescale_labels(shrink_instances(lab, s), gt.shape)
+                     for lab, gt in zip(base_labels, gt_labels)]
             if metric == "f1":
                 # threshold_sweep's first row is the pooled F1
                 score = threshold_sweep(gt_labels, preds, [iou_threshold])[0][2]
@@ -434,7 +440,7 @@ def bandwidth_search(
                 score = float(np.mean([
                     seg_score_dataset([gt], [pred]) for gt, pred in zip(gt_labels, preds)
                 ]))
-            rows.append((float(bw), float(s), score))
+            rows.append((bw, float(s), score))
             if best is None or score > best[2]:
-                best = (float(bw), float(s), score)
+                best = (bw, float(s), score)
     return best[0], best[1], rows

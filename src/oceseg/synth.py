@@ -17,6 +17,8 @@ from scipy import ndimage
 from .errors import PlacementError, check_int
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
+BACKGROUND_LEVEL = 0.1
+MIN_GAP = 2  # empty pixels kept between object bounding boxes
 
 
 @dataclass(frozen=True)
@@ -26,9 +28,7 @@ class SceneSpec:
     n_objects: int = 20
     radius_range: tuple = (8.0, 14.0)
     eccentricity_range: tuple = (1.0, 1.4)
-    background_level: float = 0.1
     noise_std: float = 0.02
-    min_gap: int = 2  # empty pixels kept between object bounding boxes
     seed: int = 0
 
     def __post_init__(self):
@@ -70,10 +70,8 @@ def _place_origins(spec: SceneSpec, support: np.ndarray, rng: np.random.Generato
     H, W = spec.height, spec.width
     if th > H or tw > W:
         raise PlacementError("template does not fit the canvas")
-    gap = spec.min_gap
-    dilated = ndimage.binary_dilation(
-        np.pad(support, gap), iterations=gap
-    ) if gap else support
+    gap = MIN_GAP
+    dilated = ndimage.binary_dilation(np.pad(support, gap), iterations=gap)
     occupied = np.zeros((H, W), bool)
     origins = []
     attempts = 0
@@ -105,11 +103,11 @@ def synth_generate(spec: SceneSpec):
 
     All objects in a scene are integer translations of a single template,
     so their pixel patterns agree exactly.  The background is Gaussian
-    noise around ``background_level``; object pixels carry template values.
+    noise around ``BACKGROUND_LEVEL``; object pixels carry template values.
     """
     rng = np.random.default_rng(spec.seed)
     image = rng.normal(
-        spec.background_level, spec.noise_std, size=(spec.height, spec.width)
+        BACKGROUND_LEVEL, spec.noise_std, size=(spec.height, spec.width)
     ).astype(np.float32)
     labels = np.zeros((spec.height, spec.width), np.int32)
     if spec.n_objects == 0:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, PlacementError
-
-MAX_PLACEMENT_ATTEMPTS = 10_000
+from .errors import DegenerateError, PlacementError, check_int
+from .synth import MAX_PLACEMENT_ATTEMPTS
 
 
 @dataclass
@@ -55,6 +54,7 @@ def place_scene(template, n: int, canvas, rng: np.random.Generator,
     """
     if boundary not in ("periodic", "bounded"):
         raise ValueError("boundary must be 'periodic' or 'bounded'")
+    check_int("n", n, 0)
     periodic = boundary == "periodic"
     tmpl = np.asarray(template, dtype=np.float32)
     th, tw = tmpl.shape
@@ -62,13 +62,14 @@ def place_scene(template, n: int, canvas, rng: np.random.Generator,
     if th > H or tw > W:
         raise PlacementError("template larger than canvas")
     diag_sq = float(th * th + tw * tw)
-    origins: list[tuple[int, int]] = []
-    attempts = 0
-    while len(origins) < n:
+    lengths = np.array([H, W])
+    origins = np.zeros((n, 2), np.int64)
+    placed = attempts = 0
+    while placed < n:
         attempts += 1
         if attempts > MAX_PLACEMENT_ATTEMPTS:
             raise PlacementError(
-                f"placed {len(origins)}/{n} objects in {MAX_PLACEMENT_ATTEMPTS} attempts"
+                f"placed {placed}/{n} objects in {MAX_PLACEMENT_ATTEMPTS} attempts"
             )
         if periodic:
             r0 = int(rng.integers(0, H))
@@ -76,25 +77,19 @@ def place_scene(template, n: int, canvas, rng: np.random.Generator,
         else:
             r0 = int(rng.integers(0, H - th + 1))
             c0 = int(rng.integers(0, W - tw + 1))
-        ok = True
-        for (pr, pc) in origins:
-            dr, dc = r0 - pr, c0 - pc
-            if periodic:
-                dr = int(_wrap_centered(np.int64(dr), H))
-                dc = int(_wrap_centered(np.int64(dc), W))
-            if dr * dr + dc * dc <= diag_sq:
-                ok = False
-                break
-        if ok:
-            origins.append((r0, c0))
+        d = np.array([r0, c0]) - origins[:placed]
+        if periodic:
+            d = _wrap_centered(d, lengths)
+        if np.all((d * d).sum(axis=1) > diag_sq):
+            origins[placed] = r0, c0
+            placed += 1
+    # boxes of centers farther apart than their diagonal are disjoint; a
+    # bounded box never reaches past the canvas, so the wrap is a no-op there
+    rows = (origins[:, :1] + np.arange(th)) % H
+    cols = (origins[:, 1:] + np.arange(tw)) % W
     scene = np.zeros((H, W), np.float32)
-    rows = np.arange(th)
-    cols = np.arange(tw)
-    for (r0, c0) in origins:
-        rr = (r0 + rows) % H if periodic else r0 + rows
-        cc = (c0 + cols) % W if periodic else c0 + cols
-        scene[np.ix_(rr, cc)] = tmpl
-    return SceneSample(scene, np.asarray(origins, np.int64).reshape(-1, 2), (th, tw), periodic)
+    scene[rows[:, :, None], cols[:, None, :]] = tmpl
+    return SceneSample(scene, origins, (th, tw), periodic)
 
 
 def occurrences(sample: SceneSample, patch) -> np.ndarray:
@@ -105,32 +100,21 @@ def occurrences(sample: SceneSample, patch) -> np.ndarray:
     scene = sample.scene
     H, W = scene.shape
     anchor = np.unravel_index(int(np.abs(patch).argmax()), patch.shape)
-    val = patch[anchor]
-    hits = np.argwhere(scene == val)
-    rows = np.arange(ph)
-    cols = np.arange(pw)
-    found = []
-    for (hr, hc) in hits:
-        r0, c0 = int(hr - anchor[0]), int(hc - anchor[1])
-        if sample.periodic:
-            r0 %= H
-            c0 %= W
-            window = scene[np.ix_((r0 + rows) % H, (c0 + cols) % W)]
-        else:
-            if not (0 <= r0 <= H - ph and 0 <= c0 <= W - pw):
-                continue
-            window = scene[r0:r0 + ph, c0:c0 + pw]
-        if np.array_equal(window, patch):
-            found.append((r0, c0))
-    found = sorted(set(found))
-    return np.asarray(found, np.int64).reshape(-1, 2)
+    starts = np.argwhere(scene == patch[anchor]) - anchor
+    if sample.periodic:
+        starts %= (H, W)
+    else:
+        starts = starts[((starts >= 0) & (starts <= (H - ph, W - pw))).all(axis=1)]
+    rows = (starts[:, :1, None] + np.arange(ph)[:, None]) % H
+    cols = (starts[:, None, 1:] + np.arange(pw)) % W
+    found = starts[(scene[rows, cols] == patch).all(axis=(1, 2))]
+    return np.unique(found, axis=0).reshape(-1, 2)
 
 
 def _pair_offsets(la: np.ndarray, lb: np.ndarray, sample: SceneSample) -> np.ndarray:
     d = (lb[None, :, :] - la[:, None, :]).reshape(-1, 2)
     if sample.periodic:
-        H, W = sample.scene.shape
-        d = np.stack([_wrap_centered(d[:, 0], H), _wrap_centered(d[:, 1], W)], axis=1)
+        d = _wrap_centered(d, np.array(sample.scene.shape))
     return d
 
 
@@ -152,20 +136,13 @@ def _membership(locs: np.ndarray, sample: SceneSample, patch_shape) -> np.ndarra
     """Object index for each occurrence, from the generator's placements."""
     ph, pw = patch_shape
     th, tw = sample.template_shape
-    H, W = sample.scene.shape
-    owners = np.full(len(locs), -1, np.int64)
-    for i, (r, c) in enumerate(locs):
-        for k, (orr, occ_) in enumerate(sample.origins):
-            dr, dc = r - orr, c - occ_
-            if sample.periodic:
-                dr %= H
-                dc %= W
-            if 0 <= dr <= th - ph and 0 <= dc <= tw - pw:
-                owners[i] = k
-                break
-    if (owners < 0).any():
+    d = locs[:, None, :] - sample.origins[None, :, :]
+    if sample.periodic:
+        d %= sample.scene.shape
+    inside = ((d >= 0) & (d <= (th - ph, tw - pw))).all(axis=2)
+    if not inside.any(axis=1).all():
         raise DegenerateError("occurrence outside any placed object")
-    return owners
+    return inside.argmax(axis=1)
 
 
 def _standard_error(means: np.ndarray) -> np.ndarray:
@@ -233,18 +210,14 @@ def make_scenes(n_scenes: int, n_objects: int, canvas: int, template,
     return samples
 
 
-def offset_report(patch_pairs, samples) -> str:
-    """Tab-separated report: one row per patch pair with both decomposition
-    terms, the cross-term standard errors and the pair counts."""
-    lines = [
-        "pair\tsame_dr\tsame_dc\tcross_dr\tcross_dc\tcross_se_dr\tcross_se_dc\tn_same\tn_cross"
-    ]
-    for label, pa, pb in patch_pairs:
-        dec = decompose_offsets(pa, pb, samples)
-        lines.append(
-            f"{label}\t{dec.same_mean[0]:.6f}\t{dec.same_mean[1]:.6f}"
-            f"\t{dec.cross_mean[0]:.6f}\t{dec.cross_mean[1]:.6f}"
-            f"\t{dec.cross_se[0]:.6f}\t{dec.cross_se[1]:.6f}"
-            f"\t{dec.n_same}\t{dec.n_cross}"
-        )
-    return "\n".join(lines) + "\n"
+def offset_report(label: str, patch_a, patch_b, samples) -> str:
+    """Tab-separated report: a header and one row for the patch pair with both
+    decomposition terms, the cross-term standard errors and the pair counts."""
+    dec = decompose_offsets(patch_a, patch_b, samples)
+    return (
+        "pair\tsame_dr\tsame_dc\tcross_dr\tcross_dc\tcross_se_dr\tcross_se_dc\tn_same\tn_cross\n"
+        f"{label}\t{dec.same_mean[0]:.6f}\t{dec.same_mean[1]:.6f}"
+        f"\t{dec.cross_mean[0]:.6f}\t{dec.cross_mean[1]:.6f}"
+        f"\t{dec.cross_se[0]:.6f}\t{dec.cross_se[1]:.6f}"
+        f"\t{dec.n_same}\t{dec.n_cross}\n"
+    )

@@ -13,6 +13,7 @@ from oceseg import (
     load_checkpoint,
     save_checkpoint,
     segment_image,
+    segmentation,
 )
 from oceseg.data import (
     normalize_percentile,
@@ -154,13 +155,15 @@ def test_bad_config_section_exits_before_writing(run_dir, capsys, command, secti
 
 @pytest.mark.parametrize("sections, message", [
     ({"train": {"crop_size": 96}}, "crop 96 larger than image 64x64"),
-    ({"model": {"in_channels": 2}}, "images must be (2,H,W)"),
+    ({"model": {"in_channels": 2}}, "model expects (2,H,W)"),
     ({"model": {"out_channels": 3}}, "out_channels must be 2"),
+    ({"train": {"crop_size": 24}}, "crop_size 24 gives a 8x8 field, not larger than twice the "
+                                   "pair radius 10.0"),
 ])
 def test_train_checks_model_and_images_before_writing(run_dir, capsys, sections, message):
     (fields,) = sections.values()
-    (field,) = fields
-    out = f"unfit_train_{field}"
+    ((field, value),) = fields.items()
+    out = f"unfit_train_{field}_{value}"
     assert _run(run_dir, "train", out, sections) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -185,6 +188,50 @@ def test_inference_checks_images_before_writing(run_dir, capsys, command, case, 
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (run_dir / out).exists()
+
+
+@pytest.fixture(scope="module")
+def fixture_scenes(tmp_path_factory):
+    """Two labelled 160^2 scenes sized for the committed 16-map checkpoint."""
+    data = tmp_path_factory.mktemp("scenes") / "data"
+    assert cli.main(["synth", "--out", str(data), "--images", "2", "--size", "160",
+                     "--objects", "12", "--radius-min", "9", "--radius-max", "11",
+                     "--seed", "9"]) == 0
+    return data
+
+
+@pytest.mark.parametrize("rescale", [1.5, 1.0])
+def test_sweep_scores_what_segment_writes(tmp_path, fixture_scenes, rescale):
+    # sweep scores on the ground truth's grid, as segment writes its labels
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {"rescale": rescale},
+                                  "segment": {"bandwidth": 12.0, "shrink_distance": 6.0}}))
+    common = ["--model", str(FIXTURE_DIR / "checkpoint.ocec"), "--data", str(fixture_scenes),
+              "--config", str(config)]
+    assert cli.main(["sweep", *common, "--bandwidths", "12", "--out", str(tmp_path / "sweep")]) == 0
+    assert cli.main(["segment", *common, "--out", str(tmp_path / "seg")]) == 0
+    assert cli.main(["eval", "--gt", str(fixture_scenes), "--pred", str(tmp_path / "seg"),
+                     "--out", str(tmp_path / "eval")]) == 0
+    sweep = (tmp_path / "sweep" / "sweep.tsv").read_text().splitlines()
+    scores = (tmp_path / "eval" / "scores.tsv").read_text().splitlines()
+    assert sweep[-1].split("\t")[:2] == ["12", "6"]
+    assert scores[1].split("\t")[:2] == ["f1", "0.5"]
+    assert sweep[-1].split("\t")[2] == scores[1].split("\t")[2]
+
+
+@pytest.mark.parametrize("option", [["--bandwidths", "8,0"], ["--threshold", "0"]])
+def test_sweep_checks_candidates_and_threshold_before_inference(run_dir, capsys, monkeypatch,
+                                                                option):
+    def no_inference(*args, **kwargs):
+        raise AssertionError("predict_full called")
+
+    monkeypatch.setattr(segmentation, "predict_full", no_inference)
+    out = run_dir / "sweep_unchecked"
+    assert cli.main(["sweep", "--model", str(run_dir / "model.ocec"), "--data",
+                     str(run_dir / "data"), "--out", str(out), *option]) == 2
+    err = capsys.readouterr().err
+    assert ("bandwidth" if option[0] == "--bandwidths" else "threshold") in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("option, value", [

@@ -118,8 +118,7 @@ def test_archive_truncation(tmp_path):
 # PGM
 
 def test_pgm_write_bytes_8bit(tmp_path):
-    # floats are clipped to [0, 1] and rounded half to even against maxval
-    img = np.array([[0.0, 1.0, 0.5], [0.25, 2.0, -1.0]], np.float32)
+    img = np.array([[0, 255, 128], [64, 255, 0]], np.uint8)
     path = tmp_path / "a.pgm"
     pgm_write(path, img)
     assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 255, 128, 64, 255, 0])
@@ -128,22 +127,30 @@ def test_pgm_write_bytes_8bit(tmp_path):
 def test_pgm_write_bytes_16bit(tmp_path):
     img = np.array([[0, 65535], [1000, 30000]], np.uint16)
     path = tmp_path / "b.pgm"
-    pgm_write(path, img, maxval=65535)
+    pgm_write(path, img)
     assert path.read_bytes() == b"P5\n2 2\n65535\n" + bytes.fromhex("0000ffff03e87530")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int32])
+def test_pgm_write_takes_uint8_or_uint16_only(tmp_path, dtype):
+    path = tmp_path / "c.pgm"
+    with pytest.raises(FormatError, match="uint8 or uint16"):
+        pgm_write(path, np.zeros((2, 3), dtype))
+    assert not path.exists()
 
 
 def test_labels_to_gray_distinct():
     labels = np.array([[0, 1], [2, 3]], np.int32)
-    gray, maxval = labels_to_gray(labels)
-    assert maxval == 255
+    gray = labels_to_gray(labels)
+    assert gray.dtype == np.uint8
     vals = {gray[0, 1], gray[1, 0], gray[1, 1]}
     assert len(vals) == 3 and 0 not in vals and gray[0, 0] == 0
 
 
 def test_labels_to_gray_exact_levels_with_id_gaps():
     labels = np.array([[0, 7, 7], [3, 0, 12]], np.int32)
-    gray, maxval = labels_to_gray(labels)
-    assert maxval == 255 and gray.dtype == np.uint8
+    gray = labels_to_gray(labels)
+    assert gray.dtype == np.uint8
     assert gray.tolist() == [[0, 170, 170], [85, 0, 255]]  # rank * 255 // 3
 
 
@@ -153,17 +160,17 @@ def test_labels_to_gray_exact_levels_many_ids(count, maxval, dtype):
     ids = 3 * np.arange(1, count + 1) + 4  # gaps between all ids
     labels = np.concatenate([ids, ids[::7], np.zeros(50, int)])
     labels = rng.permutation(labels).astype(np.int32).reshape(1, -1)
-    gray, got_maxval = labels_to_gray(labels)
+    gray = labels_to_gray(labels)
     rank = np.searchsorted(ids, labels) + 1
     expected = np.where(labels > 0, rank * maxval // count, 0)
-    assert got_maxval == maxval and gray.dtype == dtype
+    assert gray.dtype == dtype and np.iinfo(gray.dtype).max == maxval
     assert np.array_equal(gray, expected)
 
 
 def test_labels_to_gray_without_instances():
     for labels in (np.zeros((3, 4), np.int32), np.zeros((0, 4), np.int32)):
-        gray, maxval = labels_to_gray(labels)
-        assert maxval == 255 and gray.dtype == np.uint8
+        gray = labels_to_gray(labels)
+        assert gray.dtype == np.uint8
         assert gray.shape == labels.shape and not gray.any()
 
 
@@ -247,7 +254,7 @@ class _TornFile:
     (tensor_write, np.arange(6, dtype=np.int32), np.arange(600, dtype=np.int32)),
     (archive_write, {"w": np.ones((3, 4), np.float32)}, {"w": np.zeros((30, 40), np.float32)}),
     (write_json, {"a": 1}, {"a": 1, "z": list(range(100))}),
-    (pgm_write, np.zeros((2, 3), np.float32), np.ones((20, 30), np.float32)),
+    (pgm_write, np.zeros((2, 3), np.uint8), np.ones((20, 30), np.uint8)),
 ])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer, old, new):
     path = tmp_path / "target.bin"

@@ -10,7 +10,7 @@ from oceseg.theory import (
     offset_report,
     place_scene,
 )
-from oceseg.theory import _wrap_centered
+from oceseg.theory import _membership, _wrap_centered
 
 TEMPLATE, _ = object_template(7.0)
 PATCH_A = TEMPLATE[3:8, 3:8]
@@ -59,6 +59,11 @@ def test_place_scene_failure():
         place_scene(TEMPLATE, 40, (64, 64), rng, "bounded")
 
 
+def test_place_scene_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="n must be an integer >= 0, got -1"):
+        place_scene(TEMPLATE, -1, (64, 64), np.random.default_rng(0))
+
+
 def test_occurrences_reproduce_content_and_count():
     rng = np.random.default_rng(3)
     for boundary, canvas in (("bounded", 128), ("periodic", 127)):
@@ -70,6 +75,60 @@ def test_occurrences_reproduce_content_and_count():
             rows = (r + np.arange(5)) % H
             cols = (c + np.arange(5)) % W
             assert np.array_equal(sample.scene[np.ix_(rows, cols)], PATCH_A)
+
+
+def _occurrences_reference(sample, patch):
+    """occurrences written as a loop over the candidate hits of the anchor value."""
+    patch = np.asarray(patch, dtype=np.float32)
+    ph, pw = patch.shape
+    scene = sample.scene
+    H, W = scene.shape
+    anchor = np.unravel_index(int(np.abs(patch).argmax()), patch.shape)
+    found = []
+    for (hr, hc) in np.argwhere(scene == patch[anchor]):
+        r0, c0 = int(hr - anchor[0]), int(hc - anchor[1])
+        if sample.periodic:
+            r0 %= H
+            c0 %= W
+            window = scene[np.ix_((r0 + np.arange(ph)) % H, (c0 + np.arange(pw)) % W)]
+        else:
+            if not (0 <= r0 <= H - ph and 0 <= c0 <= W - pw):
+                continue
+            window = scene[r0:r0 + ph, c0:c0 + pw]
+        if np.array_equal(window, patch):
+            found.append((r0, c0))
+    return np.asarray(sorted(set(found)), np.int64).reshape(-1, 2)
+
+
+def _membership_reference(locs, sample, patch_shape):
+    """_membership written as a search of every origin for every occurrence."""
+    (ph, pw), (th, tw) = patch_shape, sample.template_shape
+    H, W = sample.scene.shape
+    owners = np.full(len(locs), -1, np.int64)
+    for i, (r, c) in enumerate(locs):
+        for k, (orr, occ) in enumerate(sample.origins):
+            dr, dc = r - orr, c - occ
+            if sample.periodic:
+                dr, dc = dr % H, dc % W
+            if 0 <= dr <= th - ph and 0 <= dc <= tw - pw:
+                owners[i] = k
+                break
+    return owners
+
+
+@pytest.mark.parametrize("boundary, canvas", [("periodic", 71), ("bounded", 72)])
+def test_occurrences_match_the_loop_reference(boundary, canvas):
+    # a crowded small canvas puts periodic copies across both edges
+    patches = [PATCH_A, PATCH_B, TEMPLATE[0:5, 0:5], TEMPLATE[:, 10:], TEMPLATE[7:8, 7:8],
+               np.full((3, 3), 123.0, np.float32)]
+    for sample in make_scenes(6, 5, canvas, TEMPLATE, seed=13, boundary=boundary):
+        for patch in patches:
+            got = occurrences(sample, patch)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _occurrences_reference(sample, patch))
+            if len(got):
+                owners = _membership(got, sample, np.shape(patch))
+                assert np.array_equal(owners, _membership_reference(got, sample, np.shape(patch)))
 
 
 def test_missing_patch_errors():
@@ -141,7 +200,7 @@ def test_cross_distribution_negation_symmetric():
     # pooled skew statistic stays within ~5 standard errors of zero
     samples = make_scenes(80, 10, 255, TEMPLATE, seed=10, boundary="periodic")
     offsets = []
-    from oceseg.theory import _pair_offsets, _membership
+    from oceseg.theory import _pair_offsets
 
     for sample in samples:
         la = occurrences(sample, PATCH_A)
@@ -160,7 +219,7 @@ def test_cross_distribution_negation_symmetric():
 
 def test_offset_report_format():
     samples = make_scenes(3, 4, 127, TEMPLATE, seed=11, boundary="periodic")
-    table = offset_report([("ab", PATCH_A, PATCH_B)], samples)
+    table = offset_report("ab", PATCH_A, PATCH_B, samples)
     lines = table.strip().split("\n")
     assert lines[0].split("\t") == [
         "pair", "same_dr", "same_dc", "cross_dr", "cross_dc",
