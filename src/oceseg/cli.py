@@ -283,10 +283,16 @@ def _cmd_theory(config, seed, options):
     if not 0 < radius < np.inf:
         raise ConfigError(f"--radius must be a finite number > 0, got {radius:g}")
     template, _ = synthmod.object_template(radius)
-    half = template.shape[0] // 2
+    side = template.shape[0]
+    half = side // 2
     # patch a ends at the template center and patch b starts there
     if not 1 <= p <= half + 1:
         raise ConfigError(f"--patch must be in 1..{half + 1} at --radius {radius:g}, got {p}")
+    if options["objects"] < 1:
+        raise ConfigError(f"--objects must be at least 1, got {options['objects']}")
+    if options["canvas"] < side:
+        raise ConfigError(f"--canvas must be at least the template side {side} "
+                          f"at --radius {radius:g}, got {options['canvas']}")
     off_a = (half - p + 1, half - p + 1)
     off_b = (half, half)
     pa = template[off_a[0]:off_a[0] + p, off_a[1]:off_a[1] + p]

@@ -55,16 +55,15 @@ def match_at_threshold(gt, pred, threshold: float) -> MatchResult:
     """Greedy one-to-one matching of instances with IoU >= threshold."""
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
-    iou, _, gt_ids, pred_ids, _, _ = iou_matrix(gt, pred)
+    iou = iou_matrix(gt, pred)[0]
     G, P = iou.shape
-    cand = np.argwhere(iou >= threshold)
-    order = sorted(
-        (( -iou[g, p], gt_ids[g], pred_ids[p], g, p) for g, p in cand),
-    )
+    gs, ps = np.nonzero(iou >= threshold)
+    # highest IoU first, ties by row then column: ids ascend with rows and columns
+    order = np.lexsort((ps, gs, -iou[gs, ps]))
     used_g = np.zeros(G, bool)
     used_p = np.zeros(P, bool)
     tp = 0
-    for _, _, _, g, p in order:
+    for g, p in zip(gs[order].tolist(), ps[order].tolist()):
         if used_g[g] or used_p[p]:
             continue
         used_g[g] = used_p[p] = True

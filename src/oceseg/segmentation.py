@@ -9,12 +9,13 @@ Inference splits each axis into the fewest tiles no larger than the
 away on the overlap; tiled inference equals one pass bit for bit.  The
 noise-variance map keeps one float32 stack of the predictions and reduces
 it in row chunks, so its float64 temporaries do not grow with the image.
-Mean-shift memoises every converged climb, so a seed that reaches a
-position another seed has climbed from takes that climb's mode.
+Mean-shift climbs its seeds in lockstep blocks, one batched ball query
+per step for a block, so the ball lists held at once stay bounded.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -193,19 +194,53 @@ def detect_foreground(variance_map) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Mean shift
 
+_SEED_BLOCK = 256  # seeds climbing together; bounds the ball lists held at once
+
+
+def _group_means(columns, ids, counts) -> np.ndarray:
+    """(K, 2) means per id in 0..K-1 of L points given as the (2, L) rows of
+    their coordinates.  ``np.bincount`` adds each id's points in index order,
+    so a mean is bit-equal to ``pts[idx].mean(axis=0)``."""
+    sums = [np.bincount(ids, weights=c, minlength=len(counts)) for c in columns]
+    return np.stack(sums, axis=1) / counts[:, None]
+
+
+def _climb(tree, columns, seeds, bandwidth: float, max_iter: int) -> np.ndarray:
+    """End positions of the ``seeds`` that took a step, in seed order: each
+    step moves every still-climbing seed to the mean of its ball, one
+    batched ball query for all of them."""
+    pos = seeds.copy()
+    stepped = np.zeros(len(pos), bool)
+    active = np.arange(len(pos))
+    for _ in range(max_iter):
+        balls = tree.query_ball_point(pos[active], bandwidth, return_sorted=True)
+        counts = np.fromiter(map(len, balls), np.int64, len(balls))
+        active, counts = active[counts > 0], counts[counts > 0]
+        if len(active) == 0:
+            break
+        idx = np.fromiter(itertools.chain.from_iterable(balls), np.intp, counts.sum())
+        del balls  # free the lists of Python ints before the arrays below
+        new = _group_means(columns[:, idx], np.repeat(np.arange(len(active)), counts), counts)
+        diff = new - pos[active]
+        pos[active] = new
+        stepped[active] = True
+        active = active[np.hypot(diff[:, 0], diff[:, 1]) >= 1e-3 * bandwidth]
+    return pos[stepped]
+
+
 def mean_shift(points, bandwidth: float, max_iter: int = 300):
     """Flat-kernel mean-shift over (N, 2) points.
 
-    Seeds are the per-bin means of a bandwidth-sized grid; each seed climbs
-    to the mean of in-bandwidth points until the shift drops below
-    1e-3 * bandwidth.  The next step depends only on the current position,
-    so a seed that reaches a position a converged climb queried from takes
-    that climb's mode, if its remaining ``max_iter`` budget covers the
-    queries that climb still needed.  Converged modes closer than the
-    bandwidth merge, keeping the mode with larger support; points go to
-    their nearest mode by the squared distance ``((p - m) ** 2).sum()``, and
-    a point equally near several modes goes to the one with the lowest
-    index, as ``np.argmin`` over all modes would choose.
+    Seeds are the per-bin means of a bandwidth-sized grid.  Each seed climbs
+    to the mean of the points within the bandwidth until the shift drops
+    below 1e-3 * bandwidth, its ball is empty or it has taken ``max_iter``
+    steps; a seed whose first ball is empty gives no mode.  Seeds climb in
+    lockstep blocks of ``_SEED_BLOCK``, which bounds the ball lists held at
+    once and changes no mode.  Modes closer than the bandwidth merge,
+    keeping the mode with larger support; points go to their nearest mode
+    by the squared distance ``((p - m) ** 2).sum()``, and a point equally
+    near several modes goes to the one with the lowest index, as
+    ``np.argmin`` over all modes would choose.
 
     Returns (modes (M, 2), assignment (N,)).
     """
@@ -213,51 +248,23 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
     n = len(pts)
     if n < 1:
         raise ShapeError("mean_shift needs at least one point")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not bandwidth > 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     keys = np.floor(pts / bandwidth).astype(np.int64)
     order = np.lexsort((keys[:, 1], keys[:, 0]))
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(
-        np.any(np.diff(sorted_keys, axis=0) != 0, axis=1)
-    ) + 1
-    groups = np.split(order, boundaries)
-    seeds = np.array([pts[g].mean(axis=0) for g in groups])
+    new_bin = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
+    bins = np.empty(n, np.intp)
+    bins[order] = np.concatenate([[0], np.cumsum(new_bin)])
+    columns = np.ascontiguousarray(pts.T)
+    seeds = _group_means(columns, bins, np.bincount(bins))
 
     tree = cKDTree(pts)
-    stop = 1e-3 * bandwidth
-    # a climb is a function of its position: the exact bytes of every
-    # position a converged climb queried from map to (mode, queries left)
-    memo: dict[bytes, tuple[np.ndarray, int]] = {}
-    modes = []
-    for seed in seeds:
-        pos = seed
-        path = []
-        mode = None
-        while len(path) < max_iter:
-            key = pos.tobytes()
-            hit = memo.get(key)
-            if hit is not None and hit[1] <= max_iter - len(path):
-                mode, left = hit
-                break
-            idx = tree.query_ball_point(pos, bandwidth, return_sorted=True)
-            if len(idx) == 0:
-                break
-            # the sum and division of pts[idx].mean(axis=0)
-            new = np.add.reduce(pts[idx], axis=0) / len(idx)
-            path.append(key)
-            shift = np.hypot(*(new - pos))
-            pos = new
-            if shift < stop:
-                mode, left = pos, 0
-                break
-        if mode is not None:
-            for i, key in enumerate(path):
-                memo[key] = (mode, len(path) - i + left)
-            modes.append(mode)
-        elif path:  # out of iterations, or an empty query after a step
-            modes.append(pos)
-    modes = np.asarray(modes)
+    modes = np.concatenate([
+        _climb(tree, columns, seeds[s:s + _SEED_BLOCK], bandwidth, max_iter)
+        for s in range(0, len(seeds), _SEED_BLOCK)
+    ])
     supports = tree.query_ball_point(modes, bandwidth, return_length=True)
 
     # merge near-duplicate modes, larger support first

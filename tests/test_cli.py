@@ -376,6 +376,11 @@ def test_fewer_than_one_scene_exits_before_writing(tmp_path, capsys, argv):
     (["--radius", "0"], "--radius must be a finite number > 0, got 0"),
     (["--radius", "-2"], "--radius must be a finite number > 0, got -2"),
     (["--radius", "nan"], "--radius must be a finite number > 0, got nan"),
+    (["--objects", "0"], "--objects must be at least 1, got 0"),
+    (["--objects", "-1"], "--objects must be at least 1, got -1"),
+    (["--canvas", "5"], "--canvas must be at least the template side 15 at --radius 7, got 5"),
+    (["--radius", "3", "--patch", "3", "--canvas", "6"],
+     "--canvas must be at least the template side 7 at --radius 3, got 6"),
 ])
 def test_theory_rejects_unusable_patch_or_radius(tmp_path, capsys, argv, message):
     # patch a ends at the template center and patch b starts there, so a side

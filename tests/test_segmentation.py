@@ -177,9 +177,8 @@ def test_otsu_threshold_rejects_degenerate_input(values):
 # ---------------------------------------------------------------------------
 # Mean shift
 
-def mean_shift_reference(points, bandwidth: float, max_iter: int = 300, steps=None):
-    """Brute-force O(N^2 * iterations) twin of :func:`mean_shift`; appends
-    the number of climbing steps of each seed to ``steps`` if given."""
+def mean_shift_reference(points, bandwidth: float, max_iter: int = 300):
+    """Brute-force O(N^2 * iterations) twin of :func:`mean_shift`."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = len(pts)
     if n < 1:
@@ -202,7 +201,7 @@ def mean_shift_reference(points, bandwidth: float, max_iter: int = 300, steps=No
     for seed in seeds:
         pos = seed
         members = None
-        for step in range(max_iter):
+        for _ in range(max_iter):
             sq = ((pts - pos) ** 2).sum(axis=1)
             idx = np.flatnonzero(sq <= bw_sq)
             if len(idx) == 0:
@@ -213,8 +212,6 @@ def mean_shift_reference(points, bandwidth: float, max_iter: int = 300, steps=No
             members = idx
             if shift < stop:
                 break
-        if steps is not None:
-            steps.append(step + 1)
         if members is None:
             continue
         sq = ((pts - pos) ** 2).sum(axis=1)
@@ -243,13 +240,18 @@ def _blob_cloud(rng, n_blobs, per_blob, spacing, sigma):
             + rng.normal(0.0, sigma, size=(n_blobs * per_blob, 2)))
 
 
-def _assert_same_mean_shift(points, bandwidth, max_iter=300, steps=None):
+def _assert_same_mean_shift(points, bandwidth, max_iter=300):
     modes, assignment = segmentation.mean_shift(points, bandwidth, max_iter)
-    ref_modes, ref_assignment = mean_shift_reference(points, bandwidth, max_iter, steps)
+    ref_modes, ref_assignment = mean_shift_reference(points, bandwidth, max_iter)
     assert modes.dtype == ref_modes.dtype and assignment.dtype == ref_assignment.dtype
     assert np.array_equal(modes, ref_modes)
     assert np.array_equal(assignment, ref_assignment)
     return modes, assignment
+
+
+def _lattice(side, step):
+    rows, cols = np.mgrid[0:side, 0:side]
+    return np.stack([rows.ravel(), cols.ravel()], axis=1).astype(np.float64) * step
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -264,8 +266,7 @@ def test_mean_shift_matches_reference_on_float_clouds(seed, bandwidth):
 
 @pytest.mark.parametrize("side, step, bandwidth", [(24, 2, 2.5), (25, 3, 5.0), (16, 2, 2.5)])
 def test_mean_shift_matches_reference_on_lattice_ties(side, step, bandwidth):
-    rows, cols = np.mgrid[0:side, 0:side]
-    points = np.stack([rows.ravel(), cols.ravel()], axis=1).astype(np.float64) * step
+    points = _lattice(side, step)
     modes, assignment = _assert_same_mean_shift(points, bandwidth)
     d2 = ((points[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
     tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) >= 2
@@ -273,42 +274,62 @@ def test_mean_shift_matches_reference_on_lattice_ties(side, step, bandwidth):
     assert np.array_equal(assignment, np.argmin(d2, axis=1))
 
 
-def _counting_ball_queries(monkeypatch):
-    """Record the single-point ``query_ball_point`` calls of ``mean_shift``."""
-    queries = []
-
-    class CountingTree(segmentation.cKDTree):
-        def query_ball_point(self, x, *args, **kwargs):
-            if np.ndim(x) == 1:
-                queries.append(np.asarray(x).tobytes())
-            return super().query_ball_point(x, *args, **kwargs)
-
-    monkeypatch.setattr(segmentation, "cKDTree", CountingTree)
-    return queries
-
-
 def _shared_mode_cloud():
     # six wide blobs at a small bandwidth: about ten bin seeds climb to each mode
     return _blob_cloud(np.random.default_rng(4), 6, 500, 40.0, 4.0)
 
 
-def test_mean_shift_memo_reuses_converged_climbs(monkeypatch):
-    points = _shared_mode_cloud()
-    queries = _counting_ball_queries(monkeypatch)
-    steps = []
-    _assert_same_mean_shift(points, 3.0, steps=steps)
-    # no position is queried twice, and the memo saves over a quarter of the
-    # queries the climbs would make without it
-    assert len(set(queries)) == len(queries)
-    assert len(queries) < 0.75 * sum(steps)
-
-
-# at 20 and 23 iterations some seeds reach a memoised position with fewer
-# iterations left than its climb needed, and taking the entry anyway would
-# change the modes
+# climbs cut off before they converge keep the position they reached
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 20, 23])
-def test_mean_shift_memo_respects_the_iteration_budget(max_iter):
+def test_mean_shift_matches_reference_at_truncated_iterations(max_iter):
     _assert_same_mean_shift(_shared_mode_cloud(), 3.0, max_iter)
+
+
+def _seed_count(points, bandwidth):
+    return len(np.unique(np.floor(points / bandwidth), axis=0))
+
+
+@pytest.mark.parametrize("points, bandwidth, seeds", [
+    (_lattice(24, 2), 2.5, 361),
+    (_shared_mode_cloud(), 3.0, 302),
+])
+def test_mean_shift_seed_blocks_change_no_mode(monkeypatch, points, bandwidth, seeds):
+    assert _seed_count(points, bandwidth) == seeds
+    modes, assignment = _assert_same_mean_shift(points, bandwidth)
+    for block in (1, seeds + 1):  # one seed per block, and one block for all
+        monkeypatch.setattr(segmentation, "_SEED_BLOCK", block)
+        got_modes, got_assignment = segmentation.mean_shift(points, bandwidth)
+        assert np.array_equal(got_modes, modes)
+        assert np.array_equal(got_assignment, assignment)
+
+
+def test_mean_shift_seed_blocks_bound_memory():
+    # 400 tight blobs give over 3000 seeds, and once the seeds reach their
+    # blob every ball holds the whole blob: climbing all seeds at once held
+    # their ball lists together and peaked at 10.6 MB, blocks of 256 at 5.1 MB
+    import tracemalloc
+
+    points = _blob_cloud(np.random.default_rng(7), 400, 60, 12.0, 1.5)
+    assert _seed_count(points, 3.0) >= 2000
+    tracemalloc.start()
+    try:
+        modes, _ = segmentation.mean_shift(points, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(modes) >= 400
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("bandwidth, max_iter, name", [
+    (float("nan"), 300, "bandwidth"),
+    (0.0, 300, "bandwidth"),
+    (2.0, 0, "max_iter"),
+    (2.0, -1, "max_iter"),
+])
+def test_mean_shift_rejects_bad_arguments(bandwidth, max_iter, name):
+    with pytest.raises(ValueError, match=name):
+        segmentation.mean_shift(_lattice(4, 1), bandwidth, max_iter)
 
 
 def test_mean_shift_single_point():
