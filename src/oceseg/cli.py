@@ -360,7 +360,7 @@ _COMMANDS = {
         "model": (str, None, "checkpoint file"),
         "data": (str, None, "labelled validation dataset"),
         "bandwidths": (str, "4,6,8,10,12,14", "comma-separated candidates"),
-        "metric": (str, "f1", "f1 or seg"),
+        "metric": (str, "f1", "f1 or seg, pooled over the set as eval and eval --seg print them"),
         "threshold": (float, 0.5, "IoU threshold for f1"),
         "out": (str, "", "optional output directory"),
     }),

@@ -313,9 +313,11 @@ def _nearest_mode(pts, modes) -> np.ndarray:
 def segment(field, foreground, config: SegmenterConfig) -> np.ndarray:
     """Cluster center estimates i - r_i of the foreground pixels into instances.
 
-    Empty foreground yields an all-zero labeling.  Instances smaller than
-    ``min_instance_size`` are dropped; with ``connectivity_relabel`` each
-    spatially connected component becomes its own instance.
+    Empty foreground yields an all-zero labeling.  A cluster's size is the
+    number of foreground points ``mean_shift`` assigns to it; clusters
+    smaller than ``min_instance_size`` (or empty) are dropped and the kept
+    ones are numbered 1..n in mode order.  With ``connectivity_relabel``
+    each spatially connected component becomes its own instance.
     """
     r = np.asarray(field, dtype=np.float32)
     fg = np.asarray(foreground, dtype=bool)
@@ -326,11 +328,9 @@ def segment(field, foreground, config: SegmenterConfig) -> np.ndarray:
     if len(coords) == 0:
         return labels
     centers = coords.astype(np.float64) - r[:, fg].T
-    _, assignment = mean_shift(centers, config.bandwidth)
-    labels[fg] = assignment.astype(np.int32) + 1
-    if config.min_instance_size > 1:
-        counts = np.bincount(labels.ravel())
-        labels[counts[labels] < config.min_instance_size] = 0
+    modes, assignment = mean_shift(centers, config.bandwidth)
+    kept = np.bincount(assignment, minlength=len(modes)) >= max(config.min_instance_size, 1)
+    labels[fg] = (np.cumsum(kept, dtype=np.int32) * kept)[assignment]
     if config.connectivity_relabel:
         # components are numbered per id in raster order of their first
         # pixel, and raster order inside a bounding box is raster order in
@@ -339,14 +339,12 @@ def segment(field, foreground, config: SegmenterConfig) -> np.ndarray:
         nxt = 0
         structure = np.ones((3, 3), np.int32)
         for ident, box in enumerate(ndimage.find_objects(labels), start=1):
-            if box is None:
-                continue
             comp, ncomp = ndimage.label(labels[box] == ident, structure=structure)
             inside = comp > 0
             out[box][inside] = comp[inside] + nxt
             nxt += ncomp
         labels = out
-    return relabel_consecutive(labels)[0]
+    return labels
 
 
 def shrink_instances(labels, distance: float) -> np.ndarray:
@@ -411,7 +409,8 @@ def bandwidth_search(
     0..``MAX_SHRINK``.
 
     Scores each combination on the validation set with the chosen metric
-    (dataset-aggregated F1 at ``iou_threshold`` by default, or mean SEG) and
+    (F1 at ``iou_threshold`` by default, or SEG), both pooled over all the
+    set's objects as ``oceseg eval`` and ``eval --seg`` print them, and
     returns (best_bandwidth, best_shrink, rows) where rows are
     (bandwidth, shrink, score): ties resolve toward smaller bandwidth, then
     smaller shrink.
@@ -444,9 +443,7 @@ def bandwidth_search(
                 # threshold_sweep's first row is the pooled F1
                 score = threshold_sweep(gt_labels, preds, [iou_threshold])[0][2]
             else:
-                score = float(np.mean([
-                    seg_score_dataset([gt], [pred]) for gt, pred in zip(gt_labels, preds)
-                ]))
+                score = seg_score_dataset(gt_labels, preds)
             rows.append((bw, float(s), score))
             if best is None or score > best[2]:
                 best = (bw, float(s), score)

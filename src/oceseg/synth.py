@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import PlacementError, check_int
+from .errors import ConfigError, PlacementError, check_int, check_real
 
 MAX_PLACEMENT_ATTEMPTS = 10_000
 BACKGROUND_LEVEL = 0.1
@@ -32,16 +32,30 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("canvas must be at least 1x1")
-        if self.n_objects < 0:
-            raise ValueError("n_objects must be non-negative")
+        check_int("height", self.height, 1)
+        check_int("width", self.width, 1)
+        check_int("n_objects", self.n_objects, 0)
+        check_int("seed", self.seed, 0)
+        check_real("noise_std", self.noise_std)
+        for name in ("radius_range", "eccentricity_range"):
+            for value in getattr(self, name):
+                check_real(name, value)
         lo, hi = self.radius_range
         if not 0 < lo <= hi:
-            raise ValueError("invalid radius range")
+            raise ConfigError(f"radius_range must be 0 < min <= max, got {self.radius_range!r}")
         lo, hi = self.eccentricity_range
         if not 1 <= lo <= hi:
-            raise ValueError("eccentricity range must start at 1")
+            raise ConfigError(f"eccentricity_range must be 1 <= min <= max, "
+                              f"got {self.eccentricity_range!r}")
+        if self.noise_std < 0:
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std!r}")
+        # object_template's side at the largest radius and eccentricity
+        side = 2 * int(np.ceil(self.radius_range[1] * self.eccentricity_range[1])) + 1
+        if side > min(self.height, self.width):
+            raise ConfigError(
+                f"the largest template ({side}x{side} at radius_range {self.radius_range!r} "
+                f"and eccentricity_range {self.eccentricity_range!r}) does not fit the "
+                f"{self.height}x{self.width} canvas")
 
 
 def object_template(radius: float, eccentricity: float = 1.0, angle: float = 0.0):
@@ -68,8 +82,6 @@ def object_template(radius: float, eccentricity: float = 1.0, angle: float = 0.0
 def _place_origins(spec: SceneSpec, support: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     th, tw = support.shape
     H, W = spec.height, spec.width
-    if th > H or tw > W:
-        raise PlacementError("template does not fit the canvas")
     gap = MIN_GAP
     dilated = ndimage.binary_dilation(np.pad(support, gap), iterations=gap)
     occupied = np.zeros((H, W), bool)

@@ -154,7 +154,8 @@ def _standard_error(means: np.ndarray) -> np.ndarray:
 def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
     """Mean offset over all occurrence pairs of the two patches, split into
     same-object and cross-object parts; the cross part's standard error is
-    estimated from per-scene means."""
+    estimated from per-scene means.  A part with no pairs (the cross part
+    of one-object scenes) has a NaN mean."""
     if len(samples) == 0:
         raise DegenerateError("no scenes to average over")
     pa = np.asarray(patch_a, np.float32)
@@ -188,8 +189,8 @@ def decompose_offsets(patch_a, patch_b, samples) -> OffsetDecomposition:
         mean=total / count,
         count=count,
         total=total,
-        same_mean=same_total / max(n_same, 1),
-        cross_mean=cross_total / max(n_cross, 1),
+        same_mean=same_total / n_same if n_same else np.full(2, np.nan),
+        cross_mean=cross_total / n_cross if n_cross else np.full(2, np.nan),
         cross_se=_standard_error(np.asarray(cross_means)),
         n_same=n_same,
         n_cross=n_cross,

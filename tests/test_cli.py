@@ -7,11 +7,14 @@ import pytest
 from oceseg import (
     AdamState,
     ModelConfig,
+    SceneSpec,
     SegmenterConfig,
     cli,
+    generate_dataset,
     init_params,
     load_checkpoint,
     save_checkpoint,
+    seg_score_dataset,
     segment_image,
     segmentation,
 )
@@ -19,6 +22,7 @@ from oceseg.data import (
     normalize_percentile,
     rescale_image,
     rescale_labels,
+    save_dataset,
     tensor_read,
     tensor_write,
 )
@@ -219,6 +223,48 @@ def test_sweep_scores_what_segment_writes(tmp_path, fixture_scenes, rescale):
     assert sweep[-1].split("\t")[2] == scores[1].split("\t")[2]
 
 
+def _scenes_of(path, counts, size, seed):
+    """A labelled dataset of one ``size``^2 scene per entry of ``counts``,
+    holding that many cells of radius 9 to 11."""
+    scenes = [generate_dataset(SceneSpec(height=size, width=size, n_objects=n,
+                                         radius_range=(9.0, 11.0)), 1, seed=seed + i)[0]
+              for i, n in enumerate(counts)]
+    save_dataset(path, [img for img, _ in scenes], [lab for _, lab in scenes])
+    return path
+
+
+def test_sweep_seg_is_the_pooled_seg_eval_prints(tmp_path):
+    # with 10 and 8 cells the mean of per-image SEGs is not the pooled SEG
+    data = _scenes_of(tmp_path / "data", [10, 8], 128, seed=3)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"segment": {"bandwidth": 12.0, "shrink_distance": 6.0}}))
+    common = ["--model", str(FIXTURE_DIR / "checkpoint.ocec"), "--data", str(data),
+              "--config", str(config)]
+    assert cli.main(["sweep", *common, "--metric", "seg", "--bandwidths", "12",
+                     "--out", str(tmp_path / "sweep")]) == 0
+    assert cli.main(["segment", *common, "--out", str(tmp_path / "seg")]) == 0
+    assert cli.main(["eval", "--seg", "--gt", str(data), "--pred", str(tmp_path / "seg"),
+                     "--out", str(tmp_path / "eval")]) == 0
+    sweep = (tmp_path / "sweep" / "sweep.tsv").read_text().splitlines()
+    scores = (tmp_path / "eval" / "scores.tsv").read_text().splitlines()
+    assert sweep[-1].split("\t")[:2] == ["12", "6"]
+    assert scores[-1].split("\t")[:2] == ["seg", "0.5"]
+    assert sweep[-1].split("\t")[2] == scores[-1].split("\t")[2]
+    per_image = [seg_score_dataset([tensor_read(data / "labels" / f"{s}.ocet")],
+                                   [tensor_read(tmp_path / "seg" / "labels" / f"{s}.ocet")])
+                 for s in ("im0000", "im0001")]
+    assert f"{np.mean(per_image):.6f}" != scores[-1].split("\t")[2]
+
+
+def test_sweep_seg_scores_a_set_with_a_cell_free_image(run_dir, tmp_path):
+    data = _scenes_of(tmp_path / "data", [3, 0], 64, seed=1)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--model", str(run_dir / "model.ocec"), "--data", str(data),
+                     "--metric", "seg", "--bandwidths", "8", "--out", str(out)]) == 0
+    rows = (out / "sweep.tsv").read_text().splitlines()[1:]
+    assert [r.split("\t")[:2] for r in rows] == [["8", str(s)] for s in range(7)]
+
+
 @pytest.mark.parametrize("option", [["--bandwidths", "8,0"], ["--threshold", "0"]])
 def test_sweep_checks_candidates_and_threshold_before_inference(run_dir, capsys, monkeypatch,
                                                                 option):
@@ -389,6 +435,32 @@ def test_theory_rejects_unusable_patch_or_radius(tmp_path, capsys, argv, message
     assert cli.main(["theory", "--scenes", "2", *argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+def test_theory_marks_an_empty_cross_term_nan(capsys):
+    # one object per scene gives no cross pairs, so the cross term has no mean
+    assert cli.main(["theory", "--scenes", "2", "--objects", "1", "--canvas", "15"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    fields = dict(zip(header.split("\t"), row.split("\t")))
+    assert fields["n_cross"] == "0" and fields["n_same"] == "2"
+    assert [fields[k] for k in ("cross_dr", "cross_dc", "cross_se_dr", "cross_se_dc")] == ["nan"] * 4
+    assert fields["same_dr"] == fields["same_dc"] == "4.000000"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--radius-max", "inf"], "radius_range"),
+    (["--radius-max", "1e6"], "radius_range"),
+    (["--noise-std", "nan"], "noise_std"),
+    (["--noise-std", "inf"], "noise_std"),
+    (["--noise-std", "-0.1"], "noise_std"),
+    (["--size", "40"], "40x40 canvas"),
+])
+def test_synth_rejects_bad_scene_before_writing(tmp_path, capsys, argv, field):
+    out = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(out), "--images", "1", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -19,6 +19,7 @@ from oceseg import (
     synth_generate,
 )
 from oceseg import segmentation
+from oceseg.data import relabel_consecutive
 
 
 @pytest.fixture(scope="module")
@@ -484,6 +485,61 @@ def _centroid_field(labels):
     return field, fg
 
 
+def _segment_oracle(field, fg, config):
+    """``segment`` on the image: one id per mode, sizes counted over the
+    label image, then the ids renumbered 1..n."""
+    labels = np.zeros(fg.shape, np.int32)
+    if fg.any():
+        centers = np.argwhere(fg).astype(np.float64) - field[:, fg].T
+        _, assignment = segmentation.mean_shift(centers, config.bandwidth)
+        labels[fg] = assignment.astype(np.int32) + 1
+        if config.min_instance_size > 1:
+            counts = np.bincount(labels.ravel())
+            labels[counts[labels] < config.min_instance_size] = 0
+        if config.connectivity_relabel:
+            labels = _connectivity_oracle(labels)
+    return relabel_consecutive(labels)[0]
+
+
+def _noisy_disks():
+    """Centroid offsets of 16 disks of four sizes (13 to 149 pixels) with
+    noise of sigma 1.5, and stray foreground pixels pointing anywhere."""
+    rng = np.random.default_rng(5)
+    rows, cols = np.indices((90, 90))
+    gt = np.zeros((90, 90), np.int32)
+    for i, (r, c) in enumerate([(r, c) for r in (12, 34, 56, 78) for c in (12, 34, 56, 78)]):
+        radius = (2.0, 3.0, 4.5, 7.0)[i % 4]
+        gt[(rows - r) ** 2 + (cols - c) ** 2 <= radius ** 2] = i + 1
+    field, fg = _centroid_field(gt)
+    field += rng.normal(0.0, 1.5, field.shape).astype(np.float32)
+    stray = (rng.random(fg.shape) < 0.02) & ~fg
+    field[:, stray] = rng.uniform(-20.0, 20.0, (2, stray.sum())).astype(np.float32)
+    return field, fg | stray
+
+
+@pytest.mark.parametrize("connectivity", [False, True])
+@pytest.mark.parametrize("min_size, instances", [(0, 81), (1, 81), (10, 16), (40, 8)])
+def test_segment_numbers_instances_as_the_image_path(min_size, instances, connectivity):
+    field, fg = _noisy_disks()
+    config = segmentation.SegmenterConfig(bandwidth=5.0, min_instance_size=min_size,
+                                          connectivity_relabel=connectivity)
+    got = segmentation.segment(field, fg, config)
+    expected = _segment_oracle(field, fg, config)
+    assert got.dtype == expected.dtype == np.int32
+    assert np.array_equal(got, expected)
+    if not connectivity:
+        assert got.max() == instances
+
+
+def test_segment_of_empty_foreground_is_background():
+    field = np.ones((2, 9, 11), np.float32)
+    fg = np.zeros((9, 11), bool)
+    config = segmentation.SegmenterConfig(min_instance_size=0)
+    got = segmentation.segment(field, fg, config)
+    assert got.dtype == np.int32 and not got.any()
+    assert np.array_equal(got, _segment_oracle(field, fg, config))
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_oracle_field_segments_back_to_ground_truth(seed):
     spec = SceneSpec(height=252, width=252, n_objects=30, seed=seed)
@@ -531,20 +587,23 @@ def test_segmenter_config_accepts_numpy_and_int_fields():
 # ---------------------------------------------------------------------------
 # Bandwidth search
 
-def _seg_oracle(gt, pred):
-    """SEG of one image: an object matches the prediction covering more than half of it."""
-    iou, overlap, gt_ids, _, gt_sizes, _ = iou_matrix(gt, pred)
-    total = 0.0
-    for g in range(len(gt_ids)):
-        covering = np.flatnonzero(overlap[g] * 2 > gt_sizes[g])
-        if len(covering):
-            total += float(iou[g, covering[0]])
-    return total / len(gt_ids)
+def _seg_oracle(gt_labels, preds):
+    """SEG of a set: the mean over all its objects of the IoU with the
+    prediction covering more than half of the object, or 0."""
+    total, objects = 0.0, 0
+    for gt, pred in zip(gt_labels, preds):
+        iou, overlap, gt_ids, _, gt_sizes, _ = iou_matrix(gt, pred)
+        objects += len(gt_ids)
+        for g in range(len(gt_ids)):
+            covering = np.flatnonzero(overlap[g] * 2 > gt_sizes[g])
+            if len(covering):
+                total += float(iou[g, covering[0]])
+    return total / objects
 
 
 def _sweep_oracle(params, images, gt_labels, bandwidths, metric, seed):
-    """The search written out: F1 from TP/FP/FN pooled over images, or the
-    mean of per-image SEG, for every bandwidth and shrink 0..6."""
+    """The search written out: F1 from TP/FP/FN pooled over images, or SEG
+    pooled over all objects, for every bandwidth and shrink 0..6."""
     rows = []
     for bw in bandwidths:
         config = segmentation.SegmenterConfig(bandwidth=bw)
@@ -562,7 +621,7 @@ def _sweep_oracle(params, images, gt_labels, bandwidths, metric, seed):
                     tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
                 score = scores_from_counts(tp, fp, fn)["f1"]
             else:
-                score = float(np.mean([_seg_oracle(gt, pred) for gt, pred in zip(gt_labels, preds)]))
+                score = _seg_oracle(gt_labels, preds)
             rows.append((bw, float(s), score))
     return rows
 

@@ -61,6 +61,29 @@ def test_placement_failure_raises():
         synth_generate(SceneSpec(height=64, width=64, n_objects=50, seed=0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("height", 0), ("width", 64.0), ("n_objects", -1), ("n_objects", True), ("seed", "1"),
+    ("radius_range", (8.0, float("inf"))), ("radius_range", (0.0, 5.0)),
+    ("radius_range", (9.0, 8.0)), ("eccentricity_range", (0.9, 1.2)),
+    ("eccentricity_range", (1.0, float("nan"))), ("noise_std", float("nan")),
+    ("noise_std", -0.01), ("noise_std", "0.02"),
+])
+def test_scene_spec_rejects_bad_fields(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SceneSpec(**{field: value})
+
+
+def test_scene_spec_needs_the_largest_template_to_fit():
+    side = object_template(14.0, 1.4)[1].shape[0]
+    assert side == 41
+    _, labels = synth_generate(SceneSpec(height=side, width=side + 9, n_objects=1,
+                                         radius_range=(14.0, 14.0),
+                                         eccentricity_range=(1.4, 1.4)))
+    assert labels.max() == 1
+    with pytest.raises(ConfigError, match="does not fit the 40x52 canvas"):
+        SceneSpec(height=side - 1, width=side + 11)
+
+
 @pytest.mark.parametrize("count", [0, -2])
 def test_generate_dataset_needs_a_scene(count):
     with pytest.raises(ConfigError, match="count"):

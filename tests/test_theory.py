@@ -149,6 +149,7 @@ def test_single_object_mean_is_intra_offset():
     dec = decompose_offsets(PATCH_A, PATCH_B, samples)
     assert np.allclose(dec.mean, INTRA)
     assert dec.count == 4
+    assert dec.n_cross == 0 and np.isnan(dec.cross_mean).all()
 
 
 def test_same_patch_mean_is_zero_by_symmetry():
