@@ -10,7 +10,10 @@ away on the overlap; tiled inference equals one pass bit for bit.  The
 noise-variance map keeps one float32 stack of the predictions and reduces
 it in row chunks, so its float64 temporaries do not grow with the image.
 Mean-shift climbs its seeds in lockstep blocks, one batched ball query
-per step for a block, so the ball lists held at once stay bounded.
+per step for a block, so the ball lists held at once stay bounded.  Kept
+modes are at least a bandwidth apart, so a point strictly within half a
+bandwidth of a mode is nearer to it than to any other: those points take
+that mode from one ball query per mode, and only the rest are searched.
 """
 
 from __future__ import annotations
@@ -165,6 +168,8 @@ def otsu_threshold(values) -> float:
     if flat.size == 0:
         raise DegenerateError("empty input")
     vmin, vmax = float(flat.min()), float(flat.max())
+    if not (np.isfinite(vmin) and np.isfinite(vmax)):  # min and max carry any NaN or inf
+        raise DegenerateError("map is not finite: it holds NaN or inf values")
     if vmin == vmax:
         raise DegenerateError("constant input has no threshold")
     counts, edges = np.histogram(flat, bins=256, range=(vmin, vmax))
@@ -242,12 +247,20 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
     near several modes goes to the one with the lowest index, as
     ``np.argmin`` over all modes would choose.
 
+    The assignment takes two steps (``_assign``).  The merge leaves the
+    kept modes pairwise at least a bandwidth apart, so a point strictly
+    within half a bandwidth of a mode is nearest to that mode alone: it
+    takes that mode from one ball query per mode.  Only the points no ball
+    holds go through the nearest-mode search (``_nearest_mode``).
+
     Returns (modes (M, 2), assignment (N,)).
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = len(pts)
     if n < 1:
         raise ShapeError("mean_shift needs at least one point")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite, got NaN or inf coordinates")
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
     if max_iter < 1:
@@ -277,7 +290,36 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
             kept[n_kept] = modes[i]
             n_kept += 1
     modes = kept[:n_kept]
-    return modes, _nearest_mode(pts, modes)
+    return modes, _assign(tree, pts, modes, bandwidth)
+
+
+def _assign(tree, pts, modes, bandwidth: float) -> np.ndarray:
+    """Nearest mode of every point, as ``_nearest_mode`` gives it, for
+    ``modes`` pairwise at least ``bandwidth`` apart by ``np.hypot``.
+
+    The tree over the points proposes the points within r = 0.5 * bandwidth
+    * (1 - 1e-9) of each mode; the squared distance ``((p - m) ** 2).sum()``
+    confirms each.  Every other mode is at least 2r / (1 - 1e-9) from a
+    confirmed point's mode, so at least r * (1 + 2e-9) from the point, and
+    no point is confirmed for two modes.  The rounding of the squared
+    distances, of the merge's ``np.hypot`` and of r is a few units in
+    2**-53 of the values, at image coordinates as at any scale, far inside
+    that margin, so a confirmed point's mode is the unique argmin.  The
+    tree's own distances may round at the scale of the whole cloud; they
+    only pick the points to check.  The rest go to ``_nearest_mode``.
+    """
+    r = 0.5 * bandwidth * (1 - 1e-9)
+    balls = tree.query_ball_point(modes, r, return_sorted=False)
+    counts = np.fromiter(map(len, balls), np.int64, len(balls))
+    idx = np.fromiter(itertools.chain.from_iterable(balls), np.intp, counts.sum())
+    del balls
+    owner = np.repeat(np.arange(len(modes)), counts)
+    inside = ((pts[idx] - modes[owner]) ** 2).sum(axis=1) <= r * r
+    assignment = np.full(len(pts), -1, np.intp)
+    assignment[idx[inside]] = owner[inside]
+    rest = np.flatnonzero(assignment < 0)
+    assignment[rest] = _nearest_mode(pts[rest], modes)
+    return assignment
 
 
 def _nearest_mode(pts, modes) -> np.ndarray:

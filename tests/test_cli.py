@@ -194,6 +194,17 @@ def test_inference_checks_images_before_writing(run_dir, capsys, command, case, 
     assert not (run_dir / out).exists()
 
 
+def test_segment_rejects_a_non_finite_variance_map(run_dir, capsys):
+    # a NaN head weight makes every prediction NaN, and the variance map too
+    params = init_params(ModelConfig(base_fmaps=4), seed=0)
+    params["head.w"].data[...] = np.nan
+    save_checkpoint(run_dir / "model_nan.ocec", params, AdamState.fresh(params))
+    assert _run(run_dir, "segment", "nan_head", {}, model="model_nan.ocec") == 2
+    err = capsys.readouterr().err
+    assert "error: map is not finite: it holds NaN or inf values" in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def fixture_scenes(tmp_path_factory):
     """Two labelled 160^2 scenes sized for the committed 16-map checkpoint."""

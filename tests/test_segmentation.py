@@ -1,8 +1,10 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from oceseg import (
     DegenerateError,
@@ -169,7 +171,9 @@ def test_otsu_threshold_splits_a_bimodal_sample():
     assert np.array_equal(np.sort(values[values <= threshold]), np.sort(low))
 
 
-@pytest.mark.parametrize("values", [np.full(10, 3.0), np.zeros(0)])
+@pytest.mark.parametrize("values", [
+    np.full(10, 3.0), np.zeros(0), [0.5, np.nan, 2.0], [0.5, np.inf], [-np.inf, 0.5],
+])
 def test_otsu_threshold_rejects_degenerate_input(values):
     with pytest.raises(DegenerateError):
         segmentation.otsu_threshold(values)
@@ -247,7 +251,14 @@ def _assert_same_mean_shift(points, bandwidth, max_iter=300):
     assert modes.dtype == ref_modes.dtype and assignment.dtype == ref_assignment.dtype
     assert np.array_equal(modes, ref_modes)
     assert np.array_equal(assignment, ref_assignment)
+    # the premise of the half-bandwidth assignment: kept modes are a bandwidth apart
+    gaps = _distances(modes, modes)
+    assert (gaps[~np.eye(len(modes), dtype=bool)] >= bandwidth).all()
     return modes, assignment
+
+
+def _distances(points, modes):
+    return np.hypot(*(points[:, None, :] - modes[None, :, :]).transpose(2, 0, 1))
 
 
 def _lattice(side, step):
@@ -284,6 +295,71 @@ def _shared_mode_cloud():
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 20, 23])
 def test_mean_shift_matches_reference_at_truncated_iterations(max_iter):
     _assert_same_mean_shift(_shared_mode_cloud(), 3.0, max_iter)
+
+
+def _rings(bandwidth):
+    # nine rings of 16 points of radius 0.6 * bandwidth: each climbs to its centre
+    angles = np.arange(16) * (np.pi / 8)
+    ring = 0.6 * bandwidth * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    centers = np.argwhere(np.ones((3, 3))) * 3 * bandwidth + 1.3
+    return (centers[:, None] + ring).reshape(-1, 2)
+
+
+# tight blobs put every point within half a bandwidth of its mode, rings none
+@pytest.mark.parametrize("points, bandwidth, near", [
+    (_blob_cloud(np.random.default_rng(0), 12, 40, 20.0, 0.5), 6.0, 1.0),
+    (_rings(5.0), 5.0, 0.0),
+    (_rings(2.5), 2.5, 0.0),
+], ids=["tight_blobs", "rings_5", "rings_2.5"])
+def test_mean_shift_matches_reference_around_half_bandwidth(points, bandwidth, near):
+    modes, _ = _assert_same_mean_shift(points, bandwidth)
+    assert len(modes) > 1
+    assert (_distances(points, modes).min(axis=1) < bandwidth / 2).mean() == near
+
+
+def _shared_edges(cells):
+    # square cells of side 4, each holding the corners of a unit square about
+    # its centre, and one point on the middle of every edge two cells share
+    centers = np.argwhere(np.ones((cells, cells))) * 4.0 + 2.0
+    corners = np.array([[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5]])
+    last = cells * 4.0 - 2.0
+    right = centers[centers[:, 0] < last] + [2.0, 0.0]
+    up = centers[centers[:, 1] < last] + [0.0, 2.0]
+    return np.concatenate([(centers[:, None] + corners).reshape(-1, 2), right, up])
+
+
+def test_mean_shift_gives_half_bandwidth_ties_the_lower_mode():
+    # inner cells keep their centres as modes, exactly one bandwidth apart, so
+    # the edge midpoints are exactly half a bandwidth from two modes: no ball
+    # of radius under half a bandwidth holds them, and the search decides
+    points = _shared_edges(8)
+    modes, assignment = _assert_same_mean_shift(points, 4.0)
+    gaps = _distances(modes, modes)
+    assert (gaps == 4.0).sum() // 2 == 36
+    d = _distances(points, modes)
+    tied = np.flatnonzero((d == 2.0).sum(axis=1) >= 2)
+    assert len(tied) == 24
+    for i in tied:
+        assert assignment[i] == np.flatnonzero(d[i] == 2.0).min()
+
+
+@pytest.mark.parametrize("offset", [0.0, 4096.0])
+@pytest.mark.parametrize("bandwidth", [0.375, 2.5, 12.0])
+def test_assign_is_argmin_at_the_half_bandwidth_boundary(offset, bandwidth):
+    # a 4x4 grid of modes exactly one bandwidth apart, in shuffled order, and
+    # points around them at radii straddling half a bandwidth, toward the
+    # neighbouring modes and between them
+    rng = np.random.default_rng(1)
+    modes = rng.permutation(np.argwhere(np.ones((4, 4)))) * bandwidth + offset
+    radii = 0.5 * bandwidth * (1 + np.array([-2e-9, -1e-9, -1e-12, 0.0, 1e-12, 1e-9]))
+    angles = np.arange(16) * (np.pi / 8)
+    ring = radii[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    points = (modes[:, None, None, :] + ring[None]).reshape(-1, 2)
+    d2 = ((points[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+    got = segmentation._assign(cKDTree(points), points, modes, bandwidth)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argmin(d2, axis=1))
+    assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) >= 2).any()
 
 
 def _seed_count(points, bandwidth):
@@ -331,6 +407,16 @@ def test_mean_shift_seed_blocks_bound_memory():
 def test_mean_shift_rejects_bad_arguments(bandwidth, max_iter, name):
     with pytest.raises(ValueError, match=name):
         segmentation.mean_shift(_lattice(4, 1), bandwidth, max_iter)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mean_shift_rejects_non_finite_points(bad):
+    points = _lattice(4, 1)
+    points[5, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning before the check
+        with pytest.raises(ValueError, match="points"):
+            segmentation.mean_shift(points, 2.0)
 
 
 def test_mean_shift_single_point():
