@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: synth, train, predict, segment, eval, sweep, theory.  Every
-run that writes artifacts also echoes its effective configuration and seed
-as ``config.json`` next to the outputs, so the run can be reproduced
-bit-for-bit from that file alone (``--config config.json``).  The config
+Subcommands: synth, train, predict, segment, eval, sweep, theory.  Each
+command returns the config it ran, and ``main`` alone writes the run
+record: when the command has an ``--out`` directory, ``main`` echoes the
+command, seed, options and config sections there as ``config.json``, so the
+run can be reproduced bit-for-bit from that file alone (``--config
+config.json``).  Replaying an echo applies its config sections to any
+command, but its options and seed only to the command that wrote it; an
+option given on the command line wins over a stored one.  The config
 sections model, loss, train, segment and data are the fields of
 ``ModelConfig``, ``LossConfig``, ``TrainConfig``, ``SegmenterConfig`` and
 ``DataConfig``; a bad value in any of them exits 2 before a command writes
@@ -26,7 +30,7 @@ import numpy as np
 from . import data as dataio
 from . import synth as synthmod
 from . import theory as theorymod
-from .errors import ConfigError, DegenerateError, FormatError, PlacementError, ShapeError
+from .errors import ConfigError, FormatError, PlacementError
 from .loss import LossConfig
 from .metrics import format_score_table, seg_score_dataset, threshold_sweep
 from .network import (
@@ -70,21 +74,27 @@ def _build_config(sections: dict) -> dict:
     return config
 
 
-def _load_run_config(path):
-    """Read an effective-config echo (or a bare sections file)."""
+def _load_run_config(path, command):
+    """The config sections and stored options of an effective-config echo (or
+    of a bare sections file, which stores none); an echo stores its options
+    and seed only for the command that wrote it."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ConfigError("config file must hold a JSON object")
-    sections = payload.get("config", payload)
-    stored_options = payload.get("options", {}) if "config" in payload else {}
-    stored_seed = payload.get("seed") if "config" in payload else None
+    if "config" not in payload:
+        return payload, {}
     extra = {k for k in payload if k not in ("config", "options", "seed", "command")}
-    if "config" in payload and extra:
+    if extra:
         raise ConfigError(f"unknown config key {sorted(extra)[0]!r}")
+    sections, stored = payload["config"], payload.get("options", {})
     if not isinstance(sections, dict):
         raise ConfigError("config sections must be a JSON object")
-    return sections, stored_options, stored_seed
+    if not isinstance(stored, dict):
+        raise ConfigError(f"stored 'options' must be a JSON object, got {stored!r}")
+    if payload.get("command") != command:
+        return sections, {}
+    return sections, ({**stored, "seed": payload["seed"]} if "seed" in payload else stored)
 
 
 def _stored_option(name, typ, value):
@@ -96,23 +106,23 @@ def _stored_option(name, typ, value):
     return typ(value)
 
 
-def _echo_config(out_dir, command, seed, options, config) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+def _echo_config(command, options, config) -> None:
+    """Write the run record ``<out>/config.json``, which ``--config`` replays."""
+    options = dict(options)
+    seed = options.pop("seed")
     dataio.write_json(
-        os.path.join(out_dir, "config.json"),
+        os.path.join(options["out"], "config.json"),
         {"command": command, "seed": seed, "options": options,
          "config": {name: dataclasses.asdict(c) for name, c in config.items()}},
     )
 
 
-def _emit_table(name, table, command, seed, options, config) -> None:
-    """Print ``table``; with ``--out`` also write ``<out>/<name>.tsv`` and the
-    config echo."""
-    if options["out"]:
-        os.makedirs(options["out"], exist_ok=True)
-        with open(os.path.join(options["out"], name + ".tsv"), "w", encoding="utf-8") as fh:
+def _emit_table(name, table, out) -> None:
+    """Print ``table``; with an ``out`` directory also write ``<out>/<name>.tsv``."""
+    if out:
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, name + ".tsv"), "w", encoding="utf-8") as fh:
             fh.write(table)
-        _echo_config(options["out"], command, seed, options, config)
     sys.stdout.write(table)
 
 
@@ -140,7 +150,7 @@ def _load_labels_dir(path):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_synth(config, seed, options):
+def _cmd_synth(config, options):
     spec = synthmod.SceneSpec(
         height=options["size"],
         width=options["size"],
@@ -148,18 +158,17 @@ def _cmd_synth(config, seed, options):
         radius_range=(options["radius_min"], options["radius_max"]),
         noise_std=options["noise_std"],
     )
-    scenes = synthmod.generate_dataset(spec, options["images"], seed=seed)
+    scenes = synthmod.generate_dataset(spec, options["images"], seed=options["seed"])
     dataio.save_dataset(
         options["out"],
         [img for img, _ in scenes],
         [lab for _, lab in scenes],
     )
-    _echo_config(options["out"], "synth", seed, options, config)
     print(f"wrote {len(scenes)} images to {options['out']}")
-    return 0
+    return config
 
 
-def _cmd_train(config, seed, options):
+def _cmd_train(config, options):
     stems, raw_images, _ = dataio.load_dataset(options["data"])
     images = [_prepare_image(img, config["data"]) for img in raw_images]
     resume = None
@@ -188,12 +197,11 @@ def _cmd_train(config, seed, options):
         print(f"epoch {epoch}: mean loss {loss:.4f}")
 
     result = train(images, config["model"], config["loss"], config["train"],
-                   seed=seed, resume=resume, log=log)
+                   seed=options["seed"], resume=resume, log=log)
     if not result.epoch_losses:  # a resume at or past the last epoch runs none
         save_checkpoint(ckpt_path, result.params, result.adam, result.next_epoch)
-    _echo_config(options["out"], "train", seed, options, config)
     print(f"checkpoint written to {options['out']}/checkpoint.ocec")
-    return 0
+    return config
 
 
 def _load_inference_inputs(config, options):
@@ -209,19 +217,18 @@ def _load_inference_inputs(config, options):
     return params, {**config, "model": params.config}, stems, raw_images, images, labels
 
 
-def _cmd_predict(config, seed, options):
+def _cmd_predict(config, options):
     params, config, stems, _, images, _ = _load_inference_inputs(config, options)
     out_dir = os.path.join(options["out"], "fields")
     os.makedirs(out_dir, exist_ok=True)
     for stem, img in zip(stems, images):
         field = predict_full(params, img)
         dataio.tensor_write(os.path.join(out_dir, stem + ".ocet"), field)
-    _echo_config(options["out"], "predict", seed, options, config)
     print(f"wrote {len(stems)} offset fields to {out_dir}")
-    return 0
+    return config
 
 
-def _cmd_segment(config, seed, options):
+def _cmd_segment(config, options):
     params, config, stems, raw_images, images, _ = _load_inference_inputs(config, options)
     lab_dir = os.path.join(options["out"], "labels")
     os.makedirs(lab_dir, exist_ok=True)
@@ -229,17 +236,16 @@ def _cmd_segment(config, seed, options):
     if options["pgm"]:
         os.makedirs(vis_dir, exist_ok=True)
     for i, (stem, raw, img) in enumerate(zip(stems, raw_images, images)):
-        labels = segment_image(params, img, config["segment"], seed=seed + i)
+        labels = segment_image(params, img, config["segment"], seed=options["seed"] + i)
         labels = dataio.rescale_labels(labels, raw.shape[-2:])
         dataio.tensor_write(os.path.join(lab_dir, stem + ".ocet"), labels.astype(np.int32))
         if options["pgm"]:
             dataio.pgm_write(os.path.join(vis_dir, stem + ".pgm"), dataio.labels_to_gray(labels))
-    _echo_config(options["out"], "segment", seed, options, config)
     print(f"wrote {len(stems)} label masks to {lab_dir}")
-    return 0
+    return config
 
 
-def _cmd_eval(config, seed, options):
+def _cmd_eval(config, options):
     gt = _load_labels_dir(options["gt"])
     pred = _load_labels_dir(options["pred"])
     stems = sorted(gt)
@@ -251,11 +257,11 @@ def _cmd_eval(config, seed, options):
     rows = threshold_sweep(gts, preds, thresholds, per_image=options["per_image"])
     if options["seg"]:
         rows.append(("seg", 0.5, seg_score_dataset(gts, preds)))
-    _emit_table("scores", format_score_table(rows), "eval", seed, options, config)
-    return 0
+    _emit_table("scores", format_score_table(rows), options["out"])
+    return config
 
 
-def _cmd_sweep(config, seed, options):
+def _cmd_sweep(config, options):
     params, config, _, _, images, labels = _load_inference_inputs(config, options)
     if labels is None:
         raise FormatError("sweep needs a dataset with labels/")
@@ -268,17 +274,17 @@ def _cmd_sweep(config, seed, options):
         config=config["segment"],
         metric=options["metric"],
         iou_threshold=options["threshold"],
-        seed=seed,
+        seed=options["seed"],
     )
     lines = ["bandwidth\tshrink\tscore"]
     for bw, s, score in rows:
         lines.append(f"{bw:g}\t{s:g}\t{score:.6f}")
-    _emit_table("sweep", "\n".join(lines) + "\n", "sweep", seed, options, config)
+    _emit_table("sweep", "\n".join(lines) + "\n", options["out"])
     print(f"best bandwidth {best_bw:g}, shrink {best_s:g}")
-    return 0
+    return config
 
 
-def _cmd_theory(config, seed, options):
+def _cmd_theory(config, options):
     radius, p = options["radius"], options["patch"]
     if not 0 < radius < np.inf:
         raise ConfigError(f"--radius must be a finite number > 0, got {radius:g}")
@@ -302,13 +308,13 @@ def _cmd_theory(config, seed, options):
         options["objects"],
         options["canvas"],
         template,
-        seed=seed,
+        seed=options["seed"],
         boundary=options["boundary"],
     )
     label = f"a@{off_a}/b@{off_b}"
     table = theorymod.offset_report(label, pa, pb, samples)
-    _emit_table("theory", table, "theory", seed, options, config)
-    return 0
+    _emit_table("theory", table, options["out"])
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +327,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # command -> (function, {option: (type, default, help)}); an option whose
-# default is None is required
+# default is None is required, and every command returns the config it ran
 _COMMANDS = {
     "synth": (_cmd_synth, {
         "out": (str, None, "output dataset directory"),
@@ -376,6 +382,8 @@ _COMMANDS = {
         "out": (str, "", "optional output directory"),
     }),
 }
+for _fn, _spec in _COMMANDS.values():  # every command takes a seed, echoed beside its options
+    _spec["seed"] = (int, 0, "seed of the run's random draws")
 
 
 def _build_parser() -> _Parser:
@@ -383,7 +391,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name, (_fn, spec) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", type=str, default=None)
         for opt, (typ, _default, help_text) in spec.items():
             flag = "--" + opt.replace("_", "-")
@@ -405,11 +412,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        sections: dict = {}
-        stored_options: dict = {}
-        stored_seed = None
-        if args.config:
-            sections, stored_options, stored_seed = _load_run_config(args.config)
+        sections, stored = _load_run_config(args.config, args.command) if args.config else ({}, {})
         config = _build_config(sections)
         command, spec = _COMMANDS[args.command]
         options = {}
@@ -417,8 +420,8 @@ def main(argv=None) -> int:
             given = getattr(args, opt)
             if given is not None:
                 options[opt] = given
-            elif opt in stored_options:
-                options[opt] = _stored_option(opt, typ, stored_options[opt])
+            elif opt in stored:
+                options[opt] = _stored_option(opt, typ, stored[opt])
             else:
                 options[opt] = default
         missing = [o for o in spec if options[o] is None]
@@ -429,20 +432,11 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        seed = args.seed
-        if seed is None:
-            seed = 0 if stored_seed is None else _stored_option("seed", int, stored_seed)
-        return command(config, seed, options)
-    except (
-        ConfigError,
-        DegenerateError,
-        FormatError,
-        PlacementError,
-        ShapeError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+        config = command(config, options)
+        if options["out"]:
+            _echo_config(args.command, options, config)
+        return 0
+    except (ValueError, OSError, PlacementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

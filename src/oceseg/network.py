@@ -33,7 +33,7 @@ import numpy as np
 
 from . import data as dataio
 from .autodiff import Tape, Tensor, conv2d_valid, crop_concat, maxpool2, relu, upsample_nearest2
-from .errors import ConfigError, FormatError, ShapeError, check_int, check_real
+from .errors import ConfigError, DegenerateError, FormatError, ShapeError, check_int, check_real
 from .loss import LossConfig, oce_loss, sample_pairs
 
 # input-minus-output shape margin of the chain (8 per side); the receptive
@@ -119,12 +119,14 @@ def _block(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
 
 def check_image(image, in_channels: int) -> None:
     """Raise unless the model takes the image: (in_channels, H, W) with both
-    sides at least ``MIN_INPUT``."""
+    sides at least ``MIN_INPUT`` and every pixel finite."""
     if image.ndim != 3 or image.shape[0] != in_channels:
         raise ShapeError(f"image has shape {image.shape}, model expects ({in_channels},H,W)")
     _, H, W = image.shape
     if H < MIN_INPUT or W < MIN_INPUT:
         raise ShapeError(f"image {H}x{W} smaller than {MIN_INPUT}x{MIN_INPUT}")
+    if not np.isfinite(image).all():
+        raise DegenerateError("image is not finite: it holds NaN or inf values")
 
 
 def forward(params: ModelParams, image) -> Tensor:
@@ -318,7 +320,8 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState, next_epoch: int 
 
 
 def load_checkpoint(path):
-    """Returns (params, adam_state, next_epoch); validates every tensor shape."""
+    """Returns (params, adam_state, next_epoch); validates every tensor's
+    shape and rejects NaN or inf values."""
     tensors = dataio.archive_read(path)
     try:
         meta = tensors["meta.config"]
@@ -347,6 +350,8 @@ def load_checkpoint(path):
                     raise FormatError(
                         f"checkpoint tensor {full} has shape {arr.shape}, expected {shape}"
                     )
+                if not np.isfinite(arr).all():
+                    raise FormatError(f"checkpoint tensor {full} holds NaN or inf values")
                 if store is None:
                     params_t[key] = Tensor(arr)
                 else:

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from oceseg import (
     SceneSpec,
     SegmenterConfig,
     cli,
+    errors,
     generate_dataset,
     init_params,
     load_checkpoint,
@@ -19,6 +21,7 @@ from oceseg import (
     segmentation,
 )
 from oceseg.data import (
+    load_dataset,
     normalize_percentile,
     rescale_image,
     rescale_labels,
@@ -42,13 +45,13 @@ def run_dir(tmp_path_factory):
     return root
 
 
-def _run(run_dir, command, out, sections, model="model.ocec"):
-    """``oceseg segment``, ``predict`` or ``train`` on the fixture dataset
-    with ``sections`` as its config file."""
+def _run(run_dir, command, out, sections, model="model.ocec", data="data"):
+    """``oceseg segment``, ``predict`` or ``train`` on a dataset of the
+    fixture (by default its clean one) with ``sections`` as its config file."""
     config = run_dir / f"{out}.json"
     config.write_text(json.dumps(sections))
     model = [] if command == "train" else ["--model", str(run_dir / model)]
-    return cli.main([command, *model, "--data", str(run_dir / "data"),
+    return cli.main([command, *model, "--data", str(run_dir / data),
                      "--out", str(run_dir / out), "--config", str(config)])
 
 
@@ -195,14 +198,50 @@ def test_inference_checks_images_before_writing(run_dir, capsys, command, case, 
 
 
 def test_segment_rejects_a_non_finite_variance_map(run_dir, capsys):
-    # a NaN head weight makes every prediction NaN, and the variance map too
+    # finite weights whose head overflows float32 make every prediction inf,
+    # and the variance map NaN
     params = init_params(ModelConfig(base_fmaps=4), seed=0)
-    params["head.w"].data[...] = np.nan
-    save_checkpoint(run_dir / "model_nan.ocec", params, AdamState.fresh(params))
-    assert _run(run_dir, "segment", "nan_head", {}, model="model_nan.ocec") == 2
+    params["dec3.b"].data[...] = 1.0
+    params["head.w"].data[...] = np.finfo(np.float32).max
+    save_checkpoint(run_dir / "model_overflow.ocec", params, AdamState.fresh(params))
+    assert _run(run_dir, "segment", "overflow_head", {}, model="model_overflow.ocec") == 2
     err = capsys.readouterr().err
     assert "error: map is not finite: it holds NaN or inf values" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["segment", "predict"])
+def test_inference_rejects_a_non_finite_checkpoint_before_writing(run_dir, capsys, command):
+    params = init_params(ModelConfig(base_fmaps=4), seed=0)
+    params["head.w"].data[...] = np.nan
+    save_checkpoint(run_dir / "model_nan.ocec", params, AdamState.fresh(params))
+    out = f"nan_head_{command}"
+    assert _run(run_dir, command, out, {}, model="model_nan.ocec") == 2
+    err = capsys.readouterr().err
+    assert "error: checkpoint tensor param.head.w holds NaN or inf values" in err
+    assert "Traceback" not in err and not (run_dir / out).exists()
+
+
+@pytest.fixture(scope="module")
+def nan_data(run_dir):
+    """The fixture dataset with one NaN pixel in its second image."""
+    stems, images, labels = load_dataset(run_dir / "data")
+    images = [np.array(img) for img in images]
+    images[1][0, 10, 20] = np.nan
+    save_dataset(run_dir / "data_nan", images, labels, stems)
+    return "data_nan"
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "segment"])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_commands_reject_a_non_finite_image_before_writing(run_dir, nan_data, capsys, command,
+                                                            normalize):
+    out = f"nan_image_{command}_{normalize}"
+    sections = {"data": {"normalize": normalize}, "train": {"crop_size": 48}}
+    assert _run(run_dir, command, out, sections, data=nan_data) == 2
+    err = capsys.readouterr().err
+    assert "error: image is not finite: it holds NaN or inf values" in err
+    assert "Traceback" not in err and not (run_dir / out).exists()
 
 
 @pytest.fixture(scope="module")
@@ -294,13 +333,14 @@ def test_sweep_checks_candidates_and_threshold_before_inference(run_dir, capsys,
 @pytest.mark.parametrize("option, value", [
     ("images", "2"), ("images", 2.0), ("images", True), ("noise_std", "0.02"),
     ("noise_std", False), ("out", 3), ("seed", "3"), ("seed", 1.0),
+    ("options", 3), ("options", ["out"]),
 ])
 def test_stored_options_are_type_checked(tmp_path, capsys, option, value):
     out = tmp_path / "data"
     options = {"out": str(out), "images": 1, "size": 32, "objects": 1, "radius_min": 4.0,
                "radius_max": 5.0, "noise_std": 0.02}
     payload = {"command": "synth", "seed": 0, "options": options, "config": {}}
-    (payload if option == "seed" else options)[option] = value
+    (payload if option in ("seed", "options") else options)[option] = value
     echo = tmp_path / "echo.json"
     echo.write_text(json.dumps(payload))
     assert cli.main(["synth", "--config", str(echo)]) == 2
@@ -350,7 +390,7 @@ def test_benchmark_fixture_configs_load(run_dir, name):
     assert json.loads((out / "config.json").read_text())["config"] == expected
 
 
-def test_synth_train_segment_eval_and_reproduce(tmp_path, monkeypatch):
+def test_synth_train_segment_eval_and_reproduce(tmp_path, monkeypatch, capsys):
     data, out = tmp_path / "data", tmp_path / "train"
     assert cli.main(["synth", "--out", str(data), "--images", "2", "--size", "64",
                      "--objects", "3", "--radius-max", "8", "--seed", "4"]) == 0
@@ -375,8 +415,14 @@ def test_synth_train_segment_eval_and_reproduce(tmp_path, monkeypatch):
     assert load_checkpoint(ckpt)[2] == 2
 
     # the echo alone reproduces the run bit for bit
+    echo = (out / "config.json").read_bytes()
     assert cli.main(["train", "--config", str(out / "config.json")]) == 0
     assert ckpt.read_bytes() == first
+    # its options and seed replay only into train: segment misses its --out
+    assert cli.main(["segment", "--model", str(ckpt), "--data", str(data),
+                     "--config", str(out / "config.json")]) == 1
+    assert "missing required option --out" in capsys.readouterr().err
+    assert (out / "config.json").read_bytes() == echo and not (out / "labels").exists()
     # a resume with no epoch left still writes its checkpoint
     done = tmp_path / "done"
     assert cli.main(["train", "--data", str(data), "--out", str(done), "--config", str(config),
@@ -494,3 +540,73 @@ def test_commands_echo_the_checkpoint_model(run_dir):
         assert cli.main([command, "--model", str(resumed), "--data", str(run_dir / "data"),
                          "--out", str(run_dir / out), *extra]) == 0
         assert echoed_model(out)["base_fmaps"] == 4
+
+
+@pytest.mark.parametrize("error", [
+    c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__
+], ids=lambda c: c.__name__)
+def test_every_package_error_exits_2(monkeypatch, capsys, error):
+    def failing(*_):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "theory", (failing, cli._COMMANDS["theory"][1]))
+    assert cli.main(["theory"]) == 2
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def _echo_case(run_dir, command):
+    """The argv of a small ``command`` run on the fixture, and the options and
+    model of the echo it writes."""
+    data, model = str(run_dir / "data"), str(run_dir / "model.ocec")
+    small = run_dir / "echo_small.json"
+    small.write_text(json.dumps({"model": {"base_fmaps": 4},
+                                 "train": {"epochs": 1, "batch_size": 2, "crop_size": 48}}))
+    return {
+        "synth": (["--images", "1", "--size", "32", "--objects", "1", "--radius-min", "4",
+                   "--radius-max", "5"],
+                  {"images": 1, "size": 32, "objects": 1, "radius_min": 4.0, "radius_max": 5.0,
+                   "noise_std": 0.02}, 64),
+        "train": (["--data", data, "--config", str(small)],
+                  {"data": data, "resume": ""}, 4),
+        "predict": (["--model", model, "--data", data], {"model": model, "data": data}, 4),
+        "segment": (["--model", model, "--data", data],
+                    {"model": model, "data": data, "pgm": False}, 4),
+        "eval": (["--gt", data, "--pred", data],
+                 {"gt": data, "pred": data, "thresholds": "0.5", "per_image": False,
+                  "seg": False}, 64),
+        "sweep": (["--model", model, "--data", data, "--bandwidths", "8"],
+                  {"model": model, "data": data, "bandwidths": "8", "metric": "f1",
+                   "threshold": 0.5}, 4),
+        "theory": (["--scenes", "2", "--objects", "2", "--canvas", "63"],
+                   {"scenes": 2, "objects": 2, "canvas": 63, "radius": 7.0, "patch": 5,
+                    "boundary": "periodic"}, 64),
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_writes_one_echo_with_out_and_none_without(run_dir, tmp_path, monkeypatch,
+                                                               command):
+    argv, options, base_fmaps = _echo_case(run_dir, command)
+    out = tmp_path / "out"
+    writes = []
+    write_json = cli.dataio.write_json
+
+    def recording_write_json(path, payload):
+        writes.append(os.path.basename(path))
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli.dataio, "write_json", recording_write_json)
+    assert cli.main([command, *argv, "--out", str(out), "--seed", "5"]) == 0
+    assert writes == ["config.json"] and list(out.rglob("config.json")) == [out / "config.json"]
+    expected = {k: dict(v) for k, v in cli.DEFAULT_CONFIG.items()}
+    expected["model"]["base_fmaps"] = base_fmaps
+    if command == "train":
+        expected["train"].update(epochs=1, batch_size=2, crop_size=48)
+    assert json.loads((out / "config.json").read_text()) == {
+        "command": command, "seed": 5, "options": {**options, "out": str(out)},
+        "config": expected}
+    if command in ("eval", "sweep", "theory"):  # --out is optional: without it, no file
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*")), sorted(run_dir.rglob("*"))
+        assert cli.main([command, *argv]) == 0
+        assert (sorted(tmp_path.rglob("*")), sorted(run_dir.rglob("*"))) == before

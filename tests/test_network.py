@@ -8,6 +8,7 @@ import pytest
 from oceseg import (
     AdamState,
     ConfigError,
+    DegenerateError,
     FormatError,
     LossConfig,
     ModelConfig,
@@ -173,6 +174,16 @@ def test_forward_and_predict_full_reject_an_image_alike(in_channels, shape, mess
     with pytest.raises(ShapeError) as tiled:
         predict_full(p, img)
     assert str(tiled.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_forward_and_predict_full_reject_a_non_finite_image(value):
+    p = init_params(ModelConfig(base_fmaps=4), 1)
+    img = np.zeros((1, 40, 40), np.float32)
+    img[0, 7, 30] = value
+    for run in (forward, predict_full):
+        with pytest.raises(DegenerateError, match="image is not finite: it holds NaN or inf"):
+            run(p, img)
 
 
 def test_only_forward_rejects_an_odd_side():
@@ -417,4 +428,20 @@ def test_checkpoint_missing_tensor(tmp_path):
     del tensors["param.enc0.w"]
     archive_write(path, tensors)
     with pytest.raises(FormatError, match="missing tensor"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("group", ["param.", "adam.m.", "adam.v."])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_rejects_a_non_finite_tensor(tmp_path, group, value):
+    from oceseg.data import archive_read, archive_write
+
+    p = init_params(ModelConfig(base_fmaps=4), 1)
+    path = tmp_path / "c.ocec"
+    save_checkpoint(path, p, AdamState.fresh(p), 0)
+    tensors = archive_read(path)
+    tensors[group + "dec1.b"] = tensors[group + "dec1.b"].copy()
+    tensors[group + "dec1.b"][2] = value
+    archive_write(path, tensors)
+    with pytest.raises(FormatError, match=f"tensor {group}dec1.b holds NaN or inf values"):
         load_checkpoint(path)
