@@ -12,7 +12,8 @@ sections model, loss, train, segment and data are the fields of
 ``ModelConfig``, ``LossConfig``, ``TrainConfig``, ``SegmenterConfig`` and
 ``DataConfig``; a bad value in any of them exits 2 before a command writes
 anything.  A command that loads a checkpoint echoes the checkpoint's model,
-the one that ran.  ``train`` writes its checkpoint after every epoch.
+the one that ran.  A command creates ``--out`` only with its first file, and
+``train`` rewrites ``loss_trace.tsv`` with the checkpoint after every epoch.
 
 Exit codes: 0 success, 1 usage error, 2 data or config error.
 """
@@ -120,9 +121,7 @@ def _echo_config(command, options, config) -> None:
 def _emit_table(name, table, out) -> None:
     """Print ``table``; with an ``out`` directory also write ``<out>/<name>.tsv``."""
     if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, name + ".tsv"), "w", encoding="utf-8") as fh:
-            fh.write(table)
+        dataio.write_text(os.path.join(out, name + ".tsv"), table)
     sys.stdout.write(table)
 
 
@@ -178,7 +177,6 @@ def _cmd_train(config, options):
         config = {**config, "model": params.config}
     check_train_images(images, config["model"].in_channels, config["train"].crop_size,
                        config["loss"].pair_radius)
-    os.makedirs(options["out"], exist_ok=True)
     ckpt_path = os.path.join(options["out"], "checkpoint.ocec")
     trace_path = os.path.join(options["out"], "loss_trace.tsv")
     rows = ["epoch\tmean_loss\n"]
@@ -186,20 +184,21 @@ def _cmd_train(config, options):
         # resuming into the run's own directory keeps the epochs already run
         with open(trace_path, encoding="utf-8") as fh:
             rows += [r for r in fh.readlines()[1:] if int(r.split("\t")[0]) < resume.next_epoch]
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.writelines(rows)
+
+    def save(state):  # the trace is rewritten whole with each checkpoint
+        save_checkpoint(ckpt_path, state.params, state.adam, state.next_epoch)
+        dataio.write_text(trace_path, "".join(rows))
 
     def log(state):
-        save_checkpoint(ckpt_path, state.params, state.adam, state.next_epoch)
         epoch, loss = state.next_epoch - 1, state.epoch_losses[-1]
-        with open(trace_path, "a", encoding="utf-8") as fh:
-            fh.write(f"{epoch}\t{loss:.8f}\n")
+        rows.append(f"{epoch}\t{loss:.8f}\n")
+        save(state)
         print(f"epoch {epoch}: mean loss {loss:.4f}")
 
     result = train(images, config["model"], config["loss"], config["train"],
                    seed=options["seed"], resume=resume, log=log)
     if not result.epoch_losses:  # a resume at or past the last epoch runs none
-        save_checkpoint(ckpt_path, result.params, result.adam, result.next_epoch)
+        save(result)
     print(f"checkpoint written to {options['out']}/checkpoint.ocec")
     return config
 
@@ -220,7 +219,6 @@ def _load_inference_inputs(config, options):
 def _cmd_predict(config, options):
     params, config, stems, _, images, _ = _load_inference_inputs(config, options)
     out_dir = os.path.join(options["out"], "fields")
-    os.makedirs(out_dir, exist_ok=True)
     for stem, img in zip(stems, images):
         field = predict_full(params, img)
         dataio.tensor_write(os.path.join(out_dir, stem + ".ocet"), field)
@@ -231,16 +229,13 @@ def _cmd_predict(config, options):
 def _cmd_segment(config, options):
     params, config, stems, raw_images, images, _ = _load_inference_inputs(config, options)
     lab_dir = os.path.join(options["out"], "labels")
-    os.makedirs(lab_dir, exist_ok=True)
-    vis_dir = os.path.join(options["out"], "vis")
-    if options["pgm"]:
-        os.makedirs(vis_dir, exist_ok=True)
     for i, (stem, raw, img) in enumerate(zip(stems, raw_images, images)):
         labels = segment_image(params, img, config["segment"], seed=options["seed"] + i)
         labels = dataio.rescale_labels(labels, raw.shape[-2:])
         dataio.tensor_write(os.path.join(lab_dir, stem + ".ocet"), labels.astype(np.int32))
         if options["pgm"]:
-            dataio.pgm_write(os.path.join(vis_dir, stem + ".pgm"), dataio.labels_to_gray(labels))
+            dataio.pgm_write(os.path.join(options["out"], "vis", stem + ".pgm"),
+                             dataio.labels_to_gray(labels))
     print(f"wrote {len(stems)} label masks to {lab_dir}")
     return config
 

@@ -18,6 +18,8 @@ Dataset directories follow the convention ``images/*.ocet`` with optional
 ``labels/*.ocet`` under matching stems.  ``DataConfig`` says how each image
 is prepared before the network sees it; images are (C, H, W) throughout.
 Binary PGM is only ever written, to visualise label masks; nothing reads it.
+Every file the package writes comes from ``_write_atomic``, which makes the
+file's directory and renames a whole temporary file over it, without fsync.
 """
 
 from __future__ import annotations
@@ -97,14 +99,15 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 
 
 def _write_atomic(path, payload: bytes) -> None:
-    """Write ``payload`` to a temporary file beside ``path`` and rename it over
-    ``path``: readers see the old file or the whole new one, never a
-    truncated one, and a failed write removes its temporary file.
+    """Make ``path``'s directory, write ``payload`` to a temporary file beside
+    it and rename that over ``path``: readers see the old file or the whole
+    new one, never a truncated one, and a failed write removes its temporary.
 
     There is no fsync: the rename guards against the process dying, not the
     machine losing power, which keeps dataset and label writes cheap.
     """
     path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -304,20 +307,14 @@ def rescale_labels(labels: np.ndarray, out_shape) -> np.ndarray:
 def save_dataset(root, images, labels=None, stems=None) -> None:
     """Write images (and optional labels) as ``images/<stem>.ocet`` etc."""
     root = os.fspath(root)
-    img_dir = os.path.join(root, "images")
-    os.makedirs(img_dir, exist_ok=True)
     if stems is None:
         stems = [f"im{i:04d}" for i in range(len(images))]
-    if labels is not None:
-        lab_dir = os.path.join(root, "labels")
-        os.makedirs(lab_dir, exist_ok=True)
     for i, stem in enumerate(stems):
-        tensor_write(os.path.join(img_dir, stem + ".ocet"), np.asarray(images[i], np.float32))
+        tensor_write(os.path.join(root, "images", stem + ".ocet"),
+                     np.asarray(images[i], np.float32))
         if labels is not None:
-            tensor_write(
-                os.path.join(lab_dir, stem + ".ocet"),
-                np.asarray(labels[i], np.int32),
-            )
+            tensor_write(os.path.join(root, "labels", stem + ".ocet"),
+                         np.asarray(labels[i], np.int32))
 
 
 def ocet_stems(directory) -> list[str]:
@@ -343,5 +340,9 @@ def load_dataset(root):
     return stems, images, labels
 
 
+def write_text(path, text: str) -> None:
+    _write_atomic(path, text.encode("utf-8"))
+
+
 def write_json(path, payload: dict) -> None:
-    _write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -87,6 +87,7 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
     252x252.  ``tile`` must be even and at least ``MIN_INPUT``: every tile
     side and origin is then even, so each tile keeps the max-pool phase of
     the whole image and the result equals one untiled pass bit for bit.
+    A field holding NaN or inf raises :class:`DegenerateError`.
     """
     if tile < MIN_INPUT or tile % 2:
         raise ShapeError(f"tile {tile} must be even and at least {MIN_INPUT}")
@@ -109,6 +110,8 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
             block = np.ascontiguousarray(padded[:, r0:r0 + Th, c0:c0 + Tw])
             field = forward(params, Tensor(block)).data
             out[:, r0:r0 + Th - CONTEXT, c0:c0 + Tw - CONTEXT] = field
+    if not np.isfinite(out[:, :H, :W]).all():
+        raise DegenerateError("offset field is not finite: it holds NaN or inf values")
     return out[:, :H, :W]
 
 
@@ -405,8 +408,8 @@ def shrink_instances(labels, distance: float) -> np.ndarray:
     touches another instance's pixels, so the order of instances does not
     matter.  Negative ids and non-integer dtypes raise :class:`LabelError`.
     """
-    if distance < 0:
-        raise ValueError("distance must be non-negative")
+    if not distance >= 0:
+        raise ValueError(f"distance must be non-negative, got {distance!r}")
     lab = check_labels(labels).astype(np.int32, copy=True)
     if distance == 0:
         return lab

@@ -15,6 +15,7 @@ from oceseg import (
     generate_dataset,
     init_params,
     load_checkpoint,
+    network,
     save_checkpoint,
     seg_score_dataset,
     segment_image,
@@ -197,17 +198,29 @@ def test_inference_checks_images_before_writing(run_dir, capsys, command, case, 
     assert not (run_dir / out).exists()
 
 
-def test_segment_rejects_a_non_finite_variance_map(run_dir, capsys):
-    # finite weights whose head overflows float32 make every prediction inf,
-    # and the variance map NaN
+def _overflow_model(run_dir):
+    """A checkpoint of finite weights whose head overflows float32, so every
+    prediction is inf (and a variance map of them NaN)."""
     params = init_params(ModelConfig(base_fmaps=4), seed=0)
     params["dec3.b"].data[...] = 1.0
     params["head.w"].data[...] = np.finfo(np.float32).max
     save_checkpoint(run_dir / "model_overflow.ocec", params, AdamState.fresh(params))
-    assert _run(run_dir, "segment", "overflow_head", {}, model="model_overflow.ocec") == 2
+    return "model_overflow.ocec"
+
+
+def test_segment_rejects_a_non_finite_variance_map(run_dir, capsys):
+    assert _run(run_dir, "segment", "overflow_head", {}, model=_overflow_model(run_dir)) == 2
     err = capsys.readouterr().err
-    assert "error: map is not finite: it holds NaN or inf values" in err
-    assert "Traceback" not in err
+    assert "error: offset field is not finite: it holds NaN or inf values" in err
+    assert "Traceback" not in err and not (run_dir / "overflow_head").exists()
+
+
+def test_predict_rejects_a_non_finite_field_before_writing(run_dir, capsys):
+    out = "overflow_head_predict"
+    assert _run(run_dir, "predict", out, {}, model=_overflow_model(run_dir)) == 2
+    err = capsys.readouterr().err
+    assert "error: offset field is not finite: it holds NaN or inf values" in err
+    assert "Traceback" not in err and not (run_dir / out).exists()
 
 
 @pytest.mark.parametrize("command", ["segment", "predict"])
@@ -456,6 +469,40 @@ def test_resume_into_the_run_directory_keeps_the_loss_trace(tmp_path):
     assert len(whole[0].splitlines()) == 4  # the header and epochs 0, 1 and 2
 
 
+def _failing_loss(*_):
+    raise errors.DegenerateError("loss failed")
+
+
+def _small_train(run_dir, out, epochs, resume=()):
+    config = run_dir / f"train_epochs{epochs}.json"
+    config.write_text(json.dumps({"model": {"base_fmaps": 4}, "train": {
+        "epochs": epochs, "batch_size": 2, "crop_size": 48}}))
+    return cli.main(["train", "--data", str(run_dir / "data"), "--out", str(out),
+                     "--config", str(config), *resume])
+
+
+def test_train_that_fails_its_first_step_leaves_no_out(run_dir, capsys, monkeypatch):
+    monkeypatch.setattr(network, "oce_loss", _failing_loss)
+    out = run_dir / "train_fails"
+    assert _small_train(run_dir, out, 1) == 2
+    assert "error: loss failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_resume_into_the_run_directory_keeps_trace_and_checkpoint(run_dir, tmp_path,
+                                                                         monkeypatch):
+    run = tmp_path / "run"
+    assert _small_train(run_dir, run, 1) == 0
+    old = tmp_path / "epoch1.ocec"
+    old.write_bytes((run / "checkpoint.ocec").read_bytes())
+    assert _small_train(run_dir, run, 2, ["--resume", str(old)]) == 0
+    before = {name: (run / name).read_bytes() for name in ("loss_trace.tsv", "checkpoint.ocec")}
+    assert len(before["loss_trace.tsv"].splitlines()) == 3  # the header and epochs 0 and 1
+    monkeypatch.setattr(network, "oce_loss", _failing_loss)
+    assert _small_train(run_dir, run, 3, ["--resume", str(old)]) == 2
+    assert {name: (run / name).read_bytes() for name in before} == before
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--images", "-2"], ["synth", "--images", "0"],
     ["theory", "--scenes", "0", "--objects", "2", "--canvas", "63"],
@@ -585,7 +632,7 @@ def _echo_case(run_dir, command):
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_each_command_writes_one_echo_with_out_and_none_without(run_dir, tmp_path, monkeypatch,
-                                                               command):
+                                                               capsys, command):
     argv, options, base_fmaps = _echo_case(run_dir, command)
     out = tmp_path / "out"
     writes = []
@@ -605,7 +652,11 @@ def test_each_command_writes_one_echo_with_out_and_none_without(run_dir, tmp_pat
     assert json.loads((out / "config.json").read_text()) == {
         "command": command, "seed": 5, "options": {**options, "out": str(out)},
         "config": expected}
+    assert not list(out.rglob("*.tmp"))
     if command in ("eval", "sweep", "theory"):  # --out is optional: without it, no file
+        # the file holds the whole printed table; sweep then prints its best candidate
+        (tsv,) = out.glob("*.tsv")
+        assert tsv.read_text(encoding="utf-8") == capsys.readouterr().out.split("best band")[0]
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.rglob("*")), sorted(run_dir.rglob("*"))
         assert cli.main([command, *argv]) == 0

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from oceseg.data import (
     tensor_read,
     tensor_write,
     write_json,
+    write_text,
 )
 
 
@@ -255,6 +259,7 @@ class _TornFile:
     (archive_write, {"w": np.ones((3, 4), np.float32)}, {"w": np.zeros((30, 40), np.float32)}),
     (write_json, {"a": 1}, {"a": 1, "z": list(range(100))}),
     (pgm_write, np.zeros((2, 3), np.uint8), np.ones((20, 30), np.uint8)),
+    (write_text, "epoch\n", "epoch\n" + "0\t1.5\n" * 50),
 ])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer, old, new):
     path = tmp_path / "target.bin"
@@ -270,6 +275,43 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer, old, ne
     writer(path, new)
     assert path.read_bytes() != before
     assert [p.name for p in tmp_path.iterdir()] == ["target.bin"]
+    # missing parents are made, and hold the whole file and nothing else
+    nested = tmp_path / "a" / "b" / "target.bin"
+    writer(nested, new)
+    assert nested.read_bytes() == path.read_bytes()
+    assert [p.name for p in nested.parent.iterdir()] == ["target.bin"]
+
+
+def _file_writers(source):
+    """(function, call) of each directory made and each file opened in a mode
+    other than read in ``source``; a mode that is not a literal counts."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                mode = child.args[1] if len(child.args) > 1 else next(
+                    (k.value for k in child.keywords if k.arg == "mode"), None)
+                reads = mode is None or (isinstance(mode, ast.Constant)
+                                         and set(str(mode.value)) <= set("rbt"))
+                if name in ("makedirs", "mkdir") or name == "open" and not reads:
+                    found.add((where, name))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_atomic_writer_makes_directories_or_opens_files_to_write():
+    src = Path(__file__).resolve().parents[1] / "src" / "oceseg"
+    writers = {(path.stem, where, name) for path in src.glob("*.py")
+               for where, name in _file_writers(path.read_text(encoding="utf-8"))}
+    assert writers == {("data", "_write_atomic", "makedirs"), ("data", "_write_atomic", "open")}
 
 
 def test_write_json_keeps_previous_file_when_a_value_cannot_be_encoded(tmp_path):

@@ -115,6 +115,16 @@ def test_predict_full_rejects_bad_tile(small_params, tile):
         predict_full(small_params, img, tile=tile)
 
 
+def test_predict_full_rejects_a_field_that_overflows():
+    # finite weights: on a blank image dec3 outputs its bias, 1, and the head
+    # multiplies it by the float32 maximum
+    params = init_params(ModelConfig(base_fmaps=4), 0)
+    params["dec3.b"].data[...] = 1.0
+    params["head.w"].data[...] = np.finfo(np.float32).max
+    with pytest.raises(DegenerateError, match="offset field is not finite"):
+        predict_full(params, np.zeros((1, 60, 60), np.float32))
+
+
 # ---------------------------------------------------------------------------
 # Noise and foreground
 
@@ -544,6 +554,12 @@ def test_shrink_instances_rejects_bad_ids(distance):
         segmentation.shrink_instances([[-1, 1, 1, 2]], distance)
     with pytest.raises(LabelError, match="integers"):
         segmentation.shrink_instances(np.ones((3, 3), np.float32), distance)
+
+
+@pytest.mark.parametrize("distance", [-1.0, np.nan])
+def test_shrink_instances_rejects_a_negative_or_nan_distance(distance):
+    with pytest.raises(ValueError, match="distance must be non-negative"):
+        segmentation.shrink_instances(np.ones((12, 12), np.int32), distance)
 
 
 def test_segment_connectivity_relabel_matches_whole_image_loop():
