@@ -1,9 +1,11 @@
 """Minimal dense tensors with reverse-mode differentiation.
 
 Implements exactly the operations the offset-predicting network and its
-pairwise loss need: valid cross-correlation, ReLU, 2x2 max pooling,
-nearest-neighbour 2x upsampling, center-crop concatenation and coordinate
-gathers.  Ops executed inside a ``with Tape()`` block record a node per
+pairwise loss need: valid cross-correlation, ReLU, 2x2 max pooling, the
+decoder entry (a center crop of the skip concatenated with the bottleneck
+upsampled 2x by nearest neighbour, one op) and coordinate gathers.  The
+stand-alone ``upsample_nearest2`` is kept as the tests' reference for the
+decoder entry.  Ops executed inside a ``with Tape()`` block record a node per
 call; ``Tape.backward`` replays the nodes in exact reverse creation order.
 Ops executed without an active tape are plain forward computations.
 
@@ -311,26 +313,35 @@ def upsample_nearest2(x: Tensor) -> Tensor:
     return _op("upsample_nearest2", (x,), out_arr, grads)
 
 
-def crop_concat(skip: Tensor, up: Tensor) -> Tensor:
-    """Center-crop `skip` to `up`'s spatial size and concatenate channels."""
-    if skip.data.ndim != 3 or up.data.ndim != 3:
+def crop_concat(skip: Tensor, low: Tensor) -> Tensor:
+    """Center-crop `skip` to twice `low`'s spatial size and stack it over
+    `low` upsampled 2x by nearest neighbour: ``concatenate`` of the crop and
+    ``upsample_nearest2(low)`` along channels, built in one buffer, with no
+    upsampled tensor of its own and the same gradients bit for bit."""
+    if skip.data.ndim != 3 or low.data.ndim != 3:
         raise ShapeError("crop_concat expects (C,H,W) tensors")
     C1, H1, W1 = skip.shape
-    C2, H2, W2 = up.shape
+    C2, h, w = low.shape
+    H2, W2 = 2 * h, 2 * w
     if H1 < H2 or W1 < W2:
         raise ShapeError(f"skip {H1}x{W1} smaller than upsampled {H2}x{W2}")
     r0 = (H1 - H2) // 2
     c0 = (W1 - W2) // 2
-    out_arr = np.concatenate(
-        [skip.data[:, r0:r0 + H2, c0:c0 + W2], up.data], axis=0
-    )
+    out_arr = np.empty((C1 + C2, H2, W2), np.result_type(skip.data, low.data))
+    out_arr[:C1] = skip.data[:, r0:r0 + H2, c0:c0 + W2]
+    up = out_arr[C1:]
+    up[:, 0::2, 0::2] = low.data
+    up[:, 0::2, 1::2] = low.data
+    up[:, 1::2] = up[:, 0::2]
 
     def grads(g):
         dskip = np.zeros_like(skip.data)
         dskip[:, r0:r0 + H2, c0:c0 + W2] = g[:C1]
-        return dskip, g[C1:].copy()
+        # each 2x2 block of the tail summed in upsample_nearest2's order
+        top, bottom = g[C1:].reshape(C2, h, 2, w, 2).transpose(2, 0, 1, 3, 4)
+        return dskip, (top[..., 0] + top[..., 1]) + (bottom[..., 0] + bottom[..., 1])
 
-    return _op("crop_concat", (skip, up), out_arr, grads)
+    return _op("crop_concat", (skip, low), out_arr, grads)
 
 
 def gather_coords(field: Tensor, coords) -> Tensor:

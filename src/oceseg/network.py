@@ -1,8 +1,9 @@
 """The small valid-convolution U-Net, its optimizer and the training loop.
 
-Architecture: one encoder block, a 2x2 max-pool, one bottleneck block, 2x
-nearest upsampling, a center-crop skip concatenation, one decoder block and
-a 1x1 linear head to 2 output channels.  Each block is the ``BLOCK_KERNELS``
+Architecture: one encoder block, a 2x2 max-pool, one bottleneck block, the
+decoder entry ``crop_concat`` (the center crop of the encoder's output over
+the bottleneck's upsampled 2x by nearest neighbour, one tape op), one decoder
+block and a 1x1 linear head to 2 output channels.  Each block is the ``BLOCK_KERNELS``
 sequence [3,1,1,3] of valid convolutions with ReLU.  The chain consumes a 16-pixel shape
 margin (8 per side), so a (C, H, W) input yields a (2, H-16, W-16) field.
 
@@ -20,8 +21,10 @@ every model width.
 Training memory: each block's ReLU runs in place over the fresh output of the
 conv before it, so a block keeps one buffer per layer, and ``Tape.backward``
 frees each activation and its gradient once their last reader has run.  The
-forward and backward of one default-model crop of 252 peak at about 340 MB of
-allocations.
+decoder entry records no upsampled tensor, and its backward sums each 2x2
+block of its gradient straight into the bottleneck's.  The forward and
+backward of one default-model crop of 252 peak at 286 MB of allocations
+(tracemalloc), during dec0's backward.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from typing import Optional
 import numpy as np
 
 from . import data as dataio
-from .autodiff import Tape, Tensor, conv2d_valid, crop_concat, maxpool2, relu, upsample_nearest2
+from .autodiff import Tape, Tensor, conv2d_valid, crop_concat, maxpool2, relu
+# unused: the benchmark tracer wraps network.upsample_nearest2 by name (ROADMAP direction 1)
+from .autodiff import upsample_nearest2  # noqa: F401
 from .errors import ConfigError, DegenerateError, FormatError, ShapeError, check_int, check_real
 from .loss import LossConfig, oce_loss, sample_pairs
 
@@ -141,7 +146,6 @@ def forward(params: ModelParams, image) -> Tensor:
     skip = h
     h = maxpool2(h)
     h = _block(h, params, "bot")
-    h = upsample_nearest2(h)
     h = crop_concat(skip, h)
     h = _block(h, params, "dec")
     return conv2d_valid(h, params["head.w"], params["head.b"])

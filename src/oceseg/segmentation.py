@@ -105,11 +105,14 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
     Th, row_starts = _tile_plan(Sh, tile)
     Tw, col_starts = _tile_plan(Sw, tile)
     out = np.empty((2, Sh - CONTEXT, Sw - CONTEXT), np.float32)
-    for r0 in row_starts:
-        for c0 in col_starts:
-            block = np.ascontiguousarray(padded[:, r0:r0 + Th, c0:c0 + Tw])
-            field = forward(params, Tensor(block)).data
-            out[:, r0:r0 + Th - CONTEXT, c0:c0 + Tw - CONTEXT] = field
+    # a model that overflows is reported by the finiteness check below, not
+    # by numpy warnings from inside the forward
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in row_starts:
+            for c0 in col_starts:
+                block = np.ascontiguousarray(padded[:, r0:r0 + Th, c0:c0 + Tw])
+                field = forward(params, Tensor(block)).data
+                out[:, r0:r0 + Th - CONTEXT, c0:c0 + Tw - CONTEXT] = field
     if not np.isfinite(out[:, :H, :W]).all():
         raise DegenerateError("offset field is not finite: it holds NaN or inf values")
     return out[:, :H, :W]

@@ -13,7 +13,7 @@ from oceseg import (
     relu,
     upsample_nearest2,
 )
-from oceseg.autodiff import CHUNK
+from oceseg.autodiff import CHUNK, _op
 
 DTYPES = [np.float64, np.float32]
 
@@ -386,34 +386,58 @@ def test_upsample_gradcheck(dtype):
 # ---------------------------------------------------------------------------
 # crop_concat
 
+def crop_then_concat(skip, low):
+    """The composition ``crop_concat`` fuses, as two tape nodes: the center
+    crop of ``skip`` concatenated over ``upsample_nearest2(low)``."""
+    up = upsample_nearest2(low)
+    C1, H1, W1 = skip.shape
+    _, H2, W2 = up.shape
+    r0, c0 = (H1 - H2) // 2, (W1 - W2) // 2
+
+    def grads(g):
+        dskip = np.zeros_like(skip.data)
+        dskip[:, r0:r0 + H2, c0:c0 + W2] = g[:C1]
+        return dskip, g[C1:].copy()
+
+    out = np.concatenate([skip.data[:, r0:r0 + H2, c0:c0 + W2], up.data])
+    return _op("crop_then_concat", (skip, up), out, grads)
+
+
 def test_crop_concat_shapes_and_offset():
     rng = np.random.default_rng(3)
     skip = Tensor(rng.normal(size=(2, 10, 10)))
-    up = Tensor(rng.normal(size=(3, 6, 6)))
-    out = crop_concat(skip, up)
+    low = Tensor(rng.normal(size=(3, 3, 3)))
+    out = crop_concat(skip, low)
     assert out.shape == (5, 6, 6)
+    # the crop's channels first, then each low value repeated into a 2x2 block
     assert np.array_equal(out.data[:2], skip.data[:, 2:8, 2:8])
-    # 10 -> 7 starts at offset 1
-    out2 = crop_concat(Tensor(rng.normal(size=(1, 10, 10))), Tensor(rng.normal(size=(1, 7, 7))))
-    assert out2.shape == (2, 7, 7)
+    assert np.array_equal(out.data[2:], np.repeat(np.repeat(low.data, 2, axis=1), 2, axis=2))
+    # odd margins: 11 -> 6 starts at row 2, 11 -> 8 at column 1
+    skip = Tensor(rng.normal(size=(1, 11, 11)))
+    out = crop_concat(skip, Tensor(rng.normal(size=(1, 3, 4))))
+    assert out.shape == (2, 6, 8)
+    assert np.array_equal(out.data[:1], skip.data[:, 2:8, 1:9])
 
 
 def test_crop_concat_rejects_small_skip():
-    with pytest.raises(ShapeError):
-        crop_concat(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 6, 6))))
+    # a 3x3 low-resolution input upsamples to 6x6
+    for skip_hw in ((4, 4), (5, 8), (8, 5)):
+        with pytest.raises(ShapeError, match="smaller than upsampled 6x6"):
+            crop_concat(Tensor(np.zeros((1, *skip_hw))), Tensor(np.zeros((1, 3, 3))))
 
 
 def test_crop_concat_gradient_outside_window_is_zero():
     skip = Tensor(np.zeros((1, 10, 10)))
-    up = Tensor(np.zeros((1, 6, 6)))
+    low = Tensor(np.zeros((1, 3, 3)))
     with Tape() as tape:
-        out = crop_concat(skip, up)
+        out = crop_concat(skip, low)
     out.grad = np.ones(out.shape)
     for node in reversed(tape.nodes):
         node.backward()
     assert np.all(skip.grad[:, :2, :] == 0) and np.all(skip.grad[:, 8:, :] == 0)
+    assert np.all(skip.grad[:, :, :2] == 0) and np.all(skip.grad[:, :, 8:] == 0)
     assert np.all(skip.grad[:, 2:8, 2:8] == 1)
-    assert np.all(up.grad == 1)
+    assert np.all(low.grad == 4)  # the four copies of each value
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -421,9 +445,32 @@ def test_crop_concat_gradcheck(dtype):
     rng = np.random.default_rng(51)
     tol = fd_tolerance(dtype)
     for trial in range(20):
-        arrays = [rng.normal(size=(2, 8, 9)), rng.normal(size=(2, 4, 5))]
+        arrays = [rng.normal(size=(2, 8, 9)), rng.normal(size=(2, 2, 3))]
         err = check_op(lambda s, u: crop_concat(s, u), arrays, dtype, rng)
         assert err < tol, (trial, err)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("maps", [4, 64])
+def test_crop_concat_equals_crop_then_concat_of_upsample(maps, dtype):
+    # the decoder entry of a 56^2 crop: a 48^2 skip and a 16^2 bottleneck of
+    # three times its maps, and an odd-margin case beside it
+    rng = np.random.default_rng(maps)
+    for skip_shape, low_shape in (((maps, 48, 48), (3 * maps, 16, 16)),
+                                  ((maps, 13, 12), (3 * maps, 5, 4))):
+        arrays = [rng.normal(size=skip_shape), rng.normal(size=low_shape)]
+        skip, low = (Tensor(a, dtype) for a in arrays)
+        with Tape() as tape:
+            out = crop_concat(skip, low)
+        # one node, fed by the bottleneck itself: no upsampled tensor on the tape
+        assert [(n.op, n.inputs) for n in tape.nodes] == [("crop_concat", (skip, low))]
+        ref = crop_then_concat(*(Tensor(a, dtype) for a in arrays))
+        assert out.dtype == ref.dtype and np.array_equal(out.data, ref.data)
+        proj = rng.normal(size=out.shape)
+        got = tape_grads(crop_concat, [Tensor(a, dtype) for a in arrays], proj)
+        want = tape_grads(crop_then_concat, [Tensor(a, dtype) for a in arrays], proj)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -227,12 +227,12 @@ def test_backward_replays_once():
 def test_backward_frees_activations_and_matches_replay_by_hand(monkeypatch):
     bottleneck = []
 
-    def upsample_spy(h):
+    def crop_concat_spy(skip, h):
         bottleneck.append(weakref.ref(h.data))
-        return upsample(h)
+        return crop_concat(skip, h)
 
-    upsample = network.upsample_nearest2
-    monkeypatch.setattr(network, "upsample_nearest2", upsample_spy)
+    crop_concat = network.crop_concat
+    monkeypatch.setattr(network, "crop_concat", crop_concat_spy)
     image = np.random.default_rng(4).normal(size=(1, 44, 44)).astype(np.float32)
     params = init_params(ModelConfig(base_fmaps=4), 4)
     tape, _ = crop_step(params, image, 4)
@@ -245,12 +245,15 @@ def test_backward_frees_activations_and_matches_replay_by_hand(monkeypatch):
         assert np.array_equal(t.grad, twin[name].grad), name
 
 
-def test_default_model_crop_memory_peak():
-    """Forward and backward of the default model on a 124^2 crop allocate
-    under 100 MB at peak.  Holding every activation and its gradient until
-    the tape dies, with a fresh buffer per ReLU, took 210 MB."""
+@pytest.mark.parametrize("crop, bound_mb", [(124, 100), (252, 300)], ids=["124", "252"])
+def test_default_model_crop_memory_peak(crop, bound_mb):
+    """Forward and backward of the default model on one crop allocate under
+    ``bound_mb`` at peak: 72 MB at 124^2 and 286 MB at 252^2, the training
+    crop.  Holding every activation and its gradient until the tape dies,
+    with a fresh buffer per ReLU, took 210 MB at 124^2; an upsampled
+    bottleneck on the tape beside its gradient took 339 MB at 252^2."""
     params = init_params(ModelConfig(), 5)
-    image = np.random.default_rng(5).normal(size=(1, 124, 124)).astype(np.float32)
+    image = np.random.default_rng(5).normal(size=(1, crop, crop)).astype(np.float32)
     crop_step(params, image, 5)  # warm-up: one-off first-call allocations stay out of the trace
     params.zero_grads()
     tracemalloc.start()
@@ -259,7 +262,7 @@ def test_default_model_crop_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100e6, peak / 1e6
+    assert peak < bound_mb * 1e6, peak / 1e6
 
 
 # ---------------------------------------------------------------------------
