@@ -24,7 +24,10 @@ frees each activation and its gradient once their last reader has run.  The
 decoder entry records no upsampled tensor, and its backward sums each 2x2
 block of its gradient straight into the bottleneck's.  The forward and
 backward of one default-model crop of 252 peak at 286 MB of allocations
-(tracemalloc), during dec0's backward.
+(tracemalloc), during dec0's backward.  Under ``oceseg``, whose ``main`` fixes
+glibc's mmap threshold, a process's peak RSS is about its baseline plus that
+allocation peak.  Library callers of ``train`` keep glibc's default, whose
+threshold rises as large blocks are freed, so freed heap may stay resident.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Mean-shift climbs its seeds in lockstep blocks, one batched ball query
 per step for a block, so the ball lists held at once stay bounded.  Kept
 modes are at least a bandwidth apart, so a point strictly within half a
 bandwidth of a mode is nearer to it than to any other: those points take
-that mode from one ball query per mode, and only the rest are searched.
+that mode from one ball query per mode, and only the rest are searched;
+both run in blocks, of modes and of points, so their memory stays bounded.
 """
 
 from __future__ import annotations
@@ -206,6 +207,17 @@ def detect_foreground(variance_map) -> np.ndarray:
 # Mean shift
 
 _SEED_BLOCK = 256  # seeds climbing together; bounds the ball lists held at once
+_MODE_BLOCK = 256  # modes whose half-bandwidth balls _assign queries together
+_REST_BLOCK = 65536  # points _assign hands to _nearest_mode at once
+
+
+def _balls(tree, centers, radius: float, sort: bool):
+    """(counts, idx): how many points lie within ``radius`` of each center,
+    and their indices concatenated in center order.  scipy builds the balls
+    as lists of Python ints; they are freed on return."""
+    balls = tree.query_ball_point(centers, radius, return_sorted=sort)
+    counts = np.fromiter(map(len, balls), np.int64, len(balls))
+    return counts, np.fromiter(itertools.chain.from_iterable(balls), np.intp, counts.sum())
 
 
 def _group_means(columns, ids, counts) -> np.ndarray:
@@ -224,19 +236,27 @@ def _climb(tree, columns, seeds, bandwidth: float, max_iter: int) -> np.ndarray:
     stepped = np.zeros(len(pos), bool)
     active = np.arange(len(pos))
     for _ in range(max_iter):
-        balls = tree.query_ball_point(pos[active], bandwidth, return_sorted=True)
-        counts = np.fromiter(map(len, balls), np.int64, len(balls))
+        counts, idx = _balls(tree, pos[active], bandwidth, True)
         active, counts = active[counts > 0], counts[counts > 0]
         if len(active) == 0:
             break
-        idx = np.fromiter(itertools.chain.from_iterable(balls), np.intp, counts.sum())
-        del balls  # free the lists of Python ints before the arrays below
         new = _group_means(columns[:, idx], np.repeat(np.arange(len(active)), counts), counts)
         diff = new - pos[active]
         pos[active] = new
         stepped[active] = True
         active = active[np.hypot(diff[:, 0], diff[:, 1]) >= 1e-3 * bandwidth]
     return pos[stepped]
+
+
+def _bin_seeds(pts, columns, bandwidth: float) -> np.ndarray:
+    """Means of the points in each bandwidth-sized grid bin, in lexicographic
+    bin order; the per-point bin keys die on return, before the climb."""
+    keys = np.floor(pts / bandwidth).astype(np.int64)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    new_bin = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
+    bins = np.empty(len(pts), np.intp)
+    bins[order] = np.concatenate([[0], np.cumsum(new_bin)])
+    return _group_means(columns, bins, np.bincount(bins))
 
 
 def mean_shift(points, bandwidth: float, max_iter: int = 300):
@@ -262,8 +282,7 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
     Returns (modes (M, 2), assignment (N,)).
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    n = len(pts)
-    if n < 1:
+    if len(pts) < 1:
         raise ShapeError("mean_shift needs at least one point")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite, got NaN or inf coordinates")
@@ -271,13 +290,8 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    keys = np.floor(pts / bandwidth).astype(np.int64)
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    new_bin = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
-    bins = np.empty(n, np.intp)
-    bins[order] = np.concatenate([[0], np.cumsum(new_bin)])
     columns = np.ascontiguousarray(pts.T)
-    seeds = _group_means(columns, bins, np.bincount(bins))
+    seeds = _bin_seeds(pts, columns, bandwidth)
 
     tree = cKDTree(pts)
     modes = np.concatenate([
@@ -312,19 +326,22 @@ def _assign(tree, pts, modes, bandwidth: float) -> np.ndarray:
     2**-53 of the values, at image coordinates as at any scale, far inside
     that margin, so a confirmed point's mode is the unique argmin.  The
     tree's own distances may round at the scale of the whole cloud; they
-    only pick the points to check.  The rest go to ``_nearest_mode``.
+    only pick the points to check.  The rest go to ``_nearest_mode``.  The
+    modes are queried in blocks of ``_MODE_BLOCK`` and the rest searched in
+    blocks of ``_REST_BLOCK``, which bounds the memory held at once; no point
+    is confirmed twice and each search is per point, so blocks change nothing.
     """
     r = 0.5 * bandwidth * (1 - 1e-9)
-    balls = tree.query_ball_point(modes, r, return_sorted=False)
-    counts = np.fromiter(map(len, balls), np.int64, len(balls))
-    idx = np.fromiter(itertools.chain.from_iterable(balls), np.intp, counts.sum())
-    del balls
-    owner = np.repeat(np.arange(len(modes)), counts)
-    inside = ((pts[idx] - modes[owner]) ** 2).sum(axis=1) <= r * r
     assignment = np.full(len(pts), -1, np.intp)
-    assignment[idx[inside]] = owner[inside]
+    for start in range(0, len(modes), _MODE_BLOCK):
+        counts, idx = _balls(tree, modes[start:start + _MODE_BLOCK], r, False)
+        owner = np.repeat(np.arange(start, start + len(counts)), counts)
+        inside = ((pts[idx] - modes[owner]) ** 2).sum(axis=1) <= r * r
+        assignment[idx[inside]] = owner[inside]
     rest = np.flatnonzero(assignment < 0)
-    assignment[rest] = _nearest_mode(pts[rest], modes)
+    for start in range(0, len(rest), _REST_BLOCK):
+        block = rest[start:start + _REST_BLOCK]
+        assignment[block] = _nearest_mode(pts[block], modes)
     return assignment
 
 

@@ -1,15 +1,18 @@
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oceseg import (
     AdamState,
+    LossConfig,
     ModelConfig,
     SceneSpec,
     SegmenterConfig,
+    TrainConfig,
     cli,
     errors,
     generate_dataset,
@@ -20,6 +23,7 @@ from oceseg import (
     seg_score_dataset,
     segment_image,
     segmentation,
+    train,
 )
 from oceseg.data import (
     load_dataset,
@@ -664,3 +668,75 @@ def test_each_command_writes_one_echo_with_out_and_none_without(run_dir, tmp_pat
         before = sorted(tmp_path.rglob("*")), sorted(run_dir.rglob("*"))
         assert cli.main([command, *argv]) == 0
         assert (sorted(tmp_path.rglob("*")), sorted(run_dir.rglob("*"))) == before
+
+
+# ---------------------------------------------------------------------------
+# the allocator setting main makes
+
+def _spy_libc(monkeypatch):
+    """Replace the C library loader with one whose ``mallopt`` records its
+    calls; returns the list of calls."""
+    calls = []
+    monkeypatch.setattr(cli, "_libc", lambda: SimpleNamespace(mallopt=lambda *a: calls.append(a)))
+    return calls
+
+
+def test_main_fixes_the_mmap_threshold_once_per_call(run_dir, monkeypatch, capsys):
+    calls = _spy_libc(monkeypatch)
+    data = str(run_dir / "data")
+    once = [(-3, cli.MMAP_THRESHOLD), (-1, cli.TRIM_THRESHOLD)]  # M_MMAP_, M_TRIM_THRESHOLD
+    assert cli.main(["eval", "--gt", data, "--pred", data]) == 0
+    assert calls == once
+    assert cli.main(["eval", "--gt", data, "--pred", str(run_dir / "model.ocec")]) == 2
+    assert calls == once * 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_libc_loader_gives_none_when_the_library_fails_to_load(monkeypatch):
+    def unloadable(name):
+        raise OSError(f"cannot load {name}")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", unloadable)
+    assert cli._libc() is None
+
+
+def _cli_outcomes(run_dir, where, monkeypatch, capsys):
+    """Exit code, stdout and stderr of a command that writes files, one that
+    prints a table and one that exits 2, run from ``where``, and the bytes
+    of every file they wrote there."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    data = str(run_dir / "data")
+    runs = [
+        ["synth", "--out", "synth", "--images", "1", "--size", "64", "--objects", "2",
+         "--radius-max", "8", "--seed", "1"],
+        ["eval", "--gt", data, "--pred", data],
+        ["eval", "--gt", data, "--pred", str(run_dir / "model.ocec")],
+    ]
+    outcomes = []
+    for argv in runs:
+        code = cli.main(argv)
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes, {p.relative_to(where): p.read_bytes() for p in sorted(where.rglob("*"))
+                      if p.is_file()}
+
+
+@pytest.mark.parametrize("libc", [None, SimpleNamespace()], ids=["unloadable", "no-mallopt"])
+def test_a_libc_without_mallopt_changes_no_outcome(run_dir, tmp_path, monkeypatch, capsys, libc):
+    expected = _cli_outcomes(run_dir, tmp_path / "real", monkeypatch, capsys)
+    assert [code for code, _, _ in expected[0]] == [0, 0, 2]
+    assert Path("synth", "config.json") in expected[1]
+    monkeypatch.setattr(cli, "_libc", lambda: libc)
+    assert _cli_outcomes(run_dir, tmp_path / "stub", monkeypatch, capsys) == expected
+
+
+def test_library_calls_keep_the_default_allocator(run_dir, monkeypatch):
+    calls = _spy_libc(monkeypatch)
+    loads = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda *a, **k: loads.append(a))
+    params, _, _ = load_checkpoint(run_dir / "model.ocec")
+    image = normalize_percentile(tensor_read(run_dir / "data" / "images" / "im0000.ocet"))
+    segment_image(params, image, SegmenterConfig(min_instance_size=0), seed=0)
+    train([image], ModelConfig(base_fmaps=4), LossConfig(),
+          TrainConfig(epochs=1, batch_size=1, crop_size=48), seed=0)
+    assert calls == [] and loads == []

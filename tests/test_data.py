@@ -314,6 +314,36 @@ def test_only_the_atomic_writer_makes_directories_or_opens_files_to_write():
     assert writers == {("data", "_write_atomic", "makedirs"), ("data", "_write_atomic", "open")}
 
 
+def _touches_allocator(source):
+    """Whether ``source`` imports ``ctypes`` or names ``mallopt``, as a name,
+    an attribute or a string such as ``getattr`` takes."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        if any(n.split(".")[0] == "ctypes" or n == "mallopt" for n in names):
+            return True
+    return False
+
+
+def test_only_the_cli_touches_the_allocator():
+    # importing the package must not change the process's malloc settings;
+    # only ``oceseg`` main fixes the mmap threshold
+    src = Path(__file__).resolve().parents[1] / "src" / "oceseg"
+    users = {path.name for path in src.glob("*.py")
+             if _touches_allocator(path.read_text(encoding="utf-8"))}
+    assert users == {"cli.py"}
+
+
 def test_write_json_keeps_previous_file_when_a_value_cannot_be_encoded(tmp_path):
     path = tmp_path / "config.json"
     write_json(path, {"a": 1})

@@ -408,6 +408,42 @@ def test_mean_shift_seed_blocks_bound_memory():
     assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_assign_blocks_change_no_assignment(monkeypatch):
+    # 40 tight blobs keep 40 modes; the scatter leaves points for the
+    # nearest-mode search
+    rng = np.random.default_rng(3)
+    points = np.concatenate([_blob_cloud(rng, 40, 30, 12.0, 0.5),
+                             rng.uniform(-6.0, 80.0, size=(200, 2))])
+    for name in ("_MODE_BLOCK", "_REST_BLOCK"):  # one block for all
+        monkeypatch.setattr(segmentation, name, len(points))
+    modes, assignment = _assert_same_mean_shift(points, 3.0)
+    assert len(modes) >= 40
+    for mode_block, rest_block in ((1, 1), (7, 13)):
+        monkeypatch.setattr(segmentation, "_MODE_BLOCK", mode_block)
+        monkeypatch.setattr(segmentation, "_REST_BLOCK", rest_block)
+        got_modes, got_assignment = segmentation.mean_shift(points, 3.0)
+        assert np.array_equal(got_modes, modes)
+        assert np.array_equal(got_assignment, assignment)
+
+
+def test_mean_shift_mode_blocks_bound_memory():
+    # 2000 tight blobs keep 2000 modes, and a half-bandwidth ball holds nearly
+    # all of a blob: assigning every mode at once held each point's index,
+    # coordinates and distance terms together and peaked at 10.9 MB, blocks
+    # of 256 modes (and no bin keys held through the climb) at 7.2 MB
+    import tracemalloc
+
+    points = _blob_cloud(np.random.default_rng(7), 2000, 50, 12.0, 0.5)
+    tracemalloc.start()
+    try:
+        modes, _ = segmentation.mean_shift(points, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(modes) >= 2000 > segmentation._MODE_BLOCK
+    assert peak < 9e6, f"peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("bandwidth, max_iter, name", [
     (float("nan"), 300, "bandwidth"),
     (0.0, 300, "bandwidth"),
