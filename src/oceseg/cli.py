@@ -49,7 +49,6 @@ from .network import (
     TrainConfig,
     TrainResult,
     check_image,
-    check_train_images,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -185,8 +184,6 @@ def _cmd_train(config, options):
         params, adam, next_epoch = load_checkpoint(options["resume"])
         resume = TrainResult(params, adam, [], next_epoch)
         config = {**config, "model": params.config}
-    check_train_images(images, config["model"].in_channels, config["train"].crop_size,
-                       config["loss"].pair_radius)
     ckpt_path = os.path.join(options["out"], "checkpoint.ocec")
     trace_path = os.path.join(options["out"], "loss_trace.tsv")
     rows = ["epoch\tmean_loss\n"]
@@ -465,7 +462,9 @@ def main(argv=None) -> int:
                 options[opt] = _stored_option(opt, typ, stored[opt])
             else:
                 options[opt] = default
-        missing = [o for o in spec if options[o] is None]
+        # a required option (default None) given as "" is missing too
+        missing = [o for o, (_typ, default, _help) in spec.items()
+                   if default is None and options[o] in (None, "")]
         if missing:
             print(
                 f"oceseg {args.command}: missing required option "

@@ -71,18 +71,15 @@ class ModelConfig:
 
 
 def _layer_plan(config: ModelConfig):
+    """(name, cin, cout, k) of every convolution, in forward order."""
     base = config.base_fmaps
     mid = base * config.fmap_factor
     plan = []
-    chans = [config.in_channels] + [base] * 4
-    for i, k in enumerate(BLOCK_KERNELS):
-        plan.append((f"enc{i}", chans[i], chans[i + 1], k))
-    chans = [base] + [mid] * 4
-    for i, k in enumerate(BLOCK_KERNELS):
-        plan.append((f"bot{i}", chans[i], chans[i + 1], k))
-    chans = [base + mid] + [base] * 4
-    for i, k in enumerate(BLOCK_KERNELS):
-        plan.append((f"dec{i}", chans[i], chans[i + 1], k))
+    for prefix, cin, width in (("enc", config.in_channels, base), ("bot", base, mid),
+                               ("dec", base + mid, base)):
+        for i, k in enumerate(BLOCK_KERNELS):
+            plan.append((f"{prefix}{i}", cin, width, k))
+            cin = width
     plan.append(("head", base, config.out_channels, 1))
     return plan
 
@@ -230,21 +227,6 @@ class TrainResult:
     next_epoch: int = 0
 
 
-def check_train_images(images, in_channels: int, crop: int, pair_radius: float) -> None:
-    """Raise unless the crop's field is wider than twice ``pair_radius``, there
-    are images, and the model takes each with ``crop`` fitting inside;
-    ``train`` runs this before its first step."""
-    if crop - CONTEXT <= 2 * pair_radius:
-        raise ConfigError(f"crop_size {crop} gives a {crop - CONTEXT}x{crop - CONTEXT} field, "
-                          f"not larger than twice the pair radius {pair_radius}")
-    if not images:
-        raise ValueError("empty dataset")
-    for img in images:
-        check_image(img, in_channels)
-        if img.shape[1] < crop or img.shape[2] < crop:
-            raise ShapeError(f"crop {crop} larger than image {img.shape[1]}x{img.shape[2]}")
-
-
 def train(
     images,
     model_config: ModelConfig,
@@ -263,7 +245,9 @@ def train(
     ``epoch_losses`` entry describe the epoch just run.  Randomness
     is drawn from a per-epoch generator seeded by (seed, epoch), so training
     resumed from a checkpoint at an epoch boundary replays the exact stream
-    of the uninterrupted run.
+    of the uninterrupted run.  Before its first step it raises unless the
+    crop's field is wider than twice the pair radius, there are images, and
+    the model takes each image with the crop fitting inside.
     """
     if resume is not None:
         state = TrainResult(
@@ -273,7 +257,15 @@ def train(
         params = init_params(model_config, seed)
         state = TrainResult(params, AdamState.fresh(params))
     crop = train_config.crop_size
-    check_train_images(images, state.params.config.in_channels, crop, loss_config.pair_radius)
+    if crop - CONTEXT <= 2 * loss_config.pair_radius:
+        raise ConfigError(f"crop_size {crop} gives a {crop - CONTEXT}x{crop - CONTEXT} field, "
+                          f"not larger than twice the pair radius {loss_config.pair_radius}")
+    if not images:
+        raise ValueError("empty dataset")
+    for img in images:
+        check_image(img, state.params.config.in_channels)
+        if img.shape[1] < crop or img.shape[2] < crop:
+            raise ShapeError(f"crop {crop} larger than image {img.shape[1]}x{img.shape[2]}")
 
     n = len(images)
     steps = max(1, n // train_config.batch_size)

@@ -206,8 +206,7 @@ def detect_foreground(variance_map) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Mean shift
 
-_SEED_BLOCK = 256  # seeds climbing together; bounds the ball lists held at once
-_MODE_BLOCK = 256  # modes whose half-bandwidth balls _assign queries together
+_BALL_BLOCK = 256  # centers per query_ball_point call: climbing seeds, or _assign's modes
 _REST_BLOCK = 65536  # points _assign hands to _nearest_mode at once
 
 
@@ -266,7 +265,7 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
     to the mean of the points within the bandwidth until the shift drops
     below 1e-3 * bandwidth, its ball is empty or it has taken ``max_iter``
     steps; a seed whose first ball is empty gives no mode.  Seeds climb in
-    lockstep blocks of ``_SEED_BLOCK``, which bounds the ball lists held at
+    lockstep blocks of ``_BALL_BLOCK``, which bounds the ball lists held at
     once and changes no mode.  Modes closer than the bandwidth merge,
     keeping the mode with larger support; points go to their nearest mode
     by the squared distance ``((p - m) ** 2).sum()``, and a point equally
@@ -295,8 +294,8 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
 
     tree = cKDTree(pts)
     modes = np.concatenate([
-        _climb(tree, columns, seeds[s:s + _SEED_BLOCK], bandwidth, max_iter)
-        for s in range(0, len(seeds), _SEED_BLOCK)
+        _climb(tree, columns, seeds[s:s + _BALL_BLOCK], bandwidth, max_iter)
+        for s in range(0, len(seeds), _BALL_BLOCK)
     ])
     supports = tree.query_ball_point(modes, bandwidth, return_length=True)
 
@@ -327,14 +326,14 @@ def _assign(tree, pts, modes, bandwidth: float) -> np.ndarray:
     that margin, so a confirmed point's mode is the unique argmin.  The
     tree's own distances may round at the scale of the whole cloud; they
     only pick the points to check.  The rest go to ``_nearest_mode``.  The
-    modes are queried in blocks of ``_MODE_BLOCK`` and the rest searched in
+    modes are queried in blocks of ``_BALL_BLOCK`` and the rest searched in
     blocks of ``_REST_BLOCK``, which bounds the memory held at once; no point
     is confirmed twice and each search is per point, so blocks change nothing.
     """
     r = 0.5 * bandwidth * (1 - 1e-9)
     assignment = np.full(len(pts), -1, np.intp)
-    for start in range(0, len(modes), _MODE_BLOCK):
-        counts, idx = _balls(tree, modes[start:start + _MODE_BLOCK], r, False)
+    for start in range(0, len(modes), _BALL_BLOCK):
+        counts, idx = _balls(tree, modes[start:start + _BALL_BLOCK], r, False)
         owner = np.repeat(np.arange(start, start + len(counts)), counts)
         inside = ((pts[idx] - modes[owner]) ** 2).sum(axis=1) <= r * r
         assignment[idx[inside]] = owner[inside]

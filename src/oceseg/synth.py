@@ -84,7 +84,7 @@ def _place_origins(spec: SceneSpec, support: np.ndarray, rng: np.random.Generato
     H, W = spec.height, spec.width
     gap = MIN_GAP
     dilated = ndimage.binary_dilation(np.pad(support, gap), iterations=gap)
-    occupied = np.zeros((H, W), bool)
+    occupied = np.zeros((H + 2 * gap, W + 2 * gap), bool)  # padded by gap on every side
     origins = []
     attempts = 0
     while len(origins) < spec.n_objects:
@@ -96,16 +96,10 @@ def _place_origins(spec: SceneSpec, support: np.ndarray, rng: np.random.Generato
             )
         r0 = int(rng.integers(0, H - th + 1))
         c0 = int(rng.integers(0, W - tw + 1))
-        if np.any(occupied[r0:r0 + th, c0:c0 + tw] & support):
+        if np.any(occupied[r0 + gap:r0 + gap + th, c0 + gap:c0 + gap + tw] & support):
             continue
         # reserve the support plus a clearance band so instances never touch
-        rlo, rhi = max(0, r0 - gap), min(H, r0 + th + gap)
-        clo, chi = max(0, c0 - gap), min(W, c0 + tw + gap)
-        block = dilated[
-            rlo - (r0 - gap):rhi - (r0 - gap),
-            clo - (c0 - gap):chi - (c0 - gap),
-        ]
-        occupied[rlo:rhi, clo:chi] |= block
+        occupied[r0:r0 + th + 2 * gap, c0:c0 + tw + 2 * gap] |= dilated
         origins.append((r0, c0))
     return np.asarray(origins, dtype=np.int64).reshape(-1, 2)
 

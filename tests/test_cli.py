@@ -510,6 +510,36 @@ def test_failed_resume_into_the_run_directory_keeps_trace_and_checkpoint(run_dir
     assert {name: (run / name).read_bytes() for name in before} == before
 
 
+_REQUIRED = [(command, opt) for command, (_fn, spec) in cli._COMMANDS.items()
+             for opt, (_typ, default, _help) in spec.items() if default is None]
+
+
+@pytest.mark.parametrize("where", ["argv", "echo"])
+@pytest.mark.parametrize("command, option", _REQUIRED,
+                         ids=[f"{command}-{opt}" for command, opt in _REQUIRED])
+def test_an_empty_required_option_is_missing(tmp_path, monkeypatch, capsys, command, option,
+                                             where):
+    # `synth --out ""` used to write images/ and labels/ into the working
+    # directory, and no run record
+    monkeypatch.chdir(tmp_path)
+    argv = [command]
+    for opt, (_typ, default, _help) in cli._COMMANDS[command][1].items():
+        if default is None and opt != option:
+            argv += ["--" + opt.replace("_", "-"), "given"]
+    if where == "argv":
+        argv += ["--" + option.replace("_", "-"), ""]
+    else:
+        echo = {"command": command, "seed": 0, "options": {option: ""}, "config": {}}
+        (tmp_path / "echo.json").write_text(json.dumps(echo))
+        argv += ["--config", "echo.json"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    flag = "--" + option.replace("_", "-")
+    assert captured.err == f"oceseg {command}: missing required option {flag}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ([] if where == "argv" else ["echo.json"])
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--images", "-2"], ["synth", "--images", "0"],
     ["theory", "--scenes", "0", "--objects", "2", "--canvas", "63"],

@@ -89,6 +89,27 @@ def test_parameter_count_closed_form():
     assert total == expected
 
 
+@pytest.mark.parametrize("config, rows", [
+    (ModelConfig(), [
+        ("enc0", 1, 64, 3), ("enc1", 64, 64, 1), ("enc2", 64, 64, 1), ("enc3", 64, 64, 3),
+        ("bot0", 64, 192, 3), ("bot1", 192, 192, 1), ("bot2", 192, 192, 1),
+        ("bot3", 192, 192, 3),
+        ("dec0", 256, 64, 3), ("dec1", 64, 64, 1), ("dec2", 64, 64, 1), ("dec3", 64, 64, 3),
+        ("head", 64, 2, 1),
+    ]),
+    (ModelConfig(base_fmaps=16), [  # the benchmark fixture's model
+        ("enc0", 1, 16, 3), ("enc1", 16, 16, 1), ("enc2", 16, 16, 1), ("enc3", 16, 16, 3),
+        ("bot0", 16, 48, 3), ("bot1", 48, 48, 1), ("bot2", 48, 48, 1), ("bot3", 48, 48, 3),
+        ("dec0", 64, 16, 3), ("dec1", 16, 16, 1), ("dec2", 16, 16, 1), ("dec3", 16, 16, 3),
+        ("head", 16, 2, 1),
+    ]),
+], ids=["default", "fixture"])
+def test_layer_plan_rows(config, rows):
+    # (name, cin, cout, k) per conv in forward order; the benchmark keys its
+    # per-layer metrics on these names
+    assert network._layer_plan(config) == rows
+
+
 # ---------------------------------------------------------------------------
 # forward
 
@@ -332,6 +353,23 @@ def test_train_rejects_bad_inputs():
     with pytest.raises(ShapeError, match="crop"):
         train(imgs, ModelConfig(), LossConfig(),
               TrainConfig(epochs=1, crop_size=96), seed=0)
+
+
+@pytest.mark.parametrize("model, crop, error, message", [
+    (ModelConfig(), 96, ShapeError, "crop 96 larger than image 64x64"),
+    (ModelConfig(in_channels=2), 48, ShapeError, "model expects (2,H,W)"),
+    (ModelConfig(), 24, ConfigError,
+     "crop_size 24 gives a 8x8 field, not larger than twice the pair radius 10.0"),
+], ids=["crop", "in_channels", "pair_radius"])
+def test_train_checks_model_and_images_before_training(model, crop, error, message):
+    # the unfit cases oceseg train exits 2 on raise the same message from the
+    # library call, before any epoch is logged
+    logged = []
+    with pytest.raises(error) as info:
+        train(small_images(n=2, size=64), model, LossConfig(),
+              TrainConfig(epochs=1, crop_size=crop), seed=0, log=logged.append)
+    assert message in str(info.value)
+    assert logged == []
 
 
 @pytest.mark.parametrize("field, value", [

@@ -384,7 +384,7 @@ def test_mean_shift_seed_blocks_change_no_mode(monkeypatch, points, bandwidth, s
     assert _seed_count(points, bandwidth) == seeds
     modes, assignment = _assert_same_mean_shift(points, bandwidth)
     for block in (1, seeds + 1):  # one seed per block, and one block for all
-        monkeypatch.setattr(segmentation, "_SEED_BLOCK", block)
+        monkeypatch.setattr(segmentation, "_BALL_BLOCK", block)
         got_modes, got_assignment = segmentation.mean_shift(points, bandwidth)
         assert np.array_equal(got_modes, modes)
         assert np.array_equal(got_assignment, assignment)
@@ -414,12 +414,12 @@ def test_assign_blocks_change_no_assignment(monkeypatch):
     rng = np.random.default_rng(3)
     points = np.concatenate([_blob_cloud(rng, 40, 30, 12.0, 0.5),
                              rng.uniform(-6.0, 80.0, size=(200, 2))])
-    for name in ("_MODE_BLOCK", "_REST_BLOCK"):  # one block for all
+    for name in ("_BALL_BLOCK", "_REST_BLOCK"):  # one block for all
         monkeypatch.setattr(segmentation, name, len(points))
     modes, assignment = _assert_same_mean_shift(points, 3.0)
     assert len(modes) >= 40
     for mode_block, rest_block in ((1, 1), (7, 13)):
-        monkeypatch.setattr(segmentation, "_MODE_BLOCK", mode_block)
+        monkeypatch.setattr(segmentation, "_BALL_BLOCK", mode_block)
         monkeypatch.setattr(segmentation, "_REST_BLOCK", rest_block)
         got_modes, got_assignment = segmentation.mean_shift(points, 3.0)
         assert np.array_equal(got_modes, modes)
@@ -440,7 +440,7 @@ def test_mean_shift_mode_blocks_bound_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(modes) >= 2000 > segmentation._MODE_BLOCK
+    assert len(modes) >= 2000 > segmentation._BALL_BLOCK
     assert peak < 9e6, f"peak {peak / 1e6:.1f} MB"
 
 
