@@ -13,16 +13,22 @@ Every op, the loss's included, computes its output array and a ``grads(g)``
 that maps the output's gradient to one gradient per input, or ``None`` for an
 input it does not reach, and hands both to ``_op``.  ``_op`` owns the rest of
 the node: it wraps the output, skips the node when no gradient reached the
-output, and accumulates each returned array into its input.  The first array
-an input receives becomes its ``grad`` and later ones are added into it, so
-``grads`` must return fresh arrays, never views of ``g``, of an input or of a
-buffer the op reuses.
+output, and accumulates each returned array into its input.  A node takes
+its output's gradient, sets the output's ``grad`` to ``None`` and drops its
+own reference to the output before it calls ``grads``, so the node owns
+``g``: ``grads`` may write into ``g`` and return it, or free it early (on
+CPython 3.11 and later, where a call moves its arguments into the callee;
+before that the caller holds ``g`` until ``grads`` returns).  The first
+array an input receives becomes its ``grad`` and later ones are added into
+it, so every other array ``grads`` returns must be fresh, never a view of
+``g``, of an input or of a buffer the op reuses.
 
 Replay is one-shot and frees as it goes: ``Tape.backward`` pops each node
-before running it, so a node's closure, its output tensor and that output's
-gradient die once their last reader has run, and a training step never holds
-every activation and every activation gradient at once (Chen et al. 2016).
-Leaf tensors, such as parameters, keep their gradients.
+before running it, so an activation whose readers have all run dies before
+its producer's backward allocates, and a training step never holds every
+activation and every activation gradient at once (Chen et al. 2016).  An
+output the caller still holds keeps its ``data`` and has ``grad`` ``None``
+after replay; leaf tensors, such as parameters, keep their gradients.
 
 ``relu(x, inplace=True)`` writes into ``x``'s buffer, as PyTorch's in-place
 ReLU does.  That is legal only when no backward pass but the ReLU's own reads
@@ -165,7 +171,11 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Seed the scalar loss gradient and replay nodes newest-first, once."""
+        """Seed the scalar loss gradient and replay nodes newest-first, once.
+
+        Each node drops its output's gradient as it runs, so afterwards only
+        leaf tensors hold gradients; outputs the caller kept keep their data.
+        """
         if self._replayed:
             raise RuntimeError("the tape has already been replayed")
         if loss.data.size != 1:
@@ -184,10 +194,14 @@ def _op(op: str, inputs: Sequence[Tensor], out_arr: np.ndarray,
     tape = getattr(_tls, "tape", None)
     if tape is not None:
         def backward():
-            g = out.grad
-            if g is None:
+            # take the gradient and drop the output before grads allocates:
+            # the box hands g over, so grads holds its only reference
+            nonlocal out
+            box = [out.grad]
+            out.grad = out = None
+            if box[0] is None:
                 return
-            for t, delta in zip(inputs, grads(g)):
+            for t, delta in zip(inputs, grads(box.pop())):
                 if delta is not None:
                     _accum(t, delta)
 
@@ -235,23 +249,29 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         # With g shifted right by the largest offset smax into the flat input
         # layout (zero at cropped positions), that is column q + smax - s, so
         # both gradients come from im2col patches of g over input chunks of x:
-        # dX is one GEMM per chunk, written into a chunk-padded buffer that
-        # the gradient views, and dW^T sums x_chunk @ patches^T.
+        # dX is one GEMM per chunk, and dW^T sums x_chunk @ patches^T.
+        db = g.reshape(F, -1).sum(axis=1)
         smax = shifts[-1]
         if k == 1:
             g_src = g.reshape(F, HW)
         else:
             g_src = np.zeros((F, smax + HW), dtype)
             g_src[:, smax:smax + Ho * W].reshape(F, Ho, W)[:, :, :Wo] = g
+            del g  # the shifted copy is all the GEMMs read
         w_t = w.data.transpose(1, 0, 2, 3).reshape(C, F * kk)
         dw_t = np.zeros((C, F * kk), dtype)
-        dx = np.empty((C, -(-HW // CHUNK) * CHUNK), dtype)
+        # dX at its exact size: a partial last chunk runs the same
+        # (C, CHUNK) GEMM into a temporary and keeps its first columns
+        dx = np.empty((C, HW), dtype)
         for (q0, x_chunk), (_, gp) in zip(_chunks(x_flat, [0], HW),
                                           _chunks(g_src, [smax - s for s in shifts], HW)):
             dw_t += x_chunk @ gp.T
-            np.matmul(w_t, gp, out=dx[:, q0:q0 + CHUNK])
+            if q0 + CHUNK <= HW:
+                np.matmul(w_t, gp, out=dx[:, q0:q0 + CHUNK])
+            else:
+                dx[:, q0:] = (w_t @ gp)[:, :HW - q0]
         dw = np.ascontiguousarray(dw_t.reshape(C, F, k, k).transpose(1, 0, 2, 3))
-        return dx[:, :HW].reshape(C, H, W), dw, g.reshape(F, -1).sum(axis=1)
+        return dx.reshape(C, H, W), dw, db
 
     return _op("conv2d_valid", (x, w, b), out_arr, grads)
 
@@ -261,9 +281,11 @@ def relu(x: Tensor, inplace: bool = False) -> Tensor:
 
     With ``inplace`` the result is written into ``x.data`` and the returned
     tensor shares that buffer; see the module docstring for when that is legal.
+    The backward masks the output's gradient in place and hands that same
+    array on as the input's, so it allocates only the boolean mask.
     """
     out_arr = np.maximum(x.data, 0, out=x.data if inplace else None)
-    return _op("relu", (x,), out_arr, lambda g: (g * (out_arr > 0),))
+    return _op("relu", (x,), out_arr, lambda g: (np.multiply(g, out_arr > 0, out=g),))
 
 
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))  # a 2x2 block in row-major order

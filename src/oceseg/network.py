@@ -19,12 +19,16 @@ sits in; together they make tiled inference equal a single pass bit for bit at
 every model width.
 
 Training memory: each block's ReLU runs in place over the fresh output of the
-conv before it, so a block keeps one buffer per layer, and ``Tape.backward``
-frees each activation and its gradient once their last reader has run.  The
-decoder entry records no upsampled tensor, and its backward sums each 2x2
-block of its gradient straight into the bottleneck's.  The forward and
-backward of one default-model crop of 252 peak at 286 MB of allocations
-(tracemalloc), during dec0's backward.  Under ``oceseg``, whose ``main`` fixes
+conv before it, so a block keeps one buffer per layer.  ``Tape.backward``
+frees each activation and its gradient once their last reader has run: a
+node drops both before its backward allocates, and a ReLU masks its gradient
+in place.  The decoder entry records no upsampled tensor, and its backward
+sums each 2x2 block of its gradient straight into the bottleneck's.  The
+forward and backward of one default-model crop of 252 peak at 256.6 MB of
+allocations (tracemalloc), during dec0's backward: its weight gradient reads
+the 256-channel 240x240 concat (59 MB) while it writes the concat's gradient
+of the same size, so the two must coexist until dec0 stops reading a concat
+(ROADMAP direction 2).  Under ``oceseg``, whose ``main`` fixes
 glibc's mmap threshold, a process's peak RSS is about its baseline plus that
 allocation peak.  Library callers of ``train`` keep glibc's default, whose
 threshold rises as large blocks are freed, so freed heap may stay resident.

@@ -88,6 +88,10 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
     252x252.  ``tile`` must be even and at least ``MIN_INPUT``: every tile
     side and origin is then even, so each tile keeps the max-pool phase of
     the whole image and the result equals one untiled pass bit for bit.
+    Every conv GEMM is ``autodiff.CHUNK`` columns wide whatever the tile, so
+    a cap far under the default mostly multiplies zero padding: at 64 maps a
+    128x128 image takes 40 s at ``tile=20`` against 1.4 s at 40 on a 2-core
+    host.
     A field holding NaN or inf raises :class:`DegenerateError`.
     """
     if tile < MIN_INPUT or tile % 2:

@@ -1,3 +1,6 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -181,10 +184,13 @@ def conv_backward_padded(x, w, g):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("C, H, W, F", [(3, 64, 64, 5), (3, 70, 90, 5), (16, 48, 40, 8)])
+@pytest.mark.parametrize("C, H, W, F", [(3, 64, 64, 5), (5, 32, 64, 7), (3, 70, 90, 5),
+                                        (16, 48, 40, 8)])
 def test_conv_backward_equals_padded_input_formulation(dtype, k, C, H, W, F):
     """Whole chunks at offset 0 go to the GEMMs in place and only the tail is
-    padded; (3, 64, 64) has no tail, the others end in a partial chunk."""
+    padded; (3, 64, 64) and (5, 32, 64) have no tail, the others end in a
+    partial chunk.  dX is one C-contiguous (C, H, W) array with the bytes of
+    the same GEMMs written into a chunk-padded buffer."""
     rng = np.random.default_rng(C + H + W)
     x = rng.normal(size=(C, H, W)).astype(dtype)
     w = rng.normal(size=(F, C, k, k)).astype(dtype)
@@ -195,7 +201,9 @@ def test_conv_backward_equals_padded_input_formulation(dtype, k, C, H, W, F):
     out.grad = g
     tape.nodes[0].backward()
     dx, dw = conv_backward_padded(x, w, g)
-    assert np.array_equal(tx.grad, dx)
+    assert tx.grad.shape == (C, H, W) and tx.grad.flags.c_contiguous
+    assert tx.grad.base is None or tx.grad.base.size == tx.grad.size
+    assert tx.grad.tobytes() == dx.tobytes()
     assert np.array_equal(tw.grad, dw)
 
 
@@ -239,6 +247,22 @@ def test_relu_values_and_grads():
     for node in reversed(tape.nodes):
         node.backward()
     assert np.array_equal(t.grad, [1.0, 0.0, 0.0])  # zero subgradient at 0
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_relu_backward_masks_the_gradient_it_was_handed(dtype):
+    """ReLU's backward writes the mask into its output's gradient and passes
+    that same array on, with the bytes of g * (out > 0): a negative gradient
+    at a masked input gives -0.0, as the product does."""
+    x = Tensor(np.array([[-2.0, -0.0, 0.0], [1.5, -1.0, 3.0]], dtype))
+    g = np.array([[1.0, -2.0, 3.0], [-4.0, -5.0, 6.0]], dtype)
+    want = g * (np.maximum(x.data, 0) > 0)
+    assert (np.signbit(want) & (want == 0)).any()
+    with Tape() as tape:
+        out = relu(x)
+    out.grad = g
+    tape.nodes.pop().backward()
+    assert x.grad is g and g.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -622,6 +646,60 @@ def test_unreached_ops_contribute_nothing(dtype):
         assert t.grad is not None and np.array_equal(t.grad, r.grad)
     assert w_dead.grad is None and b_dead.grad is None
     assert all(t.grad is None for t in dead)
+
+
+def test_op_node_frees_its_output_and_owns_its_gradient():
+    """When ``grads`` starts, the node's output buffer is already freed and,
+    on CPython 3.11+, ``grads`` holds the only reference to the gradient it
+    was handed."""
+    seen = {}
+
+    def probe(t):
+        out_arr = 2.0 * t.data
+        out_ref = weakref.ref(out_arr)
+
+        def grads(g):
+            seen["output freed"] = out_ref() is None
+            dx = 2.0 * g
+            r = weakref.ref(g)
+            del g
+            seen["gradient freed"] = r() is None
+            return (dx,)
+
+        return _op("probe", (t,), out_arr, grads)
+
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    with Tape() as tape:
+        mid = probe(x)
+        shape = mid.shape
+        loss = _op("sum", (mid,), np.asarray(mid.data.sum()),
+                   lambda g: (np.full(shape, g.item()),))
+        del mid
+    tape.backward(loss)
+    # CPython 3.11+ moves call arguments into the callee's frame; before that
+    # the caller's stack holds g until grads returns
+    assert seen == {"output freed": True, "gradient freed": sys.version_info >= (3, 11)}
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def test_backward_keeps_data_of_held_outputs_and_gradients_of_leaves():
+    """After replay an output the caller still holds keeps its data and has no
+    gradient; the leaves it was computed from keep theirs."""
+    from oceseg import LossConfig, oce_loss, sample_pairs
+
+    rng = np.random.default_rng(95)
+    leaves = [Tensor(rng.normal(size=s)) for s in ((1, 12, 12), (2, 1, 3, 3), (2,))]
+    config = LossConfig(pair_radius=3.0)
+    with Tape() as tape:
+        pre = conv2d_valid(*leaves)
+        field = relu(pre)
+        loss = oce_loss(field, sample_pairs(field.shape[1:], config, rng), config)
+    kept = {name: t.data.copy() for name, t in (("pre", pre), ("field", field), ("loss", loss))}
+    tape.backward(loss)
+    for name, t in (("pre", pre), ("field", field), ("loss", loss)):
+        assert t.grad is None and np.array_equal(t.data, kept[name]), name
+    for t in leaves:
+        assert t.grad is not None and t.grad.shape == t.shape
 
 
 def test_nested_tape_rejected():
