@@ -6,9 +6,12 @@ c_i = i - r_i, small-instance removal and distance-based shrinkage.
 
 Inference splits each axis into the fewest tiles no larger than the
 ``tile`` cap and balances their sides, so little of a tile's work is thrown
-away on the overlap; tiled inference equals one pass bit for bit.  The
-noise-variance map keeps one float32 stack of the predictions and reduces
-it in row chunks, so its float64 temporaries do not grow with the image.
+away on the overlap; tiled inference equals one pass bit for bit.  One
+tile runner serves the clean field and the noise rounds.  The
+noise-variance map is predicted band by band, top to bottom, a band being
+one tile row: all rounds of a band are predicted, then its new rows are
+reduced in row chunks, so the memory held is rounds x one band and its
+float64 temporaries do not grow with the image.
 Mean-shift climbs its seeds in lockstep blocks, one batched ball query
 per step for a block, so the ball lists held at once stay bounded.  Kept
 modes are at least a bandwidth apart, so a point strictly within half a
@@ -34,6 +37,7 @@ from .network import CONTEXT, MIN_INPUT, ModelParams, check_image, forward
 
 
 MAX_SHRINK = 6  # largest shrink distance, and the last one bandwidth_search tries
+_TILE = 252  # default tile cap of predict_full, and the one embedding_variance uses
 
 
 @dataclass(frozen=True)
@@ -77,17 +81,52 @@ def _tile_plan(size: int, cap: int) -> tuple[int, list[int]]:
     return side, list(range(0, size - side, side - CONTEXT)) + [size - side]
 
 
-def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
+def _axis_plan(n: int, tile: int) -> tuple[np.ndarray, int, list[int]]:
+    """Padded grid along one image axis of ``n`` lines: the source line of
+    every padded line, the tile side and the tile origins (``_tile_plan``).
+
+    The axis is reflect-padded by half the context margin on each side;
+    when that leaves it odd, one more reflected line makes it even, so that
+    valid convolutions see even tile sides.  Gathering an image through
+    these maps gives the pixels of ``np.pad(..., mode="reflect")``.
+    """
+    idx = np.pad(np.arange(n), CONTEXT // 2, mode="reflect")
+    idx = np.pad(idx, (0, len(idx) % 2), mode="reflect")
+    return (idx, *_tile_plan(len(idx), tile))
+
+
+def _predict_tiles(params: ModelParams, padded, origins, side, out) -> None:
+    """Forward the (Th, Tw) = ``side`` tiles of the padded (C, h, w) array
+    at each of ``origins`` and write each tile's valid field into ``out``
+    at the same origin, ``out`` being (2, h - CONTEXT, w - CONTEXT)."""
+    Th, Tw = side
+    # a model that overflows is reported by the finiteness check of the
+    # caller, not by numpy warnings from inside the forward
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0, c0 in origins:
+            block = np.ascontiguousarray(padded[:, r0:r0 + Th, c0:c0 + Tw])
+            field = forward(params, Tensor(block)).data
+            out[:, r0:r0 + Th - CONTEXT, c0:c0 + Tw - CONTEXT] = field
+
+
+def _check_finite(field) -> None:
+    if not np.isfinite(field).all():
+        raise DegenerateError("offset field is not finite: it holds NaN or inf values")
+
+
+def predict_full(params: ModelParams, image, tile: int = _TILE) -> np.ndarray:
     """Offset field aligned to the input grid: (2, H, W) for a (C, H, W) image.
 
-    The image is reflect-padded by half the context margin, then processed
-    in overlapping tiles; each tile contributes its full valid interior.
-    ``tile`` caps the tile side.  Per axis, the fewest tiles under the cap
-    that cover the image share it evenly (``_tile_plan``): a 512x512 image
-    at the default cap of 252 runs nine 188x188 tiles rather than nine of
-    252x252.  ``tile`` must be even and at least ``MIN_INPUT``: every tile
-    side and origin is then even, so each tile keeps the max-pool phase of
-    the whole image and the result equals one untiled pass bit for bit.
+    The image is reflect-padded by half the context margin (``_axis_plan``),
+    then processed in overlapping tiles; each tile contributes its full
+    valid interior (``_predict_tiles``).  ``tile`` caps the tile side.  Per
+    axis, the fewest tiles under the cap that cover the image share it
+    evenly (``_tile_plan``): a 512x512 image at the default cap of 252 runs
+    nine 188x188 tiles rather than nine of 252x252.  ``tile`` must be even
+    and at least ``MIN_INPUT``: every tile side and origin is then even, so
+    each tile keeps the max-pool phase of the whole image and the result
+    equals one untiled pass bit for bit.  ``embedding_variance`` runs the
+    same tiles, one tile row at a time.
     Every conv GEMM is ``autodiff.CHUNK`` columns wide whatever the tile, so
     a cap far under the default mostly multiplies zero padding: at 64 maps a
     128x128 image takes 40 s at ``tile=20`` against 1.4 s at 40 on a 2-core
@@ -99,27 +138,12 @@ def predict_full(params: ModelParams, image, tile: int = 252) -> np.ndarray:
     img = np.asarray(image, dtype=np.float32)
     check_image(img, params.config.in_channels)
     _, H, W = img.shape
-    half = CONTEXT // 2
-    padded = np.pad(img, ((0, 0), (half, half), (half, half)), mode="reflect")
-    # valid convolutions need even tile sides; pad one extra reflected line
-    extra_h = padded.shape[1] % 2
-    extra_w = padded.shape[2] % 2
-    if extra_h or extra_w:
-        padded = np.pad(padded, ((0, 0), (0, extra_h), (0, extra_w)), mode="reflect")
-    Sh, Sw = padded.shape[1], padded.shape[2]
-    Th, row_starts = _tile_plan(Sh, tile)
-    Tw, col_starts = _tile_plan(Sw, tile)
-    out = np.empty((2, Sh - CONTEXT, Sw - CONTEXT), np.float32)
-    # a model that overflows is reported by the finiteness check below, not
-    # by numpy warnings from inside the forward
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r0 in row_starts:
-            for c0 in col_starts:
-                block = np.ascontiguousarray(padded[:, r0:r0 + Th, c0:c0 + Tw])
-                field = forward(params, Tensor(block)).data
-                out[:, r0:r0 + Th - CONTEXT, c0:c0 + Tw - CONTEXT] = field
-    if not np.isfinite(out[:, :H, :W]).all():
-        raise DegenerateError("offset field is not finite: it holds NaN or inf values")
+    rows, Th, row_starts = _axis_plan(H, tile)
+    cols, Tw, col_starts = _axis_plan(W, tile)
+    out = np.empty((2, len(rows) - CONTEXT, len(cols) - CONTEXT), np.float32)
+    _predict_tiles(params, img[:, rows[:, None], cols],
+                   itertools.product(row_starts, col_starts), (Th, Tw), out)
+    _check_finite(out[:, :H, :W])
     return out[:, :H, :W]
 
 
@@ -148,23 +172,45 @@ def embedding_variance(params: ModelParams, image, config: SegmenterConfig,
     """Per-pixel variance of the offset field across noisy re-predictions.
 
     Runs ``config.noise_rounds`` independent salt-and-pepper corruptions of
-    the (C, H, W) image at ``config.noise_fraction``, predicts each, and sums
-    the per-channel unbiased sample variances into one (H, W) map.
+    the (C, H, W) image at ``config.noise_fraction``, round r drawn from
+    ``default_rng([seed, r])``, predicts each, and sums the per-channel
+    unbiased sample variances into one (H, W) map.
 
-    The predictions fill one float32 (rounds, 2, H, W) stack, and the
-    float64 variance runs over ``_VARIANCE_ROWS`` rows at a time.  Each
-    pixel's arithmetic is that of the whole-stack formula, so the map is
-    the same bit for bit.
+    The rounds are predicted band by band, top to bottom, a band being one
+    tile row of ``predict_full``'s grid at the default cap.  For each band,
+    every round is corrupted afresh (the noise goes in before the pad, so
+    mirrored pixels carry it) and its tiles run into one float32 (rounds,
+    2, band rows, W) buffer, one column wider when the padded width is odd.
+    So the memory held is rounds x one band, not rounds x the image, plus
+    one noisy copy of the image at a time.  A band holding NaN or inf raises
+    :class:`DegenerateError`, as ``predict_full`` does.  The band's rows
+    not yet reduced (the last tile row overlaps the one before it) then
+    go through the float64 variance ``_VARIANCE_ROWS`` rows at a time.
+    Tiles equal one pass and each pixel's arithmetic is that of the
+    whole-stack formula, so the map is the same bit for bit.
     """
-    _, H, W = np.shape(image)
-    stack = np.empty((config.noise_rounds, 2, H, W), np.float32)
-    for r in range(config.noise_rounds):
-        rng = np.random.default_rng([seed, r])
-        stack[r] = predict_full(params, salt_pepper(image, config.noise_fraction, rng))
+    img = np.asarray(image, dtype=np.float32)
+    check_image(img, params.config.in_channels)
+    _, H, W = img.shape
+    rows, Th, row_starts = _axis_plan(H, _TILE)
+    cols, Tw, col_starts = _axis_plan(W, _TILE)
+    band = np.empty((config.noise_rounds, 2, Th - CONTEXT, len(cols) - CONTEXT), np.float32)
+    origins = [(0, c0) for c0 in col_starts]
     var = np.empty((H, W), np.float64)
-    for r0 in range(0, H, _VARIANCE_ROWS):
-        rows = slice(r0, r0 + _VARIANCE_ROWS)
-        var[rows] = np.var(stack[:, :, rows], axis=0, ddof=1, dtype=np.float64).sum(axis=0)
+    done = 0
+    for r0 in row_starts:
+        for r in range(config.noise_rounds):
+            rng = np.random.default_rng([seed, r])
+            # the noisy copy of the whole image dies once its band is gathered
+            noisy = salt_pepper(img, config.noise_fraction, rng)[:, rows[r0:r0 + Th, None], cols]
+            _predict_tiles(params, noisy, origins, (Th, Tw), band[r])
+        stop = min(r0 + Th - CONTEXT, H)
+        _check_finite(band[:, :, :stop - r0, :W])
+        for a in range(done, stop, _VARIANCE_ROWS):
+            b = min(a + _VARIANCE_ROWS, stop)
+            chunk = band[:, :, a - r0:b - r0, :W]
+            var[a:b] = np.var(chunk, axis=0, ddof=1, dtype=np.float64).sum(axis=0)
+        done = stop
     return var
 
 
@@ -448,9 +494,13 @@ def shrink_instances(labels, distance: float) -> np.ndarray:
 
 
 def _field_and_foreground(params: ModelParams, image, config: SegmenterConfig, seed: int):
-    """Offset field and noise-variance foreground of one image."""
-    field = predict_full(params, image)
-    return field, detect_foreground(embedding_variance(params, image, config, seed))
+    """Offset field and noise-variance foreground of one image.
+
+    The variance map is reduced to the foreground before the clean field is
+    predicted, so the field never sits beside the noise bands or the map.
+    """
+    foreground = detect_foreground(embedding_variance(params, image, config, seed))
+    return predict_full(params, image), foreground
 
 
 def segment_image(params: ModelParams, image, config: SegmenterConfig,

@@ -339,9 +339,11 @@ def test_sweep_seg_scores_a_set_with_a_cell_free_image(run_dir, tmp_path):
 def test_sweep_checks_candidates_and_threshold_before_inference(run_dir, capsys, monkeypatch,
                                                                 option):
     def no_inference(*args, **kwargs):
-        raise AssertionError("predict_full called")
+        raise AssertionError("inference called")
 
+    # the noise rounds run their tiles without predict_full
     monkeypatch.setattr(segmentation, "predict_full", no_inference)
+    monkeypatch.setattr(segmentation, "forward", no_inference)
     out = run_dir / "sweep_unchecked"
     assert cli.main(["sweep", "--model", str(run_dir / "model.ocec"), "--data",
                      str(run_dir / "data"), "--out", str(out), *option]) == 2

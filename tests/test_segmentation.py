@@ -21,6 +21,7 @@ from oceseg import (
     synth_generate,
 )
 from oceseg import segmentation
+from oceseg.autodiff import Tensor
 from oceseg.data import relabel_consecutive
 
 
@@ -146,30 +147,93 @@ def test_salt_pepper_hits_disjoint_pixels_in_every_channel(fraction):
     assert np.array_equal(img, before)
 
 
+def _variance_oracle(params, image, config, seed):
+    """The noise-variance map written out: every round's whole field from one
+    ``predict_full`` pass, stacked, and one whole-stack variance."""
+    stack = np.empty((config.noise_rounds, 2) + image.shape[1:], np.float32)
+    for r in range(config.noise_rounds):
+        rng = np.random.default_rng([seed, r])
+        noisy = segmentation.salt_pepper(image, config.noise_fraction, rng)
+        stack[r] = predict_full(params, noisy, tile=2 * max(image.shape))
+    return np.var(stack, axis=0, ddof=1, dtype=np.float64).sum(axis=0)
+
+
+def _shift_sum_forward(params, image):
+    """A cheap tile-local stand-in for the network: each output pixel is a
+    fixed-order sum of 25 pixels of its 17x17 input window, so a tile gives
+    the pixels of one pass, and the second channel follows the noise."""
+    img = image.data[0]
+    h, w = img.shape[0] - segmentation.CONTEXT, img.shape[1] - segmentation.CONTEXT
+    acc = np.zeros((h, w), np.float32)
+    for dy in range(0, segmentation.CONTEXT + 1, 4):
+        for dx in range(0, segmentation.CONTEXT + 1, 4):
+            acc += img[dy:dy + h, dx:dx + w]
+    half = segmentation.CONTEXT // 2
+    return Tensor(np.stack([acc, img[half:half + h, half:half + w] * 0.5]))
+
+
 def test_embedding_variance_memory_stays_bounded(monkeypatch):
-    # at 2048^2 and five rounds the float32 stack alone is 168 MB; a list of
-    # rounds plus np.stack and whole-stack float64 temporaries peaked at 822 MB
+    # at 2048^2 and five rounds a float32 stack of whole fields is 168 MB,
+    # and that path peaked at 244.2 MB; by band it measured 73.2 MB: the
+    # float64 map (33.5 MB), the rounds' band buffer (19.5 MB) and one noisy
+    # copy of the image (16.8 MB) with its gathered band
     import tracemalloc
 
-    def stub(params, image):  # a cheap deterministic field that follows the noise
-        return np.stack([ndimage.uniform_filter(image[0], 7), image[0] * 0.5])
-
-    monkeypatch.setattr(segmentation, "predict_full", stub)
+    monkeypatch.setattr(segmentation, "forward", _shift_sum_forward)
     config = segmentation.SegmenterConfig()
+    params = init_params(ModelConfig(base_fmaps=4), 0)
     image = np.random.default_rng(0).random((1, 2048, 2048), dtype=np.float32)
     tracemalloc.start()
     try:
-        var = segmentation.embedding_variance(None, image, config, seed=3)
+        var = segmentation.embedding_variance(params, image, config, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 300e6, f"peak {peak / 1e6:.0f} MB"
-    stack = np.empty((config.noise_rounds, 2) + image.shape[1:], np.float32)
-    for r in range(config.noise_rounds):
-        rng = np.random.default_rng([3, r])
-        stack[r] = stub(None, segmentation.salt_pepper(image, config.noise_fraction, rng))
-    assert np.array_equal(var, np.var(stack, axis=0, ddof=1, dtype=np.float64).sum(axis=0))
+    assert peak < 80e6, f"peak {peak / 1e6:.1f} MB"
+    assert np.array_equal(var, _variance_oracle(params, image, config, 3))
     assert (var > 0).mean() > 0.5
+
+
+_VARIANCE_CASES = [
+    (base, shape, cap)
+    for base in (8, 16, 64)
+    for shape, cap in [((101, 87), 40), ((101, 87), 64), ((60, 70), 40), ((60, 70), 252)]
+    if (base, cap) != (64, 40)
+]
+
+
+@pytest.mark.parametrize("base_fmaps, shape, cap", _VARIANCE_CASES,
+                         ids=[f"{b}maps-{h}x{w}-cap{c}" for b, (h, w), c in _VARIANCE_CASES])
+def test_embedding_variance_by_band_equals_the_whole_stack(small_params, wide_params,
+                                                           monkeypatch, base_fmaps, shape, cap):
+    params = small_params if base_fmaps == 8 else wide_params[base_fmaps]
+    monkeypatch.setattr(segmentation, "_TILE", cap)
+    image = np.random.default_rng(sum(shape)).random((1,) + shape, dtype=np.float32)
+    calls = _counting_forward(monkeypatch)
+    config = segmentation.SegmenterConfig(noise_fraction=0.05)
+    var = segmentation.embedding_variance(params, image, config, seed=7)
+    rows = segmentation._axis_plan(shape[0], cap)[2]
+    cols = segmentation._axis_plan(shape[1], cap)[2]
+    assert len(calls) == config.noise_rounds * len(rows) * len(cols)
+    assert (len(rows) > 1) == (cap < 252)  # several bands, or one tile
+    assert np.array_equal(var, _variance_oracle(params, image, config, 7))
+
+
+def test_segment_image_runs_54_forwards_at_512(small_params, monkeypatch):
+    # nine tiles of the clean field and, per noise round, three bands of three
+    image, _ = synth_generate(SceneSpec(height=512, width=512, n_objects=40, seed=3))
+    calls = _counting_forward(monkeypatch)
+    segmentation.segment_image(small_params, image, segmentation.SegmenterConfig(bandwidth=12.0))
+    assert calls == [(1, 188, 188)] * 54
+
+
+def test_embedding_variance_rejects_a_round_that_overflows():
+    params = init_params(ModelConfig(base_fmaps=4), 0)
+    params["dec3.b"].data[...] = 1.0
+    params["head.w"].data[...] = np.finfo(np.float32).max
+    with pytest.raises(DegenerateError, match="offset field is not finite"):
+        segmentation.embedding_variance(params, np.zeros((1, 60, 60), np.float32),
+                                        segmentation.SegmenterConfig())
 
 
 def test_otsu_threshold_splits_a_bimodal_sample():
