@@ -472,6 +472,8 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
+        if options["seed"] < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {options['seed']}")
         config = command(config, options)
         if options["out"]:
             _echo_config(args.command, options, config)

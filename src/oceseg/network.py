@@ -324,7 +324,8 @@ def save_checkpoint(path, params: ModelParams, adam: AdamState, next_epoch: int 
 
 def load_checkpoint(path):
     """Returns (params, adam_state, next_epoch); validates every tensor's
-    shape and rejects NaN or inf values."""
+    shape and rejects NaN or inf values, a negative step or epoch and a
+    negative Adam second moment."""
     tensors = dataio.archive_read(path)
     try:
         meta = tensors["meta.config"]
@@ -339,6 +340,9 @@ def load_checkpoint(path):
         next_epoch = int(tensors["meta.epoch"][0])
     except (KeyError, IndexError, ValueError) as exc:
         raise FormatError(f"invalid checkpoint metadata: {exc}") from exc
+    for name, count in (("meta.step", step), ("meta.epoch", next_epoch)):
+        if count < 0:
+            raise FormatError(f"checkpoint tensor {name} is {count}, expected a count >= 0")
     params_t: dict[str, Tensor] = {}
     adam = AdamState(m={}, v={}, step=step)
     for name, cin, cout, k in _layer_plan(config):
@@ -355,6 +359,8 @@ def load_checkpoint(path):
                     )
                 if not np.isfinite(arr).all():
                     raise FormatError(f"checkpoint tensor {full} holds NaN or inf values")
+                if store is adam.v and (arr < 0).any():
+                    raise FormatError(f"checkpoint tensor {full} holds negative values")
                 if store is None:
                     params_t[key] = Tensor(arr)
                 else:

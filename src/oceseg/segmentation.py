@@ -5,13 +5,12 @@ with an Otsu split, mean-shift clustering of per-pixel center estimates
 c_i = i - r_i, small-instance removal and distance-based shrinkage.
 
 Inference splits each axis into the fewest tiles no larger than the
-``tile`` cap and balances their sides, so little of a tile's work is thrown
-away on the overlap; tiled inference equals one pass bit for bit.  One
-tile runner serves the clean field and the noise rounds.  The
-noise-variance map is predicted band by band, top to bottom, a band being
-one tile row: all rounds of a band are predicted, then its new rows are
-reduced in row chunks, so the memory held is rounds x one band and its
-float64 temporaries do not grow with the image.
+``_TILE`` cap and balances their sides, so little of a tile's work is
+thrown away on the overlap; tiled inference equals one pass bit for bit.
+One driver, ``_bands``, predicts the clean field and the noise rounds band
+by band, top to bottom, a band being one tile row, and holds n inputs x
+one band; the noise rounds reduce each band's new rows in row chunks, so
+their float64 temporaries do not grow with the image.
 Mean-shift climbs its seeds in lockstep blocks, one batched ball query
 per step for a block, so the ball lists held at once stay bounded.  Kept
 modes are at least a bandwidth apart, so a point strictly within half a
@@ -33,11 +32,11 @@ from .autodiff import Tensor
 from .data import check_labels, relabel_consecutive, rescale_labels
 from .errors import DegenerateError, ShapeError, check_bool, check_int, check_real
 from .metrics import seg_score_dataset, threshold_sweep
-from .network import CONTEXT, MIN_INPUT, ModelParams, check_image, forward
+from .network import CONTEXT, ModelParams, check_image, forward
 
 
 MAX_SHRINK = 6  # largest shrink distance, and the last one bandwidth_search tries
-_TILE = 252  # default tile cap of predict_full, and the one embedding_variance uses
+_TILE = 252  # cap on the side of an inference tile
 
 
 @dataclass(frozen=True)
@@ -95,56 +94,60 @@ def _axis_plan(n: int, tile: int) -> tuple[np.ndarray, int, list[int]]:
     return (idx, *_tile_plan(len(idx), tile))
 
 
-def _predict_tiles(params: ModelParams, padded, origins, side, out) -> None:
-    """Forward the (Th, Tw) = ``side`` tiles of the padded (C, h, w) array
-    at each of ``origins`` and write each tile's valid field into ``out``
-    at the same origin, ``out`` being (2, h - CONTEXT, w - CONTEXT)."""
-    Th, Tw = side
-    # a model that overflows is reported by the finiteness check of the
-    # caller, not by numpy warnings from inside the forward
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r0, c0 in origins:
-            block = np.ascontiguousarray(padded[:, r0:r0 + Th, c0:c0 + Tw])
-            field = forward(params, Tensor(block)).data
-            out[:, r0:r0 + Th - CONTEXT, c0:c0 + Tw - CONTEXT] = field
+def _bands(params: ModelParams, image, inputs, n: int):
+    """Offset fields of the n images ``inputs(0)`` .. ``inputs(n - 1)``, all
+    of ``image``'s (C, H, W) shape, band by band, top to bottom.
+
+    A band is one tile row of the ``_axis_plan`` grid at ``_TILE``.  Each
+    input's band is gathered through the padded index maps and its tiles run
+    into one float32 (n, 2, band rows, padded W - CONTEXT) buffer that every
+    band reuses, so n x one band is held.  Tiles keep their full valid
+    interior, so the fields equal one untiled pass bit for bit.  Yields
+    (a, b, fields), the (n, 2, b - a, W) view of the image rows a..b that no
+    earlier band yielded; the next band overwrites it.  The forwards run
+    with numpy's overflow and invalid-value warnings off, and new rows
+    holding NaN or inf raise :class:`DegenerateError`, the only report of a
+    model that overflows.
+    """
+    check_image(image, params.config.in_channels)
+    _, H, W = image.shape
+    rows, Th, row_starts = _axis_plan(H, _TILE)
+    cols, Tw, col_starts = _axis_plan(W, _TILE)
+    band = np.empty((n, 2, Th - CONTEXT, len(cols) - CONTEXT), np.float32)
+    done = 0
+    for r0 in row_starts:
+        for i in range(n):
+            padded = inputs(i)[:, rows[r0:r0 + Th, None], cols]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for c0 in col_starts:
+                    block = np.ascontiguousarray(padded[:, :, c0:c0 + Tw])
+                    band[i, :, :, c0:c0 + Tw - CONTEXT] = forward(params, Tensor(block)).data
+        stop = min(r0 + Th - CONTEXT, H)
+        fields = band[:, :, done - r0:stop - r0, :W]
+        if not np.isfinite(fields).all():
+            raise DegenerateError("offset field is not finite: it holds NaN or inf values")
+        yield done, stop, fields
+        done = stop
 
 
-def _check_finite(field) -> None:
-    if not np.isfinite(field).all():
-        raise DegenerateError("offset field is not finite: it holds NaN or inf values")
-
-
-def predict_full(params: ModelParams, image, tile: int = _TILE) -> np.ndarray:
+def predict_full(params: ModelParams, image) -> np.ndarray:
     """Offset field aligned to the input grid: (2, H, W) for a (C, H, W) image.
 
-    The image is reflect-padded by half the context margin (``_axis_plan``),
-    then processed in overlapping tiles; each tile contributes its full
-    valid interior (``_predict_tiles``).  ``tile`` caps the tile side.  Per
-    axis, the fewest tiles under the cap that cover the image share it
-    evenly (``_tile_plan``): a 512x512 image at the default cap of 252 runs
-    nine 188x188 tiles rather than nine of 252x252.  ``tile`` must be even
-    and at least ``MIN_INPUT``: every tile side and origin is then even, so
-    each tile keeps the max-pool phase of the whole image and the result
-    equals one untiled pass bit for bit.  ``embedding_variance`` runs the
-    same tiles, one tile row at a time.
-    Every conv GEMM is ``autodiff.CHUNK`` columns wide whatever the tile, so
-    a cap far under the default mostly multiplies zero padding: at 64 maps a
-    128x128 image takes 40 s at ``tile=20`` against 1.4 s at 40 on a 2-core
-    host.
+    The image is reflect-padded by half the context margin (``_axis_plan``)
+    and predicted band by band (``_bands``), one band of it and of its field
+    held besides the result.  Per axis, the fewest tiles no larger than
+    ``_TILE`` that cover the image share it evenly (``_tile_plan``): a
+    512x512 image runs nine 188x188 tiles rather than nine of 252x252.
+    Every tile side and origin is even, so each tile keeps the max-pool
+    phase of the whole image and the result, a C-contiguous array of its
+    own, equals one untiled pass bit for bit.
     A field holding NaN or inf raises :class:`DegenerateError`.
     """
-    if tile < MIN_INPUT or tile % 2:
-        raise ShapeError(f"tile {tile} must be even and at least {MIN_INPUT}")
     img = np.asarray(image, dtype=np.float32)
-    check_image(img, params.config.in_channels)
-    _, H, W = img.shape
-    rows, Th, row_starts = _axis_plan(H, tile)
-    cols, Tw, col_starts = _axis_plan(W, tile)
-    out = np.empty((2, len(rows) - CONTEXT, len(cols) - CONTEXT), np.float32)
-    _predict_tiles(params, img[:, rows[:, None], cols],
-                   itertools.product(row_starts, col_starts), (Th, Tw), out)
-    _check_finite(out[:, :H, :W])
-    return out[:, :H, :W]
+    out = np.empty((2,) + img.shape[1:], np.float32)
+    for a, b, fields in _bands(params, img, lambda i: img, 1):
+        out[:, a:b] = fields[0]
+    return out
 
 
 def salt_pepper(image, fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -176,41 +179,26 @@ def embedding_variance(params: ModelParams, image, config: SegmenterConfig,
     ``default_rng([seed, r])``, predicts each, and sums the per-channel
     unbiased sample variances into one (H, W) map.
 
-    The rounds are predicted band by band, top to bottom, a band being one
-    tile row of ``predict_full``'s grid at the default cap.  For each band,
-    every round is corrupted afresh (the noise goes in before the pad, so
-    mirrored pixels carry it) and its tiles run into one float32 (rounds,
-    2, band rows, W) buffer, one column wider when the padded width is odd.
-    So the memory held is rounds x one band, not rounds x the image, plus
-    one noisy copy of the image at a time.  A band holding NaN or inf raises
-    :class:`DegenerateError`, as ``predict_full`` does.  The band's rows
-    not yet reduced (the last tile row overlaps the one before it) then
-    go through the float64 variance ``_VARIANCE_ROWS`` rows at a time.
-    Tiles equal one pass and each pixel's arithmetic is that of the
-    whole-stack formula, so the map is the same bit for bit.
+    The rounds are predicted by ``_bands``, the driver of ``predict_full``,
+    band by band, top to bottom.  For each band every round is corrupted
+    afresh (the noise goes in before the pad, so mirrored pixels carry it),
+    so the memory held is rounds x one band, not rounds x the image, plus
+    one noisy copy of the image at a time.  Each band's new rows go through
+    the float64 variance ``_VARIANCE_ROWS`` rows at a time.  Tiles equal
+    one pass and each pixel's arithmetic is that of the whole-stack
+    formula, so the map is the same bit for bit.
     """
     img = np.asarray(image, dtype=np.float32)
-    check_image(img, params.config.in_channels)
-    _, H, W = img.shape
-    rows, Th, row_starts = _axis_plan(H, _TILE)
-    cols, Tw, col_starts = _axis_plan(W, _TILE)
-    band = np.empty((config.noise_rounds, 2, Th - CONTEXT, len(cols) - CONTEXT), np.float32)
-    origins = [(0, c0) for c0 in col_starts]
-    var = np.empty((H, W), np.float64)
-    done = 0
-    for r0 in row_starts:
-        for r in range(config.noise_rounds):
-            rng = np.random.default_rng([seed, r])
-            # the noisy copy of the whole image dies once its band is gathered
-            noisy = salt_pepper(img, config.noise_fraction, rng)[:, rows[r0:r0 + Th, None], cols]
-            _predict_tiles(params, noisy, origins, (Th, Tw), band[r])
-        stop = min(r0 + Th - CONTEXT, H)
-        _check_finite(band[:, :, :stop - r0, :W])
-        for a in range(done, stop, _VARIANCE_ROWS):
-            b = min(a + _VARIANCE_ROWS, stop)
-            chunk = band[:, :, a - r0:b - r0, :W]
-            var[a:b] = np.var(chunk, axis=0, ddof=1, dtype=np.float64).sum(axis=0)
-        done = stop
+
+    def noisy(r):  # the noisy copy of the whole image dies once its band is gathered
+        return salt_pepper(img, config.noise_fraction, np.random.default_rng([seed, r]))
+
+    var = np.empty(img.shape[1:], np.float64)
+    for a, b, fields in _bands(params, img, noisy, config.noise_rounds):
+        for c in range(a, b, _VARIANCE_ROWS):
+            e = min(c + _VARIANCE_ROWS, b)
+            chunk = fields[:, :, c - a:e - a]
+            var[c:e] = np.var(chunk, axis=0, ddof=1, dtype=np.float64).sum(axis=0)
     return var
 
 

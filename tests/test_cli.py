@@ -512,6 +512,47 @@ def test_failed_resume_into_the_run_directory_keeps_trace_and_checkpoint(run_dir
     assert {name: (run / name).read_bytes() for name in before} == before
 
 
+@pytest.mark.parametrize("field", ["meta.step", "meta.epoch", "adam.v.enc0.w"])
+def test_train_rejects_a_resume_checkpoint_with_a_negative_count_or_moment(run_dir, tmp_path,
+                                                                            capsys, field):
+    # a negative step or second moment used to resume, exit 0 and write a
+    # NaN checkpoint; a negative epoch failed inside numpy's seeding
+    params = init_params(ModelConfig(base_fmaps=4), seed=0)
+    adam = AdamState.fresh(params)
+    next_epoch = -1 if field == "meta.epoch" else 0
+    if field == "meta.step":
+        adam.step = -1
+    elif field == "adam.v.enc0.w":
+        adam.v["enc0.w"][0, 0, 0, 0] = -1.0
+    ckpt = tmp_path / "bad.ocec"
+    save_checkpoint(ckpt, params, adam, next_epoch)
+    out = tmp_path / "resumed"
+    assert _small_train(run_dir, out, 1, ["--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: checkpoint tensor {field} " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_SEED_ARGS = {"synth": ["--images", "1", "--size", "32", "--objects", "1"], "theory": []}
+
+
+@pytest.mark.parametrize("where", ["argv", "echo"])
+@pytest.mark.parametrize("command", ["synth", "theory"])
+def test_a_negative_seed_is_named_before_the_command_runs(tmp_path, capsys, command, where):
+    out = tmp_path / "out"
+    argv = [command, *_SEED_ARGS[command], "--out", str(out)]
+    if where == "argv":
+        argv += ["--seed", "-1"]
+    else:
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps({"command": command, "seed": -1, "options": {},
+                                    "config": {}}))
+        argv += ["--config", str(echo)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 _REQUIRED = [(command, opt) for command, (_fn, spec) in cli._COMMANDS.items()
              for opt, (_typ, default, _help) in spec.items() if default is None]
 

@@ -1,5 +1,7 @@
+import ast
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,13 +44,25 @@ def _counting_forward(monkeypatch):
     return calls
 
 
+def _single_pass(params, image):
+    """The offset field written out as one untiled forward: the image
+    reflect-padded by half the context, one more reflected line on an odd
+    side, and the field cropped to (2, H, W)."""
+    _, H, W = image.shape
+    padded = np.pad(image, ((0, 0), (8, 8), (8, 8)), mode="reflect")
+    padded = np.pad(padded, ((0, 0), (0, padded.shape[1] % 2), (0, padded.shape[2] % 2)),
+                    mode="reflect")
+    return segmentation.forward(params, Tensor(padded)).data[:, :H, :W]
+
+
 def _check_tiled_equals_single_pass(params, monkeypatch, shape, tile):
     img = np.random.default_rng(sum(shape)).normal(size=(1,) + shape).astype(np.float32)
     calls = _counting_forward(monkeypatch)
-    single = predict_full(params, img, tile=2 * max(shape))
+    single = _single_pass(params, img)
     assert len(calls) == 1
     del calls[:]
-    tiled = predict_full(params, img, tile=tile)
+    monkeypatch.setattr(segmentation, "_TILE", tile)
+    tiled = predict_full(params, img)
     assert len(calls) > 1
     assert tiled.shape == (2,) + shape
     assert np.array_equal(tiled, single)
@@ -109,11 +123,12 @@ def test_predict_full_runs_balanced_tiles(small_params, monkeypatch):
     assert calls == [(1, 188, 188)] * 9
 
 
-@pytest.mark.parametrize("tile", [16, 18, 51, 253])
-def test_predict_full_rejects_bad_tile(small_params, tile):
-    img = np.zeros((1, 60, 60), np.float32)
-    with pytest.raises(ShapeError, match="tile"):
-        predict_full(small_params, img, tile=tile)
+@pytest.mark.parametrize("shape", [(21, 22), (101, 87)])
+def test_predict_full_returns_a_contiguous_array_of_its_own(small_params, shape):
+    img = np.random.default_rng(4).normal(size=(1,) + shape).astype(np.float32)
+    field = predict_full(small_params, img)
+    assert field.shape == (2,) + shape
+    assert field.flags.c_contiguous and field.base is None
 
 
 def test_predict_full_rejects_a_field_that_overflows():
@@ -124,6 +139,35 @@ def test_predict_full_rejects_a_field_that_overflows():
     params["head.w"].data[...] = np.finfo(np.float32).max
     with pytest.raises(DegenerateError, match="offset field is not finite"):
         predict_full(params, np.zeros((1, 60, 60), np.float32))
+
+
+def _uses_by_function(source, names):
+    """(function, name) of each mention of one of ``names`` in ``source``,
+    as a bare name or an attribute, by the innermost function holding it."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in names:
+                found.add((where, name))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_band_driver_runs_the_network():
+    # one driver predicts the clean field and the noise rounds, and it alone
+    # quiets the forward's overflow warnings; Otsu's errstate quiets the
+    # division by an empty class
+    source = Path(segmentation.__file__).read_text(encoding="utf-8")
+    assert _uses_by_function(source, {"forward", "errstate"}) == {
+        ("_bands", "forward"), ("_bands", "errstate"), ("otsu_threshold", "errstate"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +193,12 @@ def test_salt_pepper_hits_disjoint_pixels_in_every_channel(fraction):
 
 def _variance_oracle(params, image, config, seed):
     """The noise-variance map written out: every round's whole field from one
-    ``predict_full`` pass, stacked, and one whole-stack variance."""
+    untiled forward, stacked, and one whole-stack variance."""
     stack = np.empty((config.noise_rounds, 2) + image.shape[1:], np.float32)
     for r in range(config.noise_rounds):
         rng = np.random.default_rng([seed, r])
         noisy = segmentation.salt_pepper(image, config.noise_fraction, rng)
-        stack[r] = predict_full(params, noisy, tile=2 * max(image.shape))
+        stack[r] = _single_pass(params, noisy)
     return np.var(stack, axis=0, ddof=1, dtype=np.float64).sum(axis=0)
 
 
