@@ -319,20 +319,21 @@ def maxpool2(x: Tensor) -> Tensor:
     return _op("maxpool2", (x,), out_arr, grads)
 
 
+def _sum_blocks2(g: np.ndarray) -> np.ndarray:
+    """Sum each 2x2 block of a (C, 2H, 2W) array into (C, H, W): each row's
+    two values first, then the rows, the order a sum over the block axes
+    adds in, so the gradients of both upsampling ops keep their bits."""
+    C, H2, W2 = g.shape
+    top, bottom = g.reshape(C, H2 // 2, 2, W2 // 2, 2).transpose(2, 0, 1, 3, 4)
+    return (top[..., 0] + top[..., 1]) + (bottom[..., 0] + bottom[..., 1])
+
+
 def upsample_nearest2(x: Tensor) -> Tensor:
     """Replicate each value into a 2x2 block; gradient sums the four copies."""
     if x.data.ndim != 3:
         raise ShapeError("upsample_nearest2 expects (C,H,W)")
-    C, H, W = x.shape
     out_arr = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
-
-    def grads(g):
-        # each row's two copies first, then the rows: the order a sum over the
-        # block axes adds in, so gradients keep their bits
-        top, bottom = g.reshape(C, H, 2, W, 2).transpose(2, 0, 1, 3, 4)
-        return ((top[..., 0] + top[..., 1]) + (bottom[..., 0] + bottom[..., 1]),)
-
-    return _op("upsample_nearest2", (x,), out_arr, grads)
+    return _op("upsample_nearest2", (x,), out_arr, lambda g: (_sum_blocks2(g),))
 
 
 def crop_concat(skip: Tensor, low: Tensor) -> Tensor:
@@ -359,9 +360,7 @@ def crop_concat(skip: Tensor, low: Tensor) -> Tensor:
     def grads(g):
         dskip = np.zeros_like(skip.data)
         dskip[:, r0:r0 + H2, c0:c0 + W2] = g[:C1]
-        # each 2x2 block of the tail summed in upsample_nearest2's order
-        top, bottom = g[C1:].reshape(C2, h, 2, w, 2).transpose(2, 0, 1, 3, 4)
-        return dskip, (top[..., 0] + top[..., 1]) + (bottom[..., 0] + bottom[..., 1])
+        return dskip, _sum_blocks2(g[C1:])
 
     return _op("crop_concat", (skip, low), out_arr, grads)
 

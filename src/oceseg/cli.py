@@ -145,16 +145,6 @@ def _prepare_image(arr, data: dataio.DataConfig) -> np.ndarray:
     return img
 
 
-def _load_labels_dir(path):
-    """Label masks by stem from the labels/ of a dataset or ``segment`` output
-    root, or from a flat directory of .ocet files."""
-    if os.path.isdir(os.path.join(path, "labels")):
-        path = os.path.join(path, "labels")
-    if not os.path.isdir(path):
-        raise FormatError(f"{path} is not a directory")
-    return {s: dataio.tensor_read(os.path.join(path, s + ".ocet")) for s in dataio.ocet_stems(path)}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -212,15 +202,16 @@ def _cmd_train(config, options):
 
 def _load_inference_inputs(config, options):
     """The checkpoint, the config with the checkpoint's model, and the dataset
-    stems, raw images, prepared images and labels (or None) of ``predict``,
-    ``segment`` and ``sweep``; every prepared image is checked against the
-    model before the command writes anything."""
+    stems, image sides (H, W), prepared images (each replacing its raw image)
+    and labels (or None) of ``predict``, ``segment`` and ``sweep``; every
+    prepared image is checked against the model before the command writes."""
     params, _, _ = load_checkpoint(options["model"])
-    stems, raw_images, labels = dataio.load_dataset(options["data"])
-    images = [_prepare_image(raw, config["data"]) for raw in raw_images]
-    for img in images:
-        check_image(img, params.config.in_channels)
-    return params, {**config, "model": params.config}, stems, raw_images, images, labels
+    stems, images, labels = dataio.load_dataset(options["data"])
+    grids = [img.shape[-2:] for img in images]
+    for i, raw in enumerate(images):
+        images[i] = _prepare_image(raw, config["data"])
+        check_image(images[i], params.config.in_channels)
+    return params, {**config, "model": params.config}, stems, grids, images, labels
 
 
 def _cmd_predict(config, options):
@@ -234,12 +225,12 @@ def _cmd_predict(config, options):
 
 
 def _cmd_segment(config, options):
-    params, config, stems, raw_images, images, _ = _load_inference_inputs(config, options)
+    params, config, stems, grids, images, _ = _load_inference_inputs(config, options)
     lab_dir = os.path.join(options["out"], "labels")
-    for i, (stem, raw, img) in enumerate(zip(stems, raw_images, images)):
+    for i, (stem, grid, img) in enumerate(zip(stems, grids, images)):
         labels = segment_image(params, img, config["segment"], seed=options["seed"] + i)
-        labels = dataio.rescale_labels(labels, raw.shape[-2:])
-        dataio.tensor_write(os.path.join(lab_dir, stem + ".ocet"), labels.astype(np.int32))
+        labels = dataio.rescale_labels(labels, grid)
+        dataio.tensor_write(os.path.join(lab_dir, stem + ".ocet"), labels)
         if options["pgm"]:
             dataio.pgm_write(os.path.join(options["out"], "vis", stem + ".pgm"),
                              dataio.labels_to_gray(labels))
@@ -248,8 +239,8 @@ def _cmd_segment(config, options):
 
 
 def _cmd_eval(config, options):
-    gt = _load_labels_dir(options["gt"])
-    pred = _load_labels_dir(options["pred"])
+    gt = dataio.load_labels(options["gt"])
+    pred = dataio.load_labels(options["pred"])
     stems = sorted(gt)
     if sorted(pred) != stems:
         raise FormatError("ground truth and prediction stems differ")

@@ -15,8 +15,11 @@ a counted sequence of named tensor blocks:
     | (name_len u16le | name utf-8 | tensor block) * count
 
 Dataset directories follow the convention ``images/*.ocet`` with optional
-``labels/*.ocet`` under matching stems.  ``DataConfig`` says how each image
-is prepared before the network sees it; images are (C, H, W) throughout.
+``labels/*.ocet`` under matching stems, each on its image's (H, W) grid.
+``load_labels``, the one reader of label folders, reads a dataset root, a
+``segment`` output root or a flat folder of ``.ocet`` files.  ``DataConfig``
+says how each image is prepared before the network sees it; images are
+(C, H, W) throughout.
 Binary PGM is only ever written, to visualise label masks; nothing reads it.
 Every file the package writes comes from ``_write_atomic``, which makes the
 file's directory and renames a whole temporary file over it, without fsync.
@@ -239,14 +242,16 @@ class DataConfig:
 
 def normalize_percentile(image: np.ndarray) -> np.ndarray:
     """Affinely map the 1st percentile to 0 and the 99.8th to 1, per channel
-    of a (C, H, W) image; any other rank raises :class:`ShapeError`.
+    of a (C, H, W) image; any other rank, or an image without pixels, raises
+    :class:`ShapeError`.
 
     No clipping is applied; percentiles use linear interpolation of the
     sorted sample.  A constant channel is an error.
     """
     img = np.asarray(image, dtype=np.float32)
-    if img.ndim != 3:
-        raise ShapeError(f"normalize_percentile expects (C, H, W), got shape {img.shape}")
+    if img.ndim != 3 or img.size == 0:
+        raise ShapeError(f"normalize_percentile expects (C, H, W) with pixels, "
+                         f"got shape {img.shape}")
     out = np.empty_like(img)
     for c in range(img.shape[0]):
         lo = np.percentile(img[c], 1.0)
@@ -325,19 +330,37 @@ def ocet_stems(directory) -> list[str]:
     return stems
 
 
+def load_labels(path) -> dict[str, np.ndarray]:
+    """Label masks by stem from the labels/ of a dataset or ``segment`` output
+    root, or from a flat directory of .ocet files."""
+    if os.path.isdir(os.path.join(path, "labels")):
+        path = os.path.join(path, "labels")
+    if not os.path.isdir(path):
+        raise FormatError(f"{path} is not a directory")
+    return {s: tensor_read(os.path.join(path, s + ".ocet")) for s in ocet_stems(path)}
+
+
 def load_dataset(root):
-    """Read a dataset directory; returns (stems, images, labels-or-None)."""
+    """Read a dataset directory; returns (stems, images, labels-or-None).
+
+    With a labels/ directory every image needs a label on its own (H, W)
+    grid, else :class:`FormatError`; labels without an image are ignored."""
     root = os.fspath(root)
     img_dir = os.path.join(root, "images")
     if not os.path.isdir(img_dir):
         raise FormatError(f"no images/ directory under {root}")
     stems = ocet_stems(img_dir)
     images = [tensor_read(os.path.join(img_dir, s + ".ocet")) for s in stems]
-    lab_dir = os.path.join(root, "labels")
-    labels = None
-    if os.path.isdir(lab_dir):
-        labels = [tensor_read(os.path.join(lab_dir, s + ".ocet")) for s in stems]
-    return stems, images, labels
+    if not os.path.isdir(os.path.join(root, "labels")):
+        return stems, images, None
+    by_stem = load_labels(root)
+    for stem, img in zip(stems, images):
+        if stem not in by_stem:
+            raise FormatError(f"image {stem} has no label")
+        if by_stem[stem].shape != img.shape[-2:]:
+            raise FormatError(f"label {stem} has shape {by_stem[stem].shape}, "
+                              f"not its image's grid {img.shape[-2:]}")
+    return stems, images, [by_stem[s] for s in stems]
 
 
 def write_text(path, text: str) -> None:

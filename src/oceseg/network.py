@@ -53,6 +53,8 @@ from .loss import LossConfig, oce_loss, sample_pairs
 CONTEXT = 16
 MIN_INPUT = 20  # smallest spatial extent the chain supports
 BLOCK_KERNELS = (3, 1, 1, 3)  # kernel sizes of each block's convolutions
+# the ModelConfig fields in the order a checkpoint's meta.config stores them
+_META_FIELDS = ("in_channels", "base_fmaps", "fmap_factor", "depth", "out_channels")
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class ModelConfig:
     out_channels: int = 2
 
     def __post_init__(self):
-        for name in ("in_channels", "base_fmaps", "fmap_factor", "depth", "out_channels"):
+        for name in _META_FIELDS:
             check_int(name, getattr(self, name), 1)
         if self.in_channels > 2:
             raise ConfigError(f"in_channels must be 1 or 2, got {self.in_channels}")
@@ -86,6 +88,15 @@ def _layer_plan(config: ModelConfig):
             cin = width
     plan.append(("head", base, config.out_channels, 1))
     return plan
+
+
+def _tensor_shapes(config: ModelConfig) -> dict[str, tuple]:
+    """Shape of every parameter by name, each layer's weight then bias, in forward order."""
+    shapes = {}
+    for name, cin, cout, k in _layer_plan(config):
+        shapes[name + ".w"] = (cout, cin, k, k)
+        shapes[name + ".b"] = (cout,)
+    return shapes
 
 
 class ModelParams:
@@ -110,11 +121,12 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """He-style fan-in scaled normal weights with zero biases, deterministic in seed."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
-    for name, cin, cout, k in _layer_plan(config):
-        fan_in = cin * k * k
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, cin, k, k))
-        tensors[name + ".w"] = Tensor(w.astype(np.float32))
-        tensors[name + ".b"] = Tensor(np.zeros(cout, np.float32))
+    for name, shape in _tensor_shapes(config).items():
+        if name.endswith(".w"):  # (cout, cin, k, k): the fan-in is cin * k * k
+            arr = rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])), size=shape)
+        else:
+            arr = np.zeros(shape)
+        tensors[name] = Tensor(arr.astype(np.float32))
     return ModelParams(config, tensors)
 
 
@@ -307,10 +319,7 @@ def train(
 def save_checkpoint(path, params: ModelParams, adam: AdamState, next_epoch: int = 0) -> None:
     cfg = params.config
     tensors = {
-        "meta.config": np.array(
-            [cfg.in_channels, cfg.base_fmaps, cfg.fmap_factor, cfg.depth, cfg.out_channels],
-            np.int32,
-        ),
+        "meta.config": np.array([getattr(cfg, f) for f in _META_FIELDS], np.int32),
         "meta.step": np.array([adam.step], np.int32),
         "meta.epoch": np.array([next_epoch], np.int32),
     }
@@ -329,13 +338,10 @@ def load_checkpoint(path):
     tensors = dataio.archive_read(path)
     try:
         meta = tensors["meta.config"]
-        config = ModelConfig(
-            in_channels=int(meta[0]),
-            base_fmaps=int(meta[1]),
-            fmap_factor=int(meta[2]),
-            depth=int(meta[3]),
-            out_channels=int(meta[4]),
-        )
+        if meta.shape != (len(_META_FIELDS),):
+            raise ValueError(f"meta.config has shape {meta.shape}, "
+                             f"expected ({len(_META_FIELDS)},)")
+        config = ModelConfig(**{f: int(v) for f, v in zip(_META_FIELDS, meta)})
         step = int(tensors["meta.step"][0])
         next_epoch = int(tensors["meta.epoch"][0])
     except (KeyError, IndexError, ValueError) as exc:
@@ -345,24 +351,22 @@ def load_checkpoint(path):
             raise FormatError(f"checkpoint tensor {name} is {count}, expected a count >= 0")
     params_t: dict[str, Tensor] = {}
     adam = AdamState(m={}, v={}, step=step)
-    for name, cin, cout, k in _layer_plan(config):
-        for suffix, shape in ((".w", (cout, cin, k, k)), (".b", (cout,))):
-            key = name + suffix
-            for group, store in (("param.", None), ("adam.m.", adam.m), ("adam.v.", adam.v)):
-                full = group + key
-                if full not in tensors:
-                    raise FormatError(f"checkpoint missing tensor {full}")
-                arr = tensors[full]
-                if arr.shape != shape or arr.dtype != np.float32:
-                    raise FormatError(
-                        f"checkpoint tensor {full} has shape {arr.shape}, expected {shape}"
-                    )
-                if not np.isfinite(arr).all():
-                    raise FormatError(f"checkpoint tensor {full} holds NaN or inf values")
-                if store is adam.v and (arr < 0).any():
-                    raise FormatError(f"checkpoint tensor {full} holds negative values")
-                if store is None:
-                    params_t[key] = Tensor(arr)
-                else:
-                    store[key] = arr.copy()
+    for key, shape in _tensor_shapes(config).items():
+        for group, store in (("param.", None), ("adam.m.", adam.m), ("adam.v.", adam.v)):
+            full = group + key
+            if full not in tensors:
+                raise FormatError(f"checkpoint missing tensor {full}")
+            arr = tensors[full]
+            if arr.shape != shape or arr.dtype != np.float32:
+                raise FormatError(
+                    f"checkpoint tensor {full} has shape {arr.shape}, expected {shape}"
+                )
+            if not np.isfinite(arr).all():
+                raise FormatError(f"checkpoint tensor {full} holds NaN or inf values")
+            if store is adam.v and (arr < 0).any():
+                raise FormatError(f"checkpoint tensor {full} holds negative values")
+            if store is None:
+                params_t[key] = Tensor(arr)
+            else:
+                store[key] = arr.copy()
     return ModelParams(config, params_t), adam, next_epoch

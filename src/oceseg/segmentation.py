@@ -246,6 +246,7 @@ def detect_foreground(variance_map) -> np.ndarray:
 
 _BALL_BLOCK = 256  # centers per query_ball_point call: climbing seeds, or _assign's modes
 _REST_BLOCK = 65536  # points _assign hands to _nearest_mode at once
+_MAX_ITER = 300  # steps a seed climbs at most
 
 
 def _balls(tree, centers, radius: float, sort: bool):
@@ -265,14 +266,14 @@ def _group_means(columns, ids, counts) -> np.ndarray:
     return np.stack(sums, axis=1) / counts[:, None]
 
 
-def _climb(tree, columns, seeds, bandwidth: float, max_iter: int) -> np.ndarray:
+def _climb(tree, columns, seeds, bandwidth: float) -> np.ndarray:
     """End positions of the ``seeds`` that took a step, in seed order: each
     step moves every still-climbing seed to the mean of its ball, one
     batched ball query for all of them."""
     pos = seeds.copy()
     stepped = np.zeros(len(pos), bool)
     active = np.arange(len(pos))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         counts, idx = _balls(tree, pos[active], bandwidth, True)
         active, counts = active[counts > 0], counts[counts > 0]
         if len(active) == 0:
@@ -296,12 +297,12 @@ def _bin_seeds(pts, columns, bandwidth: float) -> np.ndarray:
     return _group_means(columns, bins, np.bincount(bins))
 
 
-def mean_shift(points, bandwidth: float, max_iter: int = 300):
+def mean_shift(points, bandwidth: float):
     """Flat-kernel mean-shift over (N, 2) points.
 
     Seeds are the per-bin means of a bandwidth-sized grid.  Each seed climbs
     to the mean of the points within the bandwidth until the shift drops
-    below 1e-3 * bandwidth, its ball is empty or it has taken ``max_iter``
+    below 1e-3 * bandwidth, its ball is empty or it has taken ``_MAX_ITER``
     steps; a seed whose first ball is empty gives no mode.  Seeds climb in
     lockstep blocks of ``_BALL_BLOCK``, which bounds the ball lists held at
     once and changes no mode.  Modes closer than the bandwidth merge,
@@ -325,14 +326,12 @@ def mean_shift(points, bandwidth: float, max_iter: int = 300):
         raise ValueError("points must be finite, got NaN or inf coordinates")
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     columns = np.ascontiguousarray(pts.T)
     seeds = _bin_seeds(pts, columns, bandwidth)
 
     tree = cKDTree(pts)
     modes = np.concatenate([
-        _climb(tree, columns, seeds[s:s + _BALL_BLOCK], bandwidth, max_iter)
+        _climb(tree, columns, seeds[s:s + _BALL_BLOCK], bandwidth)
         for s in range(0, len(seeds), _BALL_BLOCK)
     ])
     supports = tree.query_ball_point(modes, bandwidth, return_length=True)

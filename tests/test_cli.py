@@ -264,6 +264,34 @@ def test_commands_reject_a_non_finite_image_before_writing(run_dir, nan_data, ca
     assert "Traceback" not in err and not (run_dir / out).exists()
 
 
+@pytest.mark.parametrize("command", ["train", "predict", "segment", "sweep"])
+def test_commands_reject_an_image_without_pixels_before_writing(run_dir, capsys, command):
+    save_dataset(run_dir / "data_empty", [np.zeros((1, 0, 40), np.float32)],
+                 [np.zeros((0, 40), np.int32)])
+    out = f"empty_image_{command}"
+    assert _run(run_dir, command, out, {}, data="data_empty") == 2
+    err = capsys.readouterr().err
+    assert "expects (C, H, W) with pixels, got shape (1, 0, 40)" in err
+    assert "Traceback" not in err and not (run_dir / out).exists()
+
+
+@pytest.mark.parametrize("command, shape", [
+    ("sweep", (48, 40)), ("sweep", (1, 64, 64)), ("train", (48, 40)),
+], ids=["sweep-48x40", "sweep-1x64x64", "train-48x40"])
+def test_commands_reject_a_label_off_its_image_grid_before_writing(run_dir, capsys, command,
+                                                                   shape):
+    # sweep would score such a label, which eval of segment's output rejects
+    stems, images, labels = load_dataset(run_dir / "data")
+    labels[1] = np.zeros(shape, np.int32)
+    data = f"data_label_{len(shape)}d"
+    save_dataset(run_dir / data, images, labels, stems)
+    out = f"off_grid_{command}_{len(shape)}d"
+    assert _run(run_dir, command, out, {"train": {"crop_size": 48}}, data=data) == 2
+    err = capsys.readouterr().err
+    assert f"error: label im0001 has shape {shape}, not its image's grid (64, 64)" in err
+    assert "Traceback" not in err and not (run_dir / out).exists()
+
+
 @pytest.fixture(scope="module")
 def fixture_scenes(tmp_path_factory):
     """Two labelled 160^2 scenes sized for the committed 16-map checkpoint."""

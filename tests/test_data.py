@@ -282,36 +282,57 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer, old, ne
     assert [p.name for p in nested.parent.iterdir()] == ["target.bin"]
 
 
-def _file_writers(source):
-    """(function, call) of each directory made and each file opened in a mode
-    other than read in ``source``; a mode that is not a literal counts."""
-    found = set()
+SRC = Path(__file__).resolve().parents[1] / "src" / "oceseg"
 
+
+def _calls(source):
+    """(enclosing function, called name, call node) of each call in ``source``."""
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                yield from visit(child, child.name)
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                mode = child.args[1] if len(child.args) > 1 else next(
-                    (k.value for k in child.keywords if k.arg == "mode"), None)
-                reads = mode is None or (isinstance(mode, ast.Constant)
-                                         and set(str(mode.value)) <= set("rbt"))
-                if name in ("makedirs", "mkdir") or name == "open" and not reads:
-                    found.add((where, name))
-            visit(child, where)
+                yield where, name, child
+            yield from visit(child, where)
 
-    visit(ast.parse(source), "<module>")
-    return found
+    return visit(ast.parse(source), "<module>")
+
+
+def _package_calls(keep):
+    """(module, function, called name) of each call in the package for which
+    ``keep(name, call)`` holds."""
+    return {(path.stem, where, name) for path in SRC.glob("*.py")
+            for where, name, call in _calls(path.read_text(encoding="utf-8"))
+            if keep(name, call)}
+
+
+def _writes(name, call):
+    """Whether ``call`` makes a directory or opens a file in a mode other than
+    read; a mode that is not a literal counts."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    reads = mode is None or (isinstance(mode, ast.Constant)
+                             and set(str(mode.value)) <= set("rbt"))
+    return name in ("makedirs", "mkdir") or name == "open" and not reads
 
 
 def test_only_the_atomic_writer_makes_directories_or_opens_files_to_write():
-    src = Path(__file__).resolve().parents[1] / "src" / "oceseg"
-    writers = {(path.stem, where, name) for path in src.glob("*.py")
-               for where, name in _file_writers(path.read_text(encoding="utf-8"))}
-    assert writers == {("data", "_write_atomic", "makedirs"), ("data", "_write_atomic", "open")}
+    assert _package_calls(_writes) == {("data", "_write_atomic", "makedirs"),
+                                       ("data", "_write_atomic", "open")}
+
+
+def test_only_data_reads_tensor_files_and_label_folders():
+    # the one exception is the checkpoint reader, which checks what it reads
+    readers = _package_calls(lambda name, _call: name in ("tensor_read", "ocet_stems",
+                                                           "archive_read"))
+    assert readers == {
+        ("data", "load_labels", "tensor_read"), ("data", "load_labels", "ocet_stems"),
+        ("data", "load_dataset", "tensor_read"), ("data", "load_dataset", "ocet_stems"),
+        ("network", "load_checkpoint", "archive_read"),
+    }
 
 
 def _touches_allocator(source):
@@ -338,8 +359,7 @@ def _touches_allocator(source):
 def test_only_the_cli_touches_the_allocator():
     # importing the package must not change the process's malloc settings;
     # only ``oceseg`` main fixes the mmap threshold
-    src = Path(__file__).resolve().parents[1] / "src" / "oceseg"
-    users = {path.name for path in src.glob("*.py")
+    users = {path.name for path in SRC.glob("*.py")
              if _touches_allocator(path.read_text(encoding="utf-8"))}
     assert users == {"cli.py"}
 
@@ -444,6 +464,29 @@ def test_dataset_roundtrip(tmp_path):
         assert np.array_equal(a, b)
     for a, b in zip(labels, labs):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["missing", "off_grid"])
+def test_dataset_needs_a_label_on_each_image_grid(tmp_path, case):
+    images = [np.zeros((1, 8, 6), np.float32), np.zeros((1, 6, 6), np.float32)]
+    labels = [np.zeros((8, 6), np.int32), np.zeros((6, 8), np.int32)]
+    save_dataset(tmp_path / "d", images, labels)
+    tensor_write(tmp_path / "d" / "labels" / "extra.ocet", np.zeros(3, np.int32))
+    if case == "missing":
+        (tmp_path / "d" / "labels" / "im0001.ocet").unlink()
+        message = "image im0001 has no label"
+    else:
+        message = r"label im0001 has shape \(6, 8\), not its image's grid \(6, 6\)"
+    with pytest.raises(FormatError, match=message):
+        load_dataset(tmp_path / "d")
+
+
+def test_dataset_ignores_labels_without_an_image(tmp_path):
+    labels = [np.ones((8, 6), np.int32)]
+    save_dataset(tmp_path / "d", [np.zeros((1, 8, 6), np.float32)], labels)
+    tensor_write(tmp_path / "d" / "labels" / "extra.ocet", np.zeros(3, np.int32))
+    stems, _, labs = load_dataset(tmp_path / "d")
+    assert stems == ["im0000"] and np.array_equal(labs[0], labels[0])
 
 
 def test_dataset_missing_dir(tmp_path):

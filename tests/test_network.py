@@ -474,6 +474,20 @@ def test_checkpoint_missing_tensor(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("count", [4, 6])
+def test_checkpoint_rejects_a_meta_config_of_other_than_five_values(tmp_path, count):
+    from oceseg.data import archive_read, archive_write
+
+    p = init_params(ModelConfig(base_fmaps=4), 1)
+    path = tmp_path / "c.ocec"
+    save_checkpoint(path, p, AdamState.fresh(p), 0)
+    tensors = archive_read(path)
+    tensors["meta.config"] = np.resize(tensors["meta.config"], count)
+    archive_write(path, tensors)
+    with pytest.raises(FormatError, match="invalid checkpoint metadata"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("group", ["param.", "adam.m.", "adam.v."])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_checkpoint_rejects_a_non_finite_tensor(tmp_path, group, value):

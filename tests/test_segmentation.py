@@ -363,9 +363,9 @@ def _blob_cloud(rng, n_blobs, per_blob, spacing, sigma):
             + rng.normal(0.0, sigma, size=(n_blobs * per_blob, 2)))
 
 
-def _assert_same_mean_shift(points, bandwidth, max_iter=300):
-    modes, assignment = segmentation.mean_shift(points, bandwidth, max_iter)
-    ref_modes, ref_assignment = mean_shift_reference(points, bandwidth, max_iter)
+def _assert_same_mean_shift(points, bandwidth):
+    modes, assignment = segmentation.mean_shift(points, bandwidth)
+    ref_modes, ref_assignment = mean_shift_reference(points, bandwidth, segmentation._MAX_ITER)
     assert modes.dtype == ref_modes.dtype and assignment.dtype == ref_assignment.dtype
     assert np.array_equal(modes, ref_modes)
     assert np.array_equal(assignment, ref_assignment)
@@ -411,8 +411,9 @@ def _shared_mode_cloud():
 
 # climbs cut off before they converge keep the position they reached
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 20, 23])
-def test_mean_shift_matches_reference_at_truncated_iterations(max_iter):
-    _assert_same_mean_shift(_shared_mode_cloud(), 3.0, max_iter)
+def test_mean_shift_matches_reference_at_truncated_iterations(monkeypatch, max_iter):
+    monkeypatch.setattr(segmentation, "_MAX_ITER", max_iter)
+    _assert_same_mean_shift(_shared_mode_cloud(), 3.0)
 
 
 def _rings(bandwidth):
@@ -552,15 +553,12 @@ def test_mean_shift_mode_blocks_bound_memory():
     assert peak < 9e6, f"peak {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.parametrize("bandwidth, max_iter, name", [
-    (float("nan"), 300, "bandwidth"),
-    (0.0, 300, "bandwidth"),
-    (2.0, 0, "max_iter"),
-    (2.0, -1, "max_iter"),
-])
-def test_mean_shift_rejects_bad_arguments(bandwidth, max_iter, name):
-    with pytest.raises(ValueError, match=name):
-        segmentation.mean_shift(_lattice(4, 1), bandwidth, max_iter)
+# the ids are the names these cases are recorded under
+@pytest.mark.parametrize("bandwidth", [float("nan"), 0.0],
+                         ids=["nan-300-bandwidth", "0.0-300-bandwidth"])
+def test_mean_shift_rejects_bad_arguments(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth"):
+        segmentation.mean_shift(_lattice(4, 1), bandwidth)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
