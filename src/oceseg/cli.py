@@ -167,7 +167,7 @@ def _cmd_synth(config, options):
 
 
 def _cmd_train(config, options):
-    stems, raw_images, _ = dataio.load_dataset(options["data"])
+    stems, raw_images, _ = dataio.load_dataset(options["data"], with_labels=False)
     images = [_prepare_image(img, config["data"]) for img in raw_images]
     resume = None
     if options["resume"]:
@@ -200,13 +200,14 @@ def _cmd_train(config, options):
     return config
 
 
-def _load_inference_inputs(config, options):
+def _load_inference_inputs(config, options, with_labels=False):
     """The checkpoint, the config with the checkpoint's model, and the dataset
     stems, image sides (H, W), prepared images (each replacing its raw image)
-    and labels (or None) of ``predict``, ``segment`` and ``sweep``; every
-    prepared image is checked against the model before the command writes."""
+    and labels (None unless ``with_labels``, which only ``sweep`` sets, as
+    only it scores) of ``predict``, ``segment`` and ``sweep``; every prepared
+    image is checked against the model before the command writes."""
     params, _, _ = load_checkpoint(options["model"])
-    stems, images, labels = dataio.load_dataset(options["data"])
+    stems, images, labels = dataio.load_dataset(options["data"], with_labels)
     grids = [img.shape[-2:] for img in images]
     for i, raw in enumerate(images):
         images[i] = _prepare_image(raw, config["data"])
@@ -255,7 +256,7 @@ def _cmd_eval(config, options):
 
 
 def _cmd_sweep(config, options):
-    params, config, _, _, images, labels = _load_inference_inputs(config, options)
+    params, config, _, _, images, labels = _load_inference_inputs(config, options, with_labels=True)
     if labels is None:
         raise FormatError("sweep needs a dataset with labels/")
     bandwidths = [float(b) for b in options["bandwidths"].split(",") if b]

@@ -340,18 +340,19 @@ def load_labels(path) -> dict[str, np.ndarray]:
     return {s: tensor_read(os.path.join(path, s + ".ocet")) for s in ocet_stems(path)}
 
 
-def load_dataset(root):
+def load_dataset(root, with_labels: bool = True):
     """Read a dataset directory; returns (stems, images, labels-or-None).
 
-    With a labels/ directory every image needs a label on its own (H, W)
-    grid, else :class:`FormatError`; labels without an image are ignored."""
+    Labels are read only ``with_labels`` and when there is a labels/
+    directory; then every image needs a label on its own (H, W) grid, else
+    :class:`FormatError`, and labels without an image are ignored."""
     root = os.fspath(root)
     img_dir = os.path.join(root, "images")
     if not os.path.isdir(img_dir):
         raise FormatError(f"no images/ directory under {root}")
     stems = ocet_stems(img_dir)
     images = [tensor_read(os.path.join(img_dir, s + ".ocet")) for s in stems]
-    if not os.path.isdir(os.path.join(root, "labels")):
+    if not (with_labels and os.path.isdir(os.path.join(root, "labels"))):
         return stems, images, None
     by_stem = load_labels(root)
     for stem, img in zip(stems, images):

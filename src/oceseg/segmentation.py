@@ -11,12 +11,17 @@ One driver, ``_bands``, predicts the clean field and the noise rounds band
 by band, top to bottom, a band being one tile row, and holds n inputs x
 one band; the noise rounds reduce each band's new rows in row chunks, so
 their float64 temporaries do not grow with the image.
-Mean-shift climbs its seeds in lockstep blocks, one batched ball query
-per step for a block, so the ball lists held at once stay bounded.  Kept
-modes are at least a bandwidth apart, so a point strictly within half a
-bandwidth of a mode is nearer to it than to any other: those points take
-that mode from one ball query per mode, and only the rest are searched;
-both run in blocks, of modes and of points, so their memory stays bounded.
+Mean-shift finds its modes on a sample, every s-th center estimate with
+s = max(1, floor((bandwidth / 4) ** 2)), so a ball of the sample holds
+about as many points as a full-cloud ball of radius 4; the assignment
+still covers every point.  It climbs its seeds in lockstep blocks, one
+batched ball query per step for a block, so the ball lists held at once
+stay bounded, and merges near-duplicate modes through the list of close
+pairs.  Kept modes are at least a bandwidth apart, so a point strictly
+within half a bandwidth of a mode is nearer to it than to any other: those
+points take that mode from one ball query per mode, and only the rest are
+searched; both run in blocks, of modes and of points, so their memory
+stays bounded.
 """
 
 from __future__ import annotations
@@ -247,6 +252,7 @@ def detect_foreground(variance_map) -> np.ndarray:
 _BALL_BLOCK = 256  # centers per query_ball_point call: climbing seeds, or _assign's modes
 _REST_BLOCK = 65536  # points _assign hands to _nearest_mode at once
 _MAX_ITER = 300  # steps a seed climbs at most
+_SAMPLE_BALL = 4.0  # radius of the full-cloud ball a sample's bandwidth ball stands for
 
 
 def _balls(tree, centers, radius: float, sort: bool):
@@ -297,25 +303,65 @@ def _bin_seeds(pts, columns, bandwidth: float) -> np.ndarray:
     return _group_means(columns, bins, np.bincount(bins))
 
 
+def _sample_stride(bandwidth: float, n: int) -> int:
+    """s = max(1, floor((bandwidth / _SAMPLE_BALL) ** 2)), capped at n.
+
+    A ball of the bandwidth over every s-th point then holds about as many
+    points as a ball of radius ``_SAMPLE_BALL`` over all of them.  The
+    square is only taken below n, where it cannot overflow."""
+    ratio = bandwidth / _SAMPLE_BALL
+    return n if ratio >= n else max(1, min(n, int(ratio * ratio)))
+
+
+def _merge(modes, supports, bandwidth: float) -> np.ndarray:
+    """The modes kept when, in order of larger support (then lower
+    coordinates), each mode is kept unless a kept mode lies closer than the
+    bandwidth by ``np.hypot``; kept modes come in that order.
+
+    A tree over the modes lists the pairs within bandwidth * (1 + 1e-6),
+    which holds every pair ``np.hypot`` finds closer than the bandwidth;
+    each pair is confirmed by ``np.hypot``.  A mode then needs only the
+    modes ranked before it among its confirmed partners."""
+    rank = np.lexsort((modes[:, 1], modes[:, 0], -supports))
+    place = np.empty(len(rank), np.intp)
+    place[rank] = np.arange(len(rank))
+    pairs = cKDTree(modes).query_pairs(bandwidth * (1 + 1e-6), output_type="ndarray")
+    diff = modes[pairs[:, 0]] - modes[pairs[:, 1]]
+    pairs = np.sort(place[pairs[np.hypot(diff[:, 0], diff[:, 1]) < bandwidth]], axis=1)
+    earlier, later = pairs[np.argsort(pairs[:, 1])].T
+    heads, starts = np.unique(later, return_index=True)
+    kept = np.ones(len(rank), bool)
+    for head, a, b in zip(heads, starts, np.r_[starts[1:], len(later)]):
+        # heads rise in rank, so every partner ranked before a head is settled
+        kept[head] = not kept[earlier[a:b]].any()
+    return modes[rank[kept]]
+
+
 def mean_shift(points, bandwidth: float):
     """Flat-kernel mean-shift over (N, 2) points.
 
-    Seeds are the per-bin means of a bandwidth-sized grid.  Each seed climbs
-    to the mean of the points within the bandwidth until the shift drops
-    below 1e-3 * bandwidth, its ball is empty or it has taken ``_MAX_ITER``
-    steps; a seed whose first ball is empty gives no mode.  Seeds climb in
-    lockstep blocks of ``_BALL_BLOCK``, which bounds the ball lists held at
-    once and changes no mode.  Modes closer than the bandwidth merge,
-    keeping the mode with larger support; points go to their nearest mode
-    by the squared distance ``((p - m) ** 2).sum()``, and a point equally
-    near several modes goes to the one with the lowest index, as
-    ``np.argmin`` over all modes would choose.
+    The modes come from a sample, every s-th point in input order, with
+    s = max(1, floor((bandwidth / 4) ** 2)) capped at N (``_sample_stride``,
+    the 4 being ``_SAMPLE_BALL``): a bandwidth ball of the sample then holds
+    about as many points as a full-cloud ball of radius 4.  Seeds are the
+    per-bin means of the sample on a bandwidth-sized grid.  Each seed climbs
+    to the mean of the sample points within the bandwidth until the shift
+    drops below 1e-3 * bandwidth, its ball is empty or it has taken
+    ``_MAX_ITER`` steps; a seed whose first ball is empty gives no mode.
+    Seeds climb in lockstep blocks of ``_BALL_BLOCK``, which bounds the ball
+    lists held at once and changes no mode.  Modes closer than the bandwidth
+    merge, keeping the mode with larger support in the sample (``_merge``).
+    Every point, sampled or not, goes to its nearest mode by the squared
+    distance ``((p - m) ** 2).sum()``, and a point equally near several
+    modes goes to the one with the lowest index, as ``np.argmin`` over all
+    modes would choose.
 
     The assignment takes two steps (``_assign``).  The merge leaves the
     kept modes pairwise at least a bandwidth apart, so a point strictly
     within half a bandwidth of a mode is nearest to that mode alone: it
-    takes that mode from one ball query per mode.  Only the points no ball
-    holds go through the nearest-mode search (``_nearest_mode``).
+    takes that mode from one ball query per mode over all the points.  Only
+    the points no ball holds go through the nearest-mode search
+    (``_nearest_mode``).
 
     Returns (modes (M, 2), assignment (N,)).
     """
@@ -326,27 +372,19 @@ def mean_shift(points, bandwidth: float):
         raise ValueError("points must be finite, got NaN or inf coordinates")
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
-    columns = np.ascontiguousarray(pts.T)
-    seeds = _bin_seeds(pts, columns, bandwidth)
+    stride = _sample_stride(bandwidth, len(pts))
+    sample = pts[::stride]
+    columns = np.ascontiguousarray(sample.T)
+    seeds = _bin_seeds(sample, columns, bandwidth)
 
-    tree = cKDTree(pts)
+    tree = cKDTree(sample)
     modes = np.concatenate([
         _climb(tree, columns, seeds[s:s + _BALL_BLOCK], bandwidth)
         for s in range(0, len(seeds), _BALL_BLOCK)
     ])
     supports = tree.query_ball_point(modes, bandwidth, return_length=True)
-
-    # merge near-duplicate modes, larger support first
-    rank = np.lexsort((modes[:, 1], modes[:, 0], -supports))
-    kept = np.empty_like(modes)
-    n_kept = 0
-    for i in rank:
-        diff = modes[i] - kept[:n_kept]
-        if (np.hypot(diff[:, 0], diff[:, 1]) >= bandwidth).all():
-            kept[n_kept] = modes[i]
-            n_kept += 1
-    modes = kept[:n_kept]
-    return modes, _assign(tree, pts, modes, bandwidth)
+    modes = _merge(modes, supports, bandwidth)
+    return modes, _assign(tree if stride == 1 else cKDTree(pts), pts, modes, bandwidth)
 
 
 def _assign(tree, pts, modes, bandwidth: float) -> np.ndarray:

@@ -275,21 +275,51 @@ def test_commands_reject_an_image_without_pixels_before_writing(run_dir, capsys,
     assert "Traceback" not in err and not (run_dir / out).exists()
 
 
-@pytest.mark.parametrize("command, shape", [
-    ("sweep", (48, 40)), ("sweep", (1, 64, 64)), ("train", (48, 40)),
-], ids=["sweep-48x40", "sweep-1x64x64", "train-48x40"])
+def _data_with_label(run_dir, label):
+    """The fixture dataset with its second label replaced by ``label``, or
+    removed for None; returns the dataset's name under ``run_dir``."""
+    stems, images, labels = load_dataset(run_dir / "data")
+    name = "data_no_label" if label is None else f"data_label_{label.ndim}d"
+    if label is not None:
+        labels[1] = label
+    save_dataset(run_dir / name, images, labels, stems)
+    if label is None:
+        (run_dir / name / "labels" / "im0001.ocet").unlink()
+    return name
+
+
+@pytest.mark.parametrize("command, shape", [("sweep", (48, 40)), ("sweep", (1, 64, 64))],
+                         ids=["sweep-48x40", "sweep-1x64x64"])
 def test_commands_reject_a_label_off_its_image_grid_before_writing(run_dir, capsys, command,
                                                                    shape):
-    # sweep would score such a label, which eval of segment's output rejects
-    stems, images, labels = load_dataset(run_dir / "data")
-    labels[1] = np.zeros(shape, np.int32)
-    data = f"data_label_{len(shape)}d"
-    save_dataset(run_dir / data, images, labels, stems)
+    # sweep would score such a label, which eval of segment's output rejects;
+    # it alone reads labels
+    data = _data_with_label(run_dir, np.zeros(shape, np.int32))
     out = f"off_grid_{command}_{len(shape)}d"
-    assert _run(run_dir, command, out, {"train": {"crop_size": 48}}, data=data) == 2
+    assert _run(run_dir, command, out, {}, data=data) == 2
     err = capsys.readouterr().err
     assert f"error: label im0001 has shape {shape}, not its image's grid (64, 64)" in err
     assert "Traceback" not in err and not (run_dir / out).exists()
+
+
+def test_sweep_rejects_an_image_without_a_label_before_writing(run_dir, capsys):
+    data = _data_with_label(run_dir, None)
+    assert _run(run_dir, "sweep", "no_label_sweep", {}, data=data) == 2
+    err = capsys.readouterr().err
+    assert "error: image im0001 has no label" in err
+    assert "Traceback" not in err and not (run_dir / "no_label_sweep").exists()
+
+
+# only sweep scores, so only sweep reads labels: a dataset with few
+# annotated images, or a label off its image's grid, is no error elsewhere
+@pytest.mark.parametrize("command", ["train", "predict", "segment"])
+@pytest.mark.parametrize("label", ["missing", "off_grid"])
+def test_commands_that_score_nothing_ignore_the_labels(run_dir, command, label):
+    data = _data_with_label(run_dir, None if label == "missing" else np.zeros((48, 40), np.int32))
+    out = f"{label}_label_{command}"
+    sections = {"model": {"base_fmaps": 4}, "train": {"epochs": 1, "batch_size": 2, "crop_size": 48}}
+    assert _run(run_dir, command, out, sections, data=data) == 0
+    assert (run_dir / out).is_dir()
 
 
 @pytest.fixture(scope="module")

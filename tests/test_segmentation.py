@@ -1,4 +1,5 @@
 import ast
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -300,14 +301,20 @@ def test_otsu_threshold_rejects_degenerate_input(values):
 # ---------------------------------------------------------------------------
 # Mean shift
 
-def mean_shift_reference(points, bandwidth: float, max_iter: int = 300):
-    """Brute-force O(N^2 * iterations) twin of :func:`mean_shift`."""
+def mean_shift_reference(points, bandwidth: float, max_iter: int = 300, stride=None):
+    """Brute-force O(N^2 * iterations) twin of :func:`mean_shift`: seeds,
+    climb and supports on every ``stride``-th point, by default
+    max(1, floor((bandwidth / _SAMPLE_BALL) ** 2)) capped at N, then the
+    dense argmin over every point."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = len(pts)
     if n < 1:
         raise ShapeError("mean_shift needs at least one point")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
+    if stride is None:
+        stride = min(max(1, math.floor((bandwidth / segmentation._SAMPLE_BALL) ** 2)), n)
+    everything, pts = pts, pts[::stride]
     keys = np.floor(pts / bandwidth).astype(np.int64)
     order = np.lexsort((keys[:, 1], keys[:, 0]))
     sorted_keys = keys[order]
@@ -340,19 +347,24 @@ def mean_shift_reference(points, bandwidth: float, max_iter: int = 300):
         sq = ((pts - pos) ** 2).sum(axis=1)
         modes.append(pos)
         supports.append(int((sq <= bw_sq).sum()))
-    modes = np.asarray(modes)
-    supports = np.asarray(supports)
-
-    rank = np.lexsort((modes[:, 1], modes[:, 0], -supports))
-    kept: list[np.ndarray] = []
-    for i in rank:
-        if all(np.hypot(*(modes[i] - m)) >= bandwidth for m in kept):
-            kept.append(modes[i])
-    modes = np.asarray(kept)
-
-    d2 = ((pts[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+    modes = merge_reference(np.asarray(modes), np.asarray(supports), bandwidth)
+    d2 = ((everything[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
     assignment = np.argmin(d2, axis=1)
     return modes, assignment
+
+
+def merge_reference(modes, supports, bandwidth: float):
+    """The merge as one loop: in rank order, keep a mode unless a kept one
+    is closer than the bandwidth."""
+    rank = np.lexsort((modes[:, 1], modes[:, 0], -supports))
+    kept = np.empty_like(modes)
+    n_kept = 0
+    for i in rank:
+        diff = modes[i] - kept[:n_kept]
+        if (np.hypot(diff[:, 0], diff[:, 1]) >= bandwidth).all():
+            kept[n_kept] = modes[i]
+            n_kept += 1
+    return kept[:n_kept]
 
 
 def _blob_cloud(rng, n_blobs, per_blob, spacing, sigma):
@@ -402,6 +414,47 @@ def test_mean_shift_matches_reference_on_lattice_ties(side, step, bandwidth):
     tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) >= 2
     assert tied.sum() >= 40  # the case really has exact equidistant points
     assert np.array_equal(assignment, np.argmin(d2, axis=1))
+
+
+# the sample is every s-th point, s = max(1, floor((bandwidth / 4) ** 2)):
+# the modes equal the reference's at that stride and at no neighbouring one
+@pytest.mark.parametrize("bandwidth, stride", [(4.0, 1), (6.0, 2), (12.0, 9)])
+def test_mean_shift_climbs_a_bandwidth_scaled_sample(bandwidth, stride):
+    rng = np.random.default_rng(8)
+    points = np.concatenate([_blob_cloud(rng, 12, 60, 30.0, 4.0),
+                             rng.uniform(-10.0, 110.0, size=(80, 2))])
+    assert segmentation._sample_stride(bandwidth, len(points)) == stride
+    modes, assignment = _assert_same_mean_shift(points, bandwidth)
+    assert len(modes) > 1
+    for other in (stride - 1, stride + 1):
+        if other >= 1:
+            ref_modes, _ = mean_shift_reference(points, bandwidth, stride=other)
+            assert not np.array_equal(ref_modes, modes)
+
+
+def _merge_clouds():
+    rng = np.random.default_rng(9)
+    # lattice neighbours exactly one bandwidth of 3 apart, and the centres
+    # of its cells, 2.12 from four lattice points
+    lattice = np.concatenate([_lattice(6, 3.0), _lattice(5, 3.0) + 1.5])
+    yield lattice, np.full(len(lattice), 7), 3.0
+    yield lattice, rng.integers(1, 4, len(lattice)), 3.0
+    # clumps of near-duplicates, with equal supports among them
+    clumps = (np.repeat(rng.uniform(0.0, 60.0, (40, 2)), 6, axis=0)
+              + rng.normal(0.0, 1.5, (240, 2)))
+    yield clumps, rng.integers(1, 3, len(clumps)), 2.5
+    yield clumps, np.ones(len(clumps), np.intp), 5.0
+    yield np.zeros((5, 2)), np.full(5, 2), 1.0  # identical modes
+    yield np.array([[1.5, -2.0]]), np.array([4]), 1.0
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_merge_keeps_the_modes_of_the_loop(case):
+    modes, supports, bandwidth = list(_merge_clouds())[case]
+    got = segmentation._merge(modes, supports, bandwidth)
+    expected = merge_reference(modes, supports, bandwidth)
+    assert np.array_equal(got, expected)
+    assert len(expected) < len(modes) or len(modes) == 1
 
 
 def _shared_mode_cloud():
@@ -559,6 +612,13 @@ def test_mean_shift_mode_blocks_bound_memory():
 def test_mean_shift_rejects_bad_arguments(bandwidth):
     with pytest.raises(ValueError, match="bandwidth"):
         segmentation.mean_shift(_lattice(4, 1), bandwidth)
+
+
+def test_mean_shift_takes_a_bandwidth_whose_square_overflows():
+    # (1e200 / 4) ** 2 raises OverflowError: the stride is capped first
+    modes, assignment = segmentation.mean_shift(_lattice(4, 1), 1e200)
+    assert len(modes) == 1
+    assert np.array_equal(assignment, np.zeros(16, np.intp))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -871,7 +931,9 @@ def _sweep_oracle(params, images, gt_labels, bandwidths, metric, seed):
 
 
 @pytest.mark.parametrize("metric", ["f1", "seg"])
-def test_bandwidth_search_rows_match_oracle(small_params, metric):
+def test_bandwidth_search_rows_match_oracle(small_params, monkeypatch, metric):
+    # the search's bookkeeping, not the climb: every point climbs
+    monkeypatch.setattr(segmentation, "_SAMPLE_BALL", math.inf)
     spec = SceneSpec(height=64, width=64, n_objects=4, radius_range=(5.0, 8.0))
     scenes = generate_dataset(spec, 2, seed=1)
     images = [img for img, _ in scenes]
