@@ -111,6 +111,8 @@ def threshold_sweep(gt_masks, pred_masks, thresholds, per_image: bool = False):
         raise ValueError("empty threshold list")
     if len(gt_masks) != len(pred_masks):
         raise ShapeError("gt and prediction counts differ")
+    if len(gt_masks) == 0:
+        raise DegenerateError("no images to score")
     rows = []
     for t in thresholds:
         matches = [match_at_threshold(gt, pred, t) for gt, pred in zip(gt_masks, pred_masks)]

@@ -18,10 +18,11 @@ still covers every point.  It climbs its seeds in lockstep blocks, one
 batched ball query per step for a block, so the ball lists held at once
 stay bounded, and merges near-duplicate modes through the list of close
 pairs.  Kept modes are at least a bandwidth apart, so a point strictly
-within half a bandwidth of a mode is nearer to it than to any other: those
-points take that mode from one ball query per mode, and only the rest are
-searched; both run in blocks, of modes and of points, so their memory
-stays bounded.
+within half a bandwidth of a mode is nearer to it than to any other.  One
+tree over the kept modes assigns every point, a block of points at a
+time: a query bounded at half a bandwidth proposes that mode, and only the
+points it leaves are searched through the same tree.  No tree is built
+over more than the sample.
 """
 
 from __future__ import annotations
@@ -222,6 +223,8 @@ def otsu_threshold(values) -> float:
         raise DegenerateError("map is not finite: it holds NaN or inf values")
     if vmin == vmax:
         raise DegenerateError("constant input has no threshold")
+    if not (np.diff(np.linspace(vmin, vmax, 257)) > 0).all():  # np.histogram's own test
+        raise DegenerateError(f"map's range [{vmin!r}, {vmax!r}] is too narrow for 256 bins")
     counts, edges = np.histogram(flat, bins=256, range=(vmin, vmax))
     centers = 0.5 * (edges[:-1] + edges[1:])
     w = counts.astype(np.float64)
@@ -249,17 +252,17 @@ def detect_foreground(variance_map) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Mean shift
 
-_BALL_BLOCK = 256  # centers per query_ball_point call: climbing seeds, or _assign's modes
-_REST_BLOCK = 65536  # points _assign hands to _nearest_mode at once
+_BALL_BLOCK = 256  # climbing seeds per query_ball_point call
+_POINT_BLOCK = 65536  # points _assign queries the mode tree for at once
 _MAX_ITER = 300  # steps a seed climbs at most
 _SAMPLE_BALL = 4.0  # radius of the full-cloud ball a sample's bandwidth ball stands for
 
 
-def _balls(tree, centers, radius: float, sort: bool):
+def _balls(tree, centers, radius: float):
     """(counts, idx): how many points lie within ``radius`` of each center,
-    and their indices concatenated in center order.  scipy builds the balls
-    as lists of Python ints; they are freed on return."""
-    balls = tree.query_ball_point(centers, radius, return_sorted=sort)
+    and their sorted indices concatenated in center order.  scipy builds
+    the balls as lists of Python ints; they are freed on return."""
+    balls = tree.query_ball_point(centers, radius, return_sorted=True)
     counts = np.fromiter(map(len, balls), np.int64, len(balls))
     return counts, np.fromiter(itertools.chain.from_iterable(balls), np.intp, counts.sum())
 
@@ -280,7 +283,7 @@ def _climb(tree, columns, seeds, bandwidth: float) -> np.ndarray:
     stepped = np.zeros(len(pos), bool)
     active = np.arange(len(pos))
     for _ in range(_MAX_ITER):
-        counts, idx = _balls(tree, pos[active], bandwidth, True)
+        counts, idx = _balls(tree, pos[active], bandwidth)
         active, counts = active[counts > 0], counts[counts > 0]
         if len(active) == 0:
             break
@@ -356,16 +359,17 @@ def mean_shift(points, bandwidth: float):
     modes goes to the one with the lowest index, as ``np.argmin`` over all
     modes would choose.
 
-    The assignment takes two steps (``_assign``).  The merge leaves the
-    kept modes pairwise at least a bandwidth apart, so a point strictly
-    within half a bandwidth of a mode is nearest to that mode alone: it
-    takes that mode from one ball query per mode over all the points.  Only
-    the points no ball holds go through the nearest-mode search
-    (``_nearest_mode``).
+    The assignment runs on one tree over the kept modes (``_assign``).  The
+    merge leaves them pairwise at least a bandwidth apart, so a point
+    strictly within half a bandwidth of a mode is nearest to that mode
+    alone: a query bounded there proposes it.  Only the points it leaves go
+    through the nearest-mode search (``_nearest_mode``) on the same tree.
 
     Returns (modes (M, 2), assignment (N,)).
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ShapeError(f"mean_shift needs (N, 2) points, got shape {pts.shape}")
     if len(pts) < 1:
         raise ShapeError("mean_shift needs at least one point")
     if not np.isfinite(pts).all():
@@ -384,54 +388,55 @@ def mean_shift(points, bandwidth: float):
     ])
     supports = tree.query_ball_point(modes, bandwidth, return_length=True)
     modes = _merge(modes, supports, bandwidth)
-    return modes, _assign(tree if stride == 1 else cKDTree(pts), pts, modes, bandwidth)
+    return modes, _assign(pts, modes, bandwidth)
 
 
-def _assign(tree, pts, modes, bandwidth: float) -> np.ndarray:
+def _assign(pts, modes, bandwidth: float) -> np.ndarray:
     """Nearest mode of every point, as ``_nearest_mode`` gives it, for
     ``modes`` pairwise at least ``bandwidth`` apart by ``np.hypot``.
 
-    The tree over the points proposes the points within r = 0.5 * bandwidth
-    * (1 - 1e-9) of each mode; the squared distance ``((p - m) ** 2).sum()``
-    confirms each.  Every other mode is at least 2r / (1 - 1e-9) from a
+    A tree over the modes, queried with the bound r = 0.5 * bandwidth
+    * (1 - 1e-9), proposes for each point the nearest mode it finds within
+    r, or none (index M); the squared distance ``((p - m) ** 2).sum()``
+    confirms it.  Every other mode is at least 2r / (1 - 1e-9) from a
     confirmed point's mode, so at least r * (1 + 2e-9) from the point, and
-    no point is confirmed for two modes.  The rounding of the squared
-    distances, of the merge's ``np.hypot`` and of r is a few units in
-    2**-53 of the values, at image coordinates as at any scale, far inside
-    that margin, so a confirmed point's mode is the unique argmin.  The
+    at most one mode lies within r of any point.  The rounding of the
+    squared distances, of the merge's ``np.hypot`` and of r is a few units
+    in 2**-53 of the values, at image coordinates as at any scale, far
+    inside that margin, so a confirmed mode is the unique argmin.  The
     tree's own distances may round at the scale of the whole cloud; they
-    only pick the points to check.  The rest go to ``_nearest_mode``.  The
-    modes are queried in blocks of ``_BALL_BLOCK`` and the rest searched in
-    blocks of ``_REST_BLOCK``, which bounds the memory held at once; no point
-    is confirmed twice and each search is per point, so blocks change nothing.
+    only decide which points get a proposal.  A point left unconfirmed gets
+    the exact argmin from ``_nearest_mode`` on the same tree.  Points go
+    through in blocks of ``_POINT_BLOCK``, which bounds the memory held at
+    once; each search is per point, so blocks change nothing.
     """
     r = 0.5 * bandwidth * (1 - 1e-9)
-    assignment = np.full(len(pts), -1, np.intp)
-    for start in range(0, len(modes), _BALL_BLOCK):
-        counts, idx = _balls(tree, modes[start:start + _BALL_BLOCK], r, False)
-        owner = np.repeat(np.arange(start, start + len(counts)), counts)
-        inside = ((pts[idx] - modes[owner]) ** 2).sum(axis=1) <= r * r
-        assignment[idx[inside]] = owner[inside]
-    rest = np.flatnonzero(assignment < 0)
-    for start in range(0, len(rest), _REST_BLOCK):
-        block = rest[start:start + _REST_BLOCK]
-        assignment[block] = _nearest_mode(pts[block], modes)
+    m = len(modes)
+    tree = cKDTree(modes)
+    assignment = np.empty(len(pts), np.intp)
+    for start in range(0, len(pts), _POINT_BLOCK):
+        block = pts[start:start + _POINT_BLOCK]
+        near = tree.query(block, k=1, distance_upper_bound=r)[1]
+        d2 = ((block - modes[np.minimum(near, m - 1)]) ** 2).sum(axis=1)
+        rest = np.flatnonzero((near == m) | (d2 > r * r))
+        near[rest] = _nearest_mode(tree, block[rest], modes)
+        assignment[start:start + len(block)] = near
     return assignment
 
 
-def _nearest_mode(pts, modes) -> np.ndarray:
+def _nearest_mode(tree, pts, modes) -> np.ndarray:
     """argmin over modes of ``((p - m) ** 2).sum()`` for every point, lowest
     index on exact ties, without the dense (N, M) table.
 
-    A KD-tree over the modes gives three candidates per point, which are
-    rechecked with the dense formula.  Every other mode is at least the
-    third tree distance away; a point whose best candidate does not clear
-    that bound by a margin far above rounding is rechecked against all
-    modes, 4096 points at a time.
+    ``tree``, the KD-tree over the modes, gives three candidates per point,
+    which are rechecked with the dense formula.  Every other mode is at
+    least the third tree distance away; a point whose best candidate does
+    not clear that bound by a margin far above rounding is rechecked
+    against all modes, 4096 points at a time.
     """
     n, m = len(pts), len(modes)
     k = min(3, m)
-    dist, cand = cKDTree(modes).query(pts, k=k)
+    dist, cand = tree.query(pts, k=k)
     dist = dist.reshape(n, k)
     cand = cand.reshape(n, k)
     d2 = ((pts[:, None, :] - modes[cand]) ** 2).sum(axis=2)

@@ -192,6 +192,13 @@ def test_threshold_sweep_three_image_hand_table():
     assert abs(vals_pi["recall"] - np.mean([1.0, 0.5, 0.0])) < 1e-12
 
 
+@pytest.mark.parametrize("per_image", [False, True])
+def test_threshold_sweep_rejects_an_empty_dataset(per_image):
+    # pooled mode once scored nothing as 0.0, per-image mode as NaN
+    with pytest.raises(DegenerateError, match="no images"):
+        threshold_sweep([], [], [0.5], per_image=per_image)
+
+
 def test_seg_dataset_pools_objects():
     gt1 = np.zeros((6, 6), int); gt1[1:4, 1:4] = 1
     gt2 = np.zeros((6, 6), int); gt2[0:3, 0:3] = 1; gt2[4:6, 4:6] = 2

@@ -298,6 +298,14 @@ def test_otsu_threshold_rejects_degenerate_input(values):
         segmentation.otsu_threshold(values)
 
 
+@pytest.mark.parametrize("values", [
+    [1.0, np.nextafter(1.0, 2.0)], [0.0, 5e-324], [1e6, 1e6 + 1e-8, 1e6],
+])
+def test_otsu_threshold_rejects_a_range_too_narrow_for_its_bins(values):
+    with pytest.raises(DegenerateError, match="map's range .* too narrow"):
+        segmentation.otsu_threshold(values)
+
+
 # ---------------------------------------------------------------------------
 # Mean shift
 
@@ -528,7 +536,7 @@ def test_assign_is_argmin_at_the_half_bandwidth_boundary(offset, bandwidth):
     ring = radii[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     points = (modes[:, None, None, :] + ring[None]).reshape(-1, 2)
     d2 = ((points[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
-    got = segmentation._assign(cKDTree(points), points, modes, bandwidth)
+    got = segmentation._assign(points, modes, bandwidth)
     assert got.dtype == np.intp
     assert np.array_equal(got, np.argmin(d2, axis=1))
     assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) >= 2).any()
@@ -576,23 +584,23 @@ def test_assign_blocks_change_no_assignment(monkeypatch):
     rng = np.random.default_rng(3)
     points = np.concatenate([_blob_cloud(rng, 40, 30, 12.0, 0.5),
                              rng.uniform(-6.0, 80.0, size=(200, 2))])
-    for name in ("_BALL_BLOCK", "_REST_BLOCK"):  # one block for all
+    for name in ("_BALL_BLOCK", "_POINT_BLOCK"):  # one block for all
         monkeypatch.setattr(segmentation, name, len(points))
     modes, assignment = _assert_same_mean_shift(points, 3.0)
     assert len(modes) >= 40
-    for mode_block, rest_block in ((1, 1), (7, 13)):
-        monkeypatch.setattr(segmentation, "_BALL_BLOCK", mode_block)
-        monkeypatch.setattr(segmentation, "_REST_BLOCK", rest_block)
+    for seed_block, point_block in ((1, 1), (7, 13)):
+        monkeypatch.setattr(segmentation, "_BALL_BLOCK", seed_block)
+        monkeypatch.setattr(segmentation, "_POINT_BLOCK", point_block)
         got_modes, got_assignment = segmentation.mean_shift(points, 3.0)
         assert np.array_equal(got_modes, modes)
         assert np.array_equal(got_assignment, assignment)
 
 
 def test_mean_shift_mode_blocks_bound_memory():
-    # 2000 tight blobs keep 2000 modes, and a half-bandwidth ball holds nearly
-    # all of a blob: assigning every mode at once held each point's index,
-    # coordinates and distance terms together and peaked at 10.9 MB, blocks
-    # of 256 modes (and no bin keys held through the climb) at 7.2 MB
+    # 2000 tight blobs keep 2000 modes: seed blocks bound the climb, and
+    # point blocks on a tree over the modes bound the assignment, for a
+    # 7.2 MB peak; ball queries of all modes at once on a tree over every
+    # point peaked at 10.9 MB
     import tracemalloc
 
     points = _blob_cloud(np.random.default_rng(7), 2000, 50, 12.0, 0.5)
@@ -606,12 +614,36 @@ def test_mean_shift_mode_blocks_bound_memory():
     assert peak < 9e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_mean_shift_builds_no_tree_over_every_point(monkeypatch):
+    # at bandwidth 12 the climb runs on every 9th point and the assignment
+    # on a tree over the modes, so no tree holds more than the sample
+    points = _blob_cloud(np.random.default_rng(7), 300, 60, 30.0, 2.0)
+    sizes = []
+
+    def spy(data, *args, **kwargs):
+        sizes.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    monkeypatch.setattr(segmentation, "cKDTree", spy)
+    modes, assignment = segmentation.mean_shift(points, 12.0)
+    assert len(assignment) == len(points) == 18_000
+    assert len(modes) in sizes
+    assert max(sizes) <= math.ceil(len(points) / 9)
+
+
 # the ids are the names these cases are recorded under
 @pytest.mark.parametrize("bandwidth", [float("nan"), 0.0],
                          ids=["nan-300-bandwidth", "0.0-300-bandwidth"])
 def test_mean_shift_rejects_bad_arguments(bandwidth):
     with pytest.raises(ValueError, match="bandwidth"):
         segmentation.mean_shift(_lattice(4, 1), bandwidth)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (5, 3), (12,), (3, 2, 2), (6, 1)])
+def test_mean_shift_rejects_points_that_are_not_n_by_2(shape):
+    # (4, 3) once reshaped into six 2-D points, (5, 3) into numpy's reshape error
+    with pytest.raises(ShapeError, match=r"\(N, 2\) points"):
+        segmentation.mean_shift(np.ones(shape), 4.0)
 
 
 def test_mean_shift_takes_a_bandwidth_whose_square_overflows():
@@ -652,7 +684,7 @@ def test_nearest_mode_keeps_lowest_index_beyond_candidates():
     for _ in range(10):  # the tree's pick among tied modes follows their order
         modes = rng.permutation(np.concatenate([ring, grid]))
         d2 = ((points[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
-        got = segmentation._nearest_mode(points, modes)
+        got = segmentation._nearest_mode(cKDTree(modes), points, modes)
         assert np.array_equal(got, np.argmin(d2, axis=1))
         assert got[0] == np.flatnonzero(np.abs(modes).sum(axis=1) <= 7).min()
     assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) >= 4).sum() >= 10
