@@ -26,7 +26,7 @@ from .errors import (
 )
 from .loss import LossConfig, PairSet, oce_loss, sample_pairs
 from .metrics import (
-    MatchResult,
+    Tally,
     format_score_table,
     iou_matrix,
     match_at_threshold,

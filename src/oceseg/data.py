@@ -262,13 +262,19 @@ def normalize_percentile(image: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bilinear_axis_coords(n_out: int, n_in: int, factor: float) -> np.ndarray:
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) / factor - 0.5
+def _source_coords(n_out: int, n_in: int) -> np.ndarray:
+    """Source coordinate of every output line along an axis resampled from
+    ``n_in`` to ``n_out`` lines: pixel centres map onto pixel centres,
+    (o + 0.5) * n_in / n_out - 0.5, clipped to [0, n_in - 1].  The one grid
+    rule of ``rescale_image`` and ``rescale_labels``, so labels found on a
+    rescaled image map back onto the pixels they came from."""
+    src = (np.arange(n_out, dtype=np.float64) + 0.5) * n_in / n_out - 0.5
     return np.clip(src, 0.0, n_in - 1)
 
 
 def rescale_image(image: np.ndarray, factor: float) -> np.ndarray:
-    """Bilinear resampling of (C, H, W) intensity data."""
+    """Bilinear resampling of (C, H, W) intensity data onto the
+    round(H * factor) x round(W * factor) grid (``_source_coords``)."""
     if factor <= 0:
         raise ShapeError("factor must be positive")
     img = np.asarray(image, dtype=np.float32)
@@ -278,8 +284,8 @@ def rescale_image(image: np.ndarray, factor: float) -> np.ndarray:
         raise ShapeError(f"output {Ho}x{Wo} smaller than one pixel")
     if factor == 1.0:
         return img.copy()
-    ys = _bilinear_axis_coords(Ho, H, factor)
-    xs = _bilinear_axis_coords(Wo, W, factor)
+    ys = _source_coords(Ho, H)
+    xs = _source_coords(Wo, W)
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, H - 1)
@@ -294,15 +300,15 @@ def rescale_image(image: np.ndarray, factor: float) -> np.ndarray:
 
 def rescale_labels(labels: np.ndarray, out_shape) -> np.ndarray:
     """Nearest-neighbour resampling of an (H, W) integer label mask onto an
-    ``out_shape`` grid, e.g. to map a mask produced at some working scale
-    back onto the exact original grid."""
+    ``out_shape`` grid (``_source_coords``, rounded), e.g. to map a mask
+    produced at some working scale back onto the exact original grid."""
     lab = np.asarray(labels)
     H, W = lab.shape
     Ho, Wo = out_shape
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"output {Ho}x{Wo} smaller than one pixel")
-    ys = np.clip(np.rint((np.arange(Ho) + 0.5) * H / Ho - 0.5), 0, H - 1).astype(np.int64)
-    xs = np.clip(np.rint((np.arange(Wo) + 0.5) * W / Wo - 0.5), 0, W - 1).astype(np.int64)
+    ys = np.rint(_source_coords(Ho, H)).astype(np.int64)
+    xs = np.rint(_source_coords(Wo, W)).astype(np.int64)
     return lab[ys][:, xs]
 
 

@@ -7,23 +7,20 @@ it can have two (a 1x4 object split into two 1x2 predictions has IoU 0.5
 with both), and the lower gt id, then the lower prediction id, breaks the
 tie.  SEG follows the cell-tracking convention: a ground truth
 object matches the prediction covering strictly more than half of it.
+
+Scores over a dataset are pooled image by image in one accumulator,
+:class:`Tally`: each image's IoU table is built once, and only its
+TP/FP/FN counts, SEG sum and object count are kept.  ``match_at_threshold``,
+``threshold_sweep`` and ``seg_score_dataset`` are thin wrappers over it, and
+``bandwidth_search`` holds one per (bandwidth, shrink).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import relabel_consecutive
 from .errors import DegenerateError, ShapeError
-
-
-@dataclass
-class MatchResult:
-    tp: int
-    fp: int
-    fn: int
 
 
 def iou_matrix(gt, pred):
@@ -51,24 +48,57 @@ def iou_matrix(gt, pred):
     return iou, overlap, gt_ids, pred_ids, gt_sizes, pred_sizes
 
 
-def match_at_threshold(gt, pred, threshold: float) -> MatchResult:
-    """Greedy one-to-one matching of instances with IoU >= threshold."""
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must be in (0, 1]")
-    iou = iou_matrix(gt, pred)[0]
-    G, P = iou.shape
-    gs, ps = np.nonzero(iou >= threshold)
-    # highest IoU first, ties by row then column: ids ascend with rows and columns
-    order = np.lexsort((ps, gs, -iou[gs, ps]))
-    used_g = np.zeros(G, bool)
-    used_p = np.zeros(P, bool)
-    tp = 0
-    for g, p in zip(gs[order].tolist(), ps[order].tolist()):
-        if used_g[g] or used_p[p]:
-            continue
-        used_g[g] = used_p[p] = True
-        tp += 1
-    return MatchResult(tp, P - tp, G - tp)
+class Tally:
+    """Scores pooled over the images ``add`` is given, in that order.
+
+    Keeps the TP/FP/FN counts of the greedy matching at ``threshold``, the
+    running SEG sum and the number of ground truth objects; no image is kept.
+    """
+
+    def __init__(self, threshold: float):
+        if not 0 < threshold <= 1:
+            raise ValueError(f"IoU threshold must be in (0, 1], got {threshold!r}")
+        self.threshold = threshold
+        self.tp = self.fp = self.fn = self.objects = 0
+        self.seg_sum = 0.0
+
+    def add(self, gt, pred) -> Tally:
+        """Pool one image's (H, W) ground truth and prediction; returns self."""
+        iou, overlap, _, _, gt_sizes, _ = iou_matrix(gt, pred)
+        G, P = iou.shape
+        gs, ps = np.nonzero(iou >= self.threshold)
+        # highest IoU first, ties by row then column: ids ascend with rows and columns
+        order = np.lexsort((ps, gs, -iou[gs, ps]))
+        used_g, used_p = np.zeros(G, bool), np.zeros(P, bool)
+        tp = 0
+        for g, p in zip(gs[order].tolist(), ps[order].tolist()):
+            if used_g[g] or used_p[p]:
+                continue
+            used_g[g] = used_p[p] = True
+            tp += 1
+        self.tp, self.fp, self.fn = self.tp + tp, self.fp + P - tp, self.fn + G - tp
+        # at most one prediction covers more than half of an object; each
+        # covered IoU joins one running sum in image, then object order
+        for value in iou[overlap * 2 > gt_sizes[:, None]].tolist():
+            self.seg_sum += value
+        self.objects += G
+        return self
+
+    def scores(self) -> dict:
+        """``scores_from_counts`` of the pooled counts."""
+        return scores_from_counts(self.tp, self.fp, self.fn)
+
+    def seg(self) -> float:
+        """Mean IoU over all ground truth objects, an unmatched one scoring 0."""
+        if self.objects == 0:
+            raise DegenerateError("no ground truth objects")
+        return self.seg_sum / self.objects
+
+
+def match_at_threshold(gt, pred, threshold: float) -> Tally:
+    """One image's tally: ``.tp/.fp/.fn`` of the greedy one-to-one matching
+    of instances with IoU >= threshold."""
+    return Tally(threshold).add(gt, pred)
 
 
 def scores_from_counts(tp: int, fp: int, fn: int) -> dict:
@@ -80,23 +110,25 @@ def scores_from_counts(tp: int, fp: int, fn: int) -> dict:
     return {"f1": f1, "recall": recall, "precision": precision, "accuracy": accuracy}
 
 
+def _pairs(gt_masks, pred_masks) -> list:
+    """The (gt, prediction) pairs of a dataset, in image order."""
+    if len(gt_masks) != len(pred_masks):
+        raise ShapeError("gt and prediction counts differ")
+    return list(zip(gt_masks, pred_masks))
+
+
+def _pooled(pairs, threshold: float) -> Tally:
+    """One tally over ``pairs``, added in order."""
+    tally = Tally(threshold)
+    for gt, pred in pairs:
+        tally.add(gt, pred)
+    return tally
+
+
 def seg_score_dataset(gt_masks, pred_masks) -> float:
     """Mean IoU over the ground truth objects of all images, each matched to
     the prediction covering strictly more than half of it, else scoring 0."""
-    if len(gt_masks) != len(pred_masks):
-        raise ShapeError("gt and prediction counts differ")
-    total = 0.0
-    objects = 0
-    for gt, pred in zip(gt_masks, pred_masks):
-        iou, overlap, gt_ids, _, gt_sizes, _ = iou_matrix(gt, pred)
-        objects += len(gt_ids)
-        for g in range(len(gt_ids)):
-            covering = np.flatnonzero(overlap[g] * 2 > gt_sizes[g])
-            if len(covering):
-                total += float(iou[g, covering[0]])  # at most one can qualify
-    if objects == 0:
-        raise DegenerateError("no ground truth objects")
-    return total / objects
+    return _pooled(_pairs(gt_masks, pred_masks), 0.5).seg()
 
 
 def threshold_sweep(gt_masks, pred_masks, thresholds, per_image: bool = False):
@@ -109,19 +141,15 @@ def threshold_sweep(gt_masks, pred_masks, thresholds, per_image: bool = False):
     thresholds = list(thresholds)
     if not thresholds:
         raise ValueError("empty threshold list")
-    if len(gt_masks) != len(pred_masks):
-        raise ShapeError("gt and prediction counts differ")
-    if len(gt_masks) == 0:
+    pairs = _pairs(gt_masks, pred_masks)
+    if not pairs:
         raise DegenerateError("no images to score")
     rows = []
     for t in thresholds:
-        matches = [match_at_threshold(gt, pred, t) for gt, pred in zip(gt_masks, pred_masks)]
         if per_image:
-            scores = [scores_from_counts(m.tp, m.fp, m.fn) for m in matches]
+            scores = [match_at_threshold(gt, pred, t).scores() for gt, pred in pairs]
         else:
-            counts = (sum(m.tp for m in matches), sum(m.fp for m in matches),
-                      sum(m.fn for m in matches))
-            scores = [scores_from_counts(*counts)]
+            scores = [_pooled(pairs, t).scores()]
         for key in ("f1", "recall", "precision", "accuracy"):
             rows.append((key, float(t), float(np.mean([s[key] for s in scores]))))
     return rows

@@ -36,8 +36,8 @@ from scipy.spatial import cKDTree
 
 from .autodiff import Tensor
 from .data import check_labels, relabel_consecutive, rescale_labels
-from .errors import DegenerateError, ShapeError, check_bool, check_int, check_real
-from .metrics import seg_score_dataset, threshold_sweep
+from .errors import ConfigError, DegenerateError, ShapeError, check_bool, check_int, check_real
+from .metrics import Tally
 from .network import CONTEXT, ModelParams, check_image, forward
 
 
@@ -60,11 +60,12 @@ class SegmenterConfig:
         for name in ("noise_fraction", "bandwidth", "shrink_distance"):
             check_real(name, getattr(self, name))
         if not 0 < self.noise_fraction < 0.5:
-            raise ValueError("noise_fraction must be in (0, 0.5)")
+            raise ConfigError(f"noise_fraction must be in (0, 0.5), got {self.noise_fraction!r}")
         if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth!r}")
         if not 0 <= self.shrink_distance <= MAX_SHRINK:
-            raise ValueError(f"shrink_distance must be in [0, {MAX_SHRINK}]")
+            raise ConfigError(
+                f"shrink_distance must be in [0, {MAX_SHRINK}], got {self.shrink_distance!r}")
         check_bool("connectivity_relabel", self.connectivity_relabel)
 
 
@@ -365,6 +366,10 @@ def mean_shift(points, bandwidth: float):
     alone: a query bounded there proposes it.  Only the points it leaves go
     through the nearest-mode search (``_nearest_mode``) on the same tree.
 
+    The seed bins are keyed by floor(p / bandwidth) in int64, so a bandwidth
+    that puts the largest |coordinate| at 2**63 bins or more raises
+    ``ValueError`` naming both.
+
     Returns (modes (M, 2), assignment (N,)).
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -376,6 +381,9 @@ def mean_shift(points, bandwidth: float):
         raise ValueError("points must be finite, got NaN or inf coordinates")
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
+    extent = float(np.abs(pts).max())
+    if extent / float(bandwidth) >= 2.0 ** 63:  # the bin keys would overflow int64
+        raise ValueError(f"bandwidth {bandwidth!r} is too small for coordinates up to {extent!r}")
     stride = _sample_stride(bandwidth, len(pts))
     sample = pts[::stride]
     columns = np.ascontiguousarray(sample.T)
@@ -562,6 +570,11 @@ def bandwidth_search(
     returns (best_bandwidth, best_shrink, rows) where rows are
     (bandwidth, shrink, score): ties resolve toward smaller bandwidth, then
     smaller shrink.
+
+    Every combination pools into its own :class:`~oceseg.metrics.Tally`,
+    all built before any inference.  The set is then scored image by image:
+    one image's field and foreground, its labels at one bandwidth and one
+    shrunk prediction are held at a time, and all die before the next image.
     """
     if len(images) == 0:
         raise ValueError("empty validation set")
@@ -571,28 +584,23 @@ def bandwidth_search(
         raise ValueError("ground truth required for every validation image")
     if metric not in ("f1", "seg"):
         raise ValueError(f"unknown metric {metric!r}")
-    if not 0 < iou_threshold <= 1:
-        raise ValueError(f"IoU threshold must be in (0, 1], got {iou_threshold!r}")
     configs = [replace(config, bandwidth=float(bw), shrink_distance=0.0)
                for bw in sorted(candidates)]
-
-    stages = [_field_and_foreground(params, img, config, seed + i)
-              for i, img in enumerate(images)]
-    rows = []
-    best = None
-    for cfg in configs:
-        bw = cfg.bandwidth
-        base_labels = [segment(field, fg, cfg) for field, fg in stages]
-        for s in range(MAX_SHRINK + 1):
-            # labels found at the working scale are scored on the ground truth's grid
-            preds = [rescale_labels(shrink_instances(lab, s), gt.shape)
-                     for lab, gt in zip(base_labels, gt_labels)]
-            if metric == "f1":
-                # threshold_sweep's first row is the pooled F1
-                score = threshold_sweep(gt_labels, preds, [iou_threshold])[0][2]
-            else:
-                score = seg_score_dataset(gt_labels, preds)
-            rows.append((bw, float(s), score))
-            if best is None or score > best[2]:
-                best = (bw, float(s), score)
+    tallies = [[Tally(iou_threshold) for _ in range(MAX_SHRINK + 1)] for _ in configs]
+    for i, (img, gt) in enumerate(zip(images, gt_labels)):
+        _tally_image(params, img, gt, configs, tallies, config, seed + i)
+    rows = [(cfg.bandwidth, float(s), tally.scores()["f1"] if metric == "f1" else tally.seg())
+            for cfg, row in zip(configs, tallies) for s, tally in enumerate(row)]
+    best = max(rows, key=lambda row: row[2])  # the first maximum
     return best[0], best[1], rows
+
+
+def _tally_image(params, image, gt, configs, tallies, config, seed) -> None:
+    """Pool one validation image into ``tallies[bandwidth][shrink]``; what it
+    computes dies on return."""
+    field, foreground = _field_and_foreground(params, image, config, seed)
+    for cfg, row in zip(configs, tallies):
+        labels = segment(field, foreground, cfg)
+        for s, tally in enumerate(row):
+            # labels found at the working scale are scored on the ground truth's grid
+            tally.add(gt, rescale_labels(shrink_instances(labels, s), gt.shape))

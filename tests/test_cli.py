@@ -150,6 +150,15 @@ def test_segment_rejects_bad_config(run_dir, capsys, segment_config):
     assert not (run_dir / out).exists()
 
 
+def test_segment_rejects_a_bandwidth_too_small_for_its_points(run_dir, capsys):
+    # 1e-300 is a valid config value, but mean-shift's int64 bin keys of the
+    # center estimates would overflow: it once died in the assignment
+    assert _segment(run_dir, "tiny_bandwidth", {"bandwidth": 1e-300}) == 2
+    err = capsys.readouterr().err
+    assert "error: bandwidth 1e-300 is too small for coordinates up to" in err
+    assert "Traceback" not in err and not (run_dir / "tiny_bandwidth").exists()
+
+
 @pytest.mark.parametrize("command", ["segment", "train"])
 @pytest.mark.parametrize("sections", [
     {"data": {"rescale": "2"}}, {"data": {"rescale": 0}}, {"data": {"normalize": "yes"}},

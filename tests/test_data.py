@@ -441,6 +441,17 @@ def test_rescale_bilinear_constant_preserved():
     assert np.allclose(out, 3.5, atol=1e-6)
 
 
+@pytest.mark.parametrize("side, factor", [(101, 1.5), (251, 1.5), (101, 1.25), (100, 1.5)])
+def test_rescale_round_trip_keeps_one_pixel_stripes(side, factor):
+    # a stripe found on the rescaled image maps back onto its own column only
+    # when both functions share one grid rule; round(side * factor) is not
+    # side * factor in the first three cases
+    img = np.zeros((1, side, side), np.float32)
+    img[:, :, 3::7] = 1.0
+    found = (rescale_image(img, factor)[0] > 0.5).astype(np.int32)
+    assert np.array_equal(rescale_labels(found, (side, side)), img[0].astype(np.int32))
+
+
 def test_rescale_labels_to_shape():
     lab = np.zeros((7, 7), np.int32)
     lab[2:5, 2:5] = 1

@@ -6,6 +6,7 @@ import pytest
 from oceseg import (
     DegenerateError,
     ShapeError,
+    Tally,
     format_score_table,
     iou_matrix,
     match_at_threshold,
@@ -204,6 +205,36 @@ def test_seg_dataset_pools_objects():
     gt2 = np.zeros((6, 6), int); gt2[0:3, 0:3] = 1; gt2[4:6, 4:6] = 2
     v = seg_score_dataset([gt1, gt2], [gt1, np.zeros_like(gt2)])
     assert abs(v - 1 / 3) < 1e-12  # one perfect of three objects
+
+
+def test_tally_pools_images_in_order():
+    rng = np.random.default_rng(3)
+    gts = [random_mask(rng, n_blobs=int(rng.integers(1, 5))) for _ in range(5)]
+    preds = [random_mask(rng, n_blobs=int(rng.integers(0, 5))) for _ in range(5)]
+    tally = Tally(0.5)
+    counts = np.zeros(3, int)
+    total, objects = 0.0, 0
+    for gt, pred in zip(gts, preds):
+        assert tally.add(gt, pred) is tally
+        m = match_at_threshold(gt, pred, 0.5)
+        counts += (m.tp, m.fp, m.fn)
+        iou, overlap, gt_ids, _, gt_sizes, _ = iou_matrix(gt, pred)
+        objects += len(gt_ids)
+        for g in range(len(gt_ids)):  # SEG written out object by object
+            covering = np.flatnonzero(overlap[g] * 2 > gt_sizes[g])
+            if len(covering):
+                total += float(iou[g, covering[0]])
+    assert (tally.tp, tally.fp, tally.fn) == tuple(counts.tolist())
+    assert tally.scores() == scores_from_counts(*counts.tolist())
+    assert (tally.objects, tally.seg()) == (objects, total / objects)
+    with pytest.raises(DegenerateError, match="no ground truth"):
+        Tally(0.5).seg()
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.5, float("nan")])
+def test_tally_rejects_a_threshold_outside_zero_one(threshold):
+    with pytest.raises(ValueError, match="IoU threshold"):
+        Tally(threshold)
 
 
 def test_format_score_table_header():

@@ -10,6 +10,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from oceseg import (
+    ConfigError,
     DegenerateError,
     LabelError,
     ModelConfig,
@@ -653,6 +654,17 @@ def test_mean_shift_takes_a_bandwidth_whose_square_overflows():
     assert np.array_equal(assignment, np.zeros(16, np.intp))
 
 
+def test_mean_shift_rejects_a_bandwidth_too_small_for_its_points():
+    # a coordinate over the bandwidth at 2**63 or more overflows the int64
+    # bin keys: every point fell into one bin and no mode was left
+    points = _lattice(4, 1) * 100.0 + 200.0  # coordinates up to 500
+    assert len(segmentation.mean_shift(points, 1e-16)[0]) == 16
+    with pytest.raises(ValueError, match=r"bandwidth 1e-17 .* up to 500\.0"):
+        segmentation.mean_shift(points, 1e-17)
+    with pytest.raises(ValueError, match="bandwidth 1e-300"):
+        segmentation.mean_shift(-points, 1e-300)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_mean_shift_rejects_non_finite_points(bad):
     points = _lattice(4, 1)
@@ -910,7 +922,7 @@ def test_segmenter_config_accepts_min_instance_size(size):
     ("connectivity_relabel", "false"), ("connectivity_relabel", 1),
 ])
 def test_segmenter_config_rejects_bad_fields(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ConfigError, match=field):
         segmentation.SegmenterConfig(**{field: value})
 
 
@@ -979,3 +991,26 @@ def test_bandwidth_search_rows_match_oracle(small_params, monkeypatch, metric):
     assert len({score for _, _, score in rows}) > 2  # the scores are not all alike
     top = max(score for _, _, score in rows)
     assert (best_bw, best_s) == next((bw, s) for bw, s, score in rows if score == top)
+
+
+def test_bandwidth_search_holds_one_image_at_a_time(small_params):
+    # four copies of one image peak above one copy by less than one image's
+    # field and foreground: no stage, labels or prediction outlives its image
+    import tracemalloc
+
+    spec = SceneSpec(height=96, width=96, n_objects=6, radius_range=(6.0, 9.0))
+    image, gt = generate_dataset(spec, 1, seed=2)[0]
+    stage = 2 * 4 * gt.size + gt.size  # float32 (2, H, W) field and bool foreground
+
+    def peak(copies):
+        images, gts = [image.copy() for _ in range(copies)], [gt.copy() for _ in range(copies)]
+        tracemalloc.start()
+        try:
+            segmentation.bandwidth_search(small_params, images, gts, [8.0, 12.0], seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # lazy imports and caches are not the search's
+    one, four = peak(1), peak(4)
+    assert four - one < stage, f"grew {(four - one) / 1e3:.1f} kB, one stage is {stage / 1e3:.1f} kB"
