@@ -15,6 +15,11 @@ anything.  A command that loads a checkpoint echoes the checkpoint's model,
 the one that ran.  A command creates ``--out`` only with its first file, and
 ``train`` rewrites ``loss_trace.tsv`` with the checkpoint after every epoch.
 
+``predict``, ``segment`` and ``sweep`` read their dataset one image at a
+time, twice: a check pass reads, prepares and checks every image, so a bad
+one exits 2 before anything is written, and the run pass holds one image
+at a time.  ``train`` holds every image, as each step crops across them.
+
 Before it runs a command, ``main`` fixes glibc's mmap threshold at
 ``MMAP_THRESHOLD``.  glibc otherwise raises the threshold each time a large
 mmapped block is freed, after which a train step's conv temporaries come from
@@ -200,41 +205,51 @@ def _cmd_train(config, options):
     return config
 
 
-def _load_inference_inputs(config, options, with_labels=False):
-    """The checkpoint, the config with the checkpoint's model, and the dataset
-    stems, image sides (H, W), prepared images (each replacing its raw image)
-    and labels (None unless ``with_labels``, which only ``sweep`` sets, as
-    only it scores) of ``predict``, ``segment`` and ``sweep``; every prepared
-    image is checked against the model before the command writes."""
+def _inference_inputs(config, options, with_labels=False):
+    """The checkpoint, the config with the checkpoint's model, the dataset
+    stems and ``samples()``, which yields each stem's image side (H, W),
+    prepared image and label (None unless ``with_labels``, which only
+    ``sweep`` sets, as only it scores), reading one image at a time.
+
+    ``samples()`` is run through once here, so every image is read, prepared
+    and checked against the model before the command writes; the command
+    runs it again and holds one image at a time."""
     params, _, _ = load_checkpoint(options["model"])
-    stems, images, labels = dataio.load_dataset(options["data"], with_labels)
-    grids = [img.shape[-2:] for img in images]
-    for i, raw in enumerate(images):
-        images[i] = _prepare_image(raw, config["data"])
-        check_image(images[i], params.config.in_channels)
-    return params, {**config, "model": params.config}, stems, grids, images, labels
+    stems, read = dataio.dataset_reader(options["data"], with_labels)
+
+    def samples():
+        for stem in stems:
+            image, labels = read(stem)
+            # the raw image dies here, before the command runs on the prepared one
+            side, image = image.shape[-2:], _prepare_image(image, config["data"])
+            check_image(image, params.config.in_channels)
+            yield side, image, labels
+
+    for _ in samples():
+        pass
+    return params, {**config, "model": params.config}, stems, samples
 
 
 def _cmd_predict(config, options):
-    params, config, stems, _, images, _ = _load_inference_inputs(config, options)
+    params, config, stems, samples = _inference_inputs(config, options)
     out_dir = os.path.join(options["out"], "fields")
-    for stem, img in zip(stems, images):
-        field = predict_full(params, img)
-        dataio.tensor_write(os.path.join(out_dir, stem + ".ocet"), field)
+    for stem, (_, img, _) in zip(stems, samples()):
+        dataio.tensor_write(os.path.join(out_dir, stem + ".ocet"), predict_full(params, img))
     print(f"wrote {len(stems)} offset fields to {out_dir}")
     return config
 
 
 def _cmd_segment(config, options):
-    params, config, stems, grids, images, _ = _load_inference_inputs(config, options)
+    params, config, stems, samples = _inference_inputs(config, options)
     lab_dir = os.path.join(options["out"], "labels")
-    for i, (stem, grid, img) in enumerate(zip(stems, grids, images)):
+    for i, (stem, (side, img, _)) in enumerate(zip(stems, samples())):
         labels = segment_image(params, img, config["segment"], seed=options["seed"] + i)
-        labels = dataio.rescale_labels(labels, grid)
+        labels = dataio.rescale_labels(labels, side)
         dataio.tensor_write(os.path.join(lab_dir, stem + ".ocet"), labels)
         if options["pgm"]:
             dataio.pgm_write(os.path.join(options["out"], "vis", stem + ".pgm"),
                              dataio.labels_to_gray(labels))
+        del labels  # so the next image is segmented without this one's labels
     print(f"wrote {len(stems)} label masks to {lab_dir}")
     return config
 
@@ -242,9 +257,11 @@ def _cmd_segment(config, options):
 def _cmd_eval(config, options):
     gt = dataio.load_labels(options["gt"])
     pred = dataio.load_labels(options["pred"])
+    unmatched = sorted(gt.keys() ^ pred.keys())
+    if unmatched:
+        found_in = "ground truth" if unmatched[0] in gt else "prediction"
+        raise FormatError(f"stem {unmatched[0]} is in the {found_in} only")
     stems = sorted(gt)
-    if sorted(pred) != stems:
-        raise FormatError("ground truth and prediction stems differ")
     gts = [gt[s] for s in stems]
     preds = [pred[s] for s in stems]
     thresholds = [float(t) for t in options["thresholds"].split(",") if t]
@@ -256,20 +273,12 @@ def _cmd_eval(config, options):
 
 
 def _cmd_sweep(config, options):
-    params, config, _, _, images, labels = _load_inference_inputs(config, options, with_labels=True)
-    if labels is None:
-        raise FormatError("sweep needs a dataset with labels/")
+    params, config, _, samples = _inference_inputs(config, options, with_labels=True)
     bandwidths = [float(b) for b in options["bandwidths"].split(",") if b]
     best_bw, best_s, rows = bandwidth_search(
-        params,
-        images,
-        labels,
-        bandwidths,
-        config=config["segment"],
-        metric=options["metric"],
-        iou_threshold=options["threshold"],
-        seed=options["seed"],
-    )
+        params, ((img, labels) for _, img, labels in samples()), bandwidths,
+        config=config["segment"], metric=options["metric"],
+        iou_threshold=options["threshold"], seed=options["seed"])
     lines = ["bandwidth\tshrink\tscore"]
     for bw, s, score in rows:
         lines.append(f"{bw:g}\t{s:g}\t{score:.6f}")

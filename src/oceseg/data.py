@@ -16,10 +16,12 @@ a counted sequence of named tensor blocks:
 
 Dataset directories follow the convention ``images/*.ocet`` with optional
 ``labels/*.ocet`` under matching stems, each on its image's (H, W) grid.
-``load_labels``, the one reader of label folders, reads a dataset root, a
-``segment`` output root or a flat folder of ``.ocet`` files.  ``DataConfig``
-says how each image is prepared before the network sees it; images are
-(C, H, W) throughout.
+``dataset_reader`` reads a dataset one stem at a time, an image and, when
+asked, its label, so a command need hold only the image it works on;
+``load_dataset`` is the whole set in memory.  ``load_labels`` reads every
+label of a dataset root, a ``segment`` output root or a flat folder of
+``.ocet`` files.  ``DataConfig`` says how each image is prepared before the
+network sees it; images are (C, H, W) throughout.
 Binary PGM is only ever written, to visualise label masks; nothing reads it.
 Every file the package writes comes from ``_write_atomic``, which makes the
 file's directory and renames a whole temporary file over it, without fsync.
@@ -166,6 +168,8 @@ def archive_read(path) -> dict[str, np.ndarray]:
             raise FormatError("truncated entry name")
         name = buf[pos:pos + nlen].decode("utf-8")
         pos += nlen
+        if name in out:
+            raise FormatError(f"repeated entry name {name!r}")
         arr, pos = tensor_from_bytes(buf, pos)
         out[name] = arr
     if pos != len(buf):
@@ -346,28 +350,42 @@ def load_labels(path) -> dict[str, np.ndarray]:
     return {s: tensor_read(os.path.join(path, s + ".ocet")) for s in ocet_stems(path)}
 
 
-def load_dataset(root, with_labels: bool = True):
-    """Read a dataset directory; returns (stems, images, labels-or-None).
+def dataset_reader(root, with_labels: bool):
+    """The sorted stems of a dataset directory and ``read(stem)``, which reads
+    that one stem's (image, label-or-None).
 
-    Labels are read only ``with_labels`` and when there is a labels/
-    directory; then every image needs a label on its own (H, W) grid, else
-    :class:`FormatError`, and labels without an image are ignored."""
-    root = os.fspath(root)
-    img_dir = os.path.join(root, "images")
+    Labels are read only ``with_labels``; then the root needs a labels/
+    directory, ``read`` needs a label on the image's own (H, W) grid, else
+    :class:`FormatError`, and labels without an image are never read."""
+    img_dir, lab_dir = os.path.join(root, "images"), os.path.join(root, "labels")
     if not os.path.isdir(img_dir):
         raise FormatError(f"no images/ directory under {root}")
     stems = ocet_stems(img_dir)
-    images = [tensor_read(os.path.join(img_dir, s + ".ocet")) for s in stems]
-    if not (with_labels and os.path.isdir(os.path.join(root, "labels"))):
-        return stems, images, None
-    by_stem = load_labels(root)
-    for stem, img in zip(stems, images):
-        if stem not in by_stem:
+    if with_labels and not os.path.isdir(lab_dir):
+        raise FormatError(f"no labels/ directory under {root}")
+
+    def read(stem):
+        image = tensor_read(os.path.join(img_dir, stem + ".ocet"))
+        if not with_labels:
+            return image, None
+        path = os.path.join(lab_dir, stem + ".ocet")
+        if not os.path.isfile(path):
             raise FormatError(f"image {stem} has no label")
-        if by_stem[stem].shape != img.shape[-2:]:
-            raise FormatError(f"label {stem} has shape {by_stem[stem].shape}, "
-                              f"not its image's grid {img.shape[-2:]}")
-    return stems, images, [by_stem[s] for s in stems]
+        label = tensor_read(path)
+        if label.shape != image.shape[-2:]:
+            raise FormatError(f"label {stem} has shape {label.shape}, "
+                              f"not its image's grid {image.shape[-2:]}")
+        return image, label
+
+    return stems, read
+
+
+def load_dataset(root, with_labels: bool = True):
+    """The whole dataset ``dataset_reader`` reads, in memory: (stems, images,
+    labels-or-None)."""
+    stems, read = dataset_reader(root, with_labels)
+    images, labels = zip(*map(read, stems))
+    return stems, list(images), list(labels) if with_labels else None
 
 
 def write_text(path, text: str) -> None:

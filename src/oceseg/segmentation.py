@@ -553,8 +553,7 @@ def segment_image(params: ModelParams, image, config: SegmenterConfig,
 
 def bandwidth_search(
     params: ModelParams,
-    images,
-    gt_labels,
+    samples,
     candidates,
     config: SegmenterConfig = SegmenterConfig(),
     metric: str = "f1",
@@ -562,7 +561,8 @@ def bandwidth_search(
     seed: int = 0,
 ):
     """Grid search over bandwidth candidates and the shrink distances
-    0..``MAX_SHRINK``.
+    0..``MAX_SHRINK`` on ``samples``, an iterable of (image, ground truth
+    labels) pairs; image i is segmented with seed ``seed + i``.
 
     Scores each combination on the validation set with the chosen metric
     (F1 at ``iou_threshold`` by default, or SEG), both pooled over all the
@@ -572,23 +572,23 @@ def bandwidth_search(
     smaller shrink.
 
     Every combination pools into its own :class:`~oceseg.metrics.Tally`,
-    all built before any inference.  The set is then scored image by image:
-    one image's field and foreground, its labels at one bandwidth and one
-    shrunk prediction are held at a time, and all die before the next image.
+    all built before the first image is drawn, so a bad candidate, metric or
+    threshold raises first.  The set is then scored image by image: one
+    image's field and foreground, its labels at one bandwidth and one shrunk
+    prediction are held at a time, and all die before the next image.
     """
-    if len(images) == 0:
-        raise ValueError("empty validation set")
     if len(candidates) == 0:
         raise ValueError("no bandwidth candidates")
-    if gt_labels is None or len(gt_labels) != len(images):
-        raise ValueError("ground truth required for every validation image")
     if metric not in ("f1", "seg"):
         raise ValueError(f"unknown metric {metric!r}")
     configs = [replace(config, bandwidth=float(bw), shrink_distance=0.0)
                for bw in sorted(candidates)]
     tallies = [[Tally(iou_threshold) for _ in range(MAX_SHRINK + 1)] for _ in configs]
-    for i, (img, gt) in enumerate(zip(images, gt_labels)):
+    i = -1
+    for i, (img, gt) in enumerate(samples):
         _tally_image(params, img, gt, configs, tallies, config, seed + i)
+    if i < 0:
+        raise ValueError("empty validation set")
     rows = [(cfg.bandwidth, float(s), tally.scores()["f1"] if metric == "f1" else tally.seg())
             for cfg, row in zip(configs, tallies) for s, tally in enumerate(row)]
     best = max(rows, key=lambda row: row[2])  # the first maximum

@@ -1,5 +1,8 @@
 import json
 import os
+import shutil
+import struct
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,6 +35,7 @@ from oceseg.data import (
     rescale_labels,
     save_dataset,
     tensor_read,
+    tensor_to_bytes,
     tensor_write,
 )
 
@@ -98,6 +102,17 @@ def test_eval_still_rejects_a_directory_without_labels(run_dir, capsys):
     empty.mkdir()
     assert cli.main(["eval", "--gt", str(run_dir / "data"), "--pred", str(empty)]) == 2
     assert "no .ocet files" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("only_in", ["ground truth", "prediction"])
+def test_eval_names_a_stem_found_on_one_side_only(run_dir, tmp_path, capsys, only_in):
+    full, part = run_dir / "data" / "labels", tmp_path / "part"
+    part.mkdir()
+    shutil.copy(full / "im0000.ocet", part / "im0000.ocet")
+    gt, pred = (full, part) if only_in == "ground truth" else (part, full)
+    assert cli.main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: stem im0001 is in the {only_in} only" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("size", ["abc", -3, 1.5])
@@ -417,6 +432,56 @@ def test_sweep_checks_candidates_and_threshold_before_inference(run_dir, capsys,
     err = capsys.readouterr().err
     assert ("bandwidth" if option[0] == "--bandwidths" else "threshold") in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_sweep_rejects_a_dataset_without_labels_before_writing(run_dir, tmp_path, capsys):
+    stems, images, _ = load_dataset(run_dir / "data", with_labels=False)
+    data = tmp_path / "unlabelled"
+    save_dataset(data, images, stems=stems)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--model", str(run_dir / "model.ocec"), "--data", str(data),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: no labels/ directory under {data}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_a_checkpoint_with_a_repeated_entry_exits_before_writing(run_dir, tmp_path, capsys):
+    buf = (run_dir / "model.ocec").read_bytes()
+    (count,) = struct.unpack_from("<I", buf, 5)
+    again = struct.pack("<H", 9) + b"meta.step" + tensor_to_bytes(np.zeros(1, np.float32))
+    model = tmp_path / "twice.ocec"
+    model.write_bytes(buf[:5] + struct.pack("<I", count + 1) + buf[9:] + again)
+    out = tmp_path / "seg"
+    assert cli.main(["segment", "--model", str(model), "--data", str(run_dir / "data"),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: repeated entry name 'meta.step'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_segment_holds_one_image_at_a_time(tmp_path):
+    # four copies of one image peak above two copies by less than one
+    # prepared image: no image, raw or prepared, outlives its turn
+    spec = SceneSpec(height=128, width=128, n_objects=6, radius_range=(9.0, 11.0))
+    image = generate_dataset(spec, 1, seed=4)[0][0]
+    prepared = image.astype(np.float32).nbytes  # (1, H, W) float32 at rescale 1
+
+    def peak(copies):
+        data = tmp_path / f"data{copies}"
+        save_dataset(data, [image] * copies)
+        tracemalloc.start()
+        try:
+            assert cli.main(["segment", "--model", str(FIXTURE_DIR / "checkpoint.ocec"),
+                             "--data", str(data), "--out", str(tmp_path / f"seg{copies}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # lazy imports and caches are not the command's
+    two, four = peak(2), peak(4)
+    assert four - two < prepared, (
+        f"grew {(four - two) / 1e3:.1f} kB, one prepared image is {prepared / 1e3:.1f} kB")
 
 
 @pytest.mark.parametrize("option, value", [

@@ -1,4 +1,7 @@
 import ast
+import re
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from oceseg import DegenerateError, FormatError, LabelError, ShapeError, data
 from oceseg.data import (
     archive_read,
     archive_write,
+    dataset_reader,
     labels_to_gray,
     load_dataset,
     normalize_percentile,
@@ -108,6 +112,17 @@ def test_archive_roundtrip(tmp_path):
     assert set(back) == set(tensors)
     for k in tensors:
         assert np.array_equal(back[k], tensors[k])
+
+
+def test_archive_rejects_a_repeated_entry_name(tmp_path):
+    # the layout can hold two entries named "x"; a dict of them cannot
+    entries = [struct.pack("<H", 1) + b"x" + data.tensor_to_bytes(np.full(1, v, np.float32))
+               for v in (1.0, 2.0)]
+    path = tmp_path / "a.ocec"
+    path.write_bytes(data.ARCHIVE_MAGIC + struct.pack("<BI", data.FORMAT_VERSION, 2)
+                     + b"".join(entries))
+    with pytest.raises(FormatError, match="repeated entry name 'x'"):
+        archive_read(path)
 
 
 def test_archive_truncation(tmp_path):
@@ -330,7 +345,7 @@ def test_only_data_reads_tensor_files_and_label_folders():
                                                            "archive_read"))
     assert readers == {
         ("data", "load_labels", "tensor_read"), ("data", "load_labels", "ocet_stems"),
-        ("data", "load_dataset", "tensor_read"), ("data", "load_dataset", "ocet_stems"),
+        ("data", "read", "tensor_read"), ("data", "dataset_reader", "ocet_stems"),
         ("network", "load_checkpoint", "archive_read"),
     }
 
@@ -498,6 +513,37 @@ def test_dataset_ignores_labels_without_an_image(tmp_path):
     tensor_write(tmp_path / "d" / "labels" / "extra.ocet", np.zeros(3, np.int32))
     stems, _, labs = load_dataset(tmp_path / "d")
     assert stems == ["im0000"] and np.array_equal(labs[0], labels[0])
+
+
+def test_dataset_never_reads_a_label_without_an_image(tmp_path):
+    labels = [np.ones((8, 6), np.int32)]
+    save_dataset(tmp_path / "d", [np.zeros((1, 8, 6), np.float32)], labels)
+    (tmp_path / "d" / "labels" / "orphan.ocet").write_bytes(b"garbage")
+    stems, _, labs = load_dataset(tmp_path / "d")
+    assert stems == ["im0000"] and np.array_equal(labs[0], labels[0])
+
+
+def test_dataset_reader_reads_one_stem_at_a_time(tmp_path):
+    rng = np.random.default_rng(7)
+    images = [rng.normal(size=(1, 8, 6)).astype(np.float32) for _ in range(3)]
+    labels = [rng.integers(0, 3, size=(8, 6)).astype(np.int32) for _ in range(3)]
+    root = tmp_path / "d"
+    save_dataset(root, images, labels)
+    # a corrupt image is found when its stem is read, not before
+    (root / "images" / "im0002.ocet").write_bytes(b"garbage")
+    stems, read = dataset_reader(root, with_labels=True)
+    assert stems == ["im0000", "im0001", "im0002"]
+    for stem, image, label in zip(stems[:2], images, labels):
+        got_image, got_label = read(stem)
+        assert np.array_equal(got_image, image) and np.array_equal(got_label, label)
+    with pytest.raises(FormatError, match="bad magic"):
+        read("im0002")
+    shutil.rmtree(root / "labels")
+    _, read = dataset_reader(root, with_labels=False)
+    got_image, got_label = read("im0001")
+    assert np.array_equal(got_image, images[1]) and got_label is None
+    with pytest.raises(FormatError, match=f"no labels/ directory under {re.escape(str(root))}$"):
+        dataset_reader(root, with_labels=True)
 
 
 def test_dataset_missing_dir(tmp_path):

@@ -984,7 +984,7 @@ def test_bandwidth_search_rows_match_oracle(small_params, monkeypatch, metric):
     gts = [lab for _, lab in scenes]
     bandwidths = [8.0, 12.0]
     best_bw, best_s, rows = segmentation.bandwidth_search(
-        small_params, images, gts, bandwidths, metric=metric, seed=3,
+        small_params, zip(images, gts), bandwidths, metric=metric, seed=3,
     )
     expected = _sweep_oracle(small_params, images, gts, bandwidths, metric, 3)
     assert rows == expected
@@ -1006,7 +1006,7 @@ def test_bandwidth_search_holds_one_image_at_a_time(small_params):
         images, gts = [image.copy() for _ in range(copies)], [gt.copy() for _ in range(copies)]
         tracemalloc.start()
         try:
-            segmentation.bandwidth_search(small_params, images, gts, [8.0, 12.0], seed=3)
+            segmentation.bandwidth_search(small_params, zip(images, gts), [8.0, 12.0], seed=3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1014,3 +1014,24 @@ def test_bandwidth_search_holds_one_image_at_a_time(small_params):
     peak(1)  # lazy imports and caches are not the search's
     one, four = peak(1), peak(4)
     assert four - one < stage, f"grew {(four - one) / 1e3:.1f} kB, one stage is {stage / 1e3:.1f} kB"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"candidates": []}, "no bandwidth candidates"),
+    ({"candidates": [8.0, 0.0]}, "bandwidth"),
+    ({"metric": "dice"}, "unknown metric"),
+    ({"iou_threshold": 0.0}, "IoU threshold"),
+])
+def test_bandwidth_search_checks_its_arguments_before_the_first_image(small_params, kwargs,
+                                                                     message):
+    def samples():
+        raise AssertionError("an image was drawn")
+        yield
+
+    with pytest.raises(ValueError, match=message):
+        segmentation.bandwidth_search(small_params, samples(), **{"candidates": [8.0], **kwargs})
+
+
+def test_bandwidth_search_rejects_an_empty_set(small_params):
+    with pytest.raises(ValueError, match="empty validation set"):
+        segmentation.bandwidth_search(small_params, iter(()), [8.0])
