@@ -29,7 +29,6 @@ from .metrics import (
     Tally,
     format_score_table,
     iou_matrix,
-    match_at_threshold,
     scores_from_counts,
     seg_score_dataset,
     threshold_sweep,

@@ -18,7 +18,11 @@ the one that ran.  A command creates ``--out`` only with its first file, and
 ``predict``, ``segment`` and ``sweep`` read their dataset one image at a
 time, twice: a check pass reads, prepares and checks every image, so a bad
 one exits 2 before anything is written, and the run pass holds one image
-at a time.  ``train`` holds every image, as each step crops across them.
+at a time.  ``eval`` checks that both label sets hold the same stems, then
+reads the set once, or twice with ``--seg``, one (gt, prediction) pair at a
+time, and writes its table only after scoring ends.  ``train`` holds every
+prepared image, as each step crops across them, but reads and prepares
+them one at a time.
 
 Before it runs a command, ``main`` fixes glibc's mmap threshold at
 ``MMAP_THRESHOLD``.  glibc otherwise raises the threshold each time a large
@@ -172,8 +176,8 @@ def _cmd_synth(config, options):
 
 
 def _cmd_train(config, options):
-    stems, raw_images, _ = dataio.load_dataset(options["data"], with_labels=False)
-    images = [_prepare_image(img, config["data"]) for img in raw_images]
+    stems, read = dataio.dataset_reader(options["data"], with_labels=False)
+    images = [_prepare_image(read(stem)[0], config["data"]) for stem in stems]
     resume = None
     if options["resume"]:
         params, adam, next_epoch = load_checkpoint(options["resume"])
@@ -255,19 +259,20 @@ def _cmd_segment(config, options):
 
 
 def _cmd_eval(config, options):
-    gt = dataio.load_labels(options["gt"])
-    pred = dataio.load_labels(options["pred"])
-    unmatched = sorted(gt.keys() ^ pred.keys())
+    stems, read_gt = dataio.label_reader(options["gt"])
+    pred_stems, read_pred = dataio.label_reader(options["pred"])
+    unmatched = sorted(set(stems) ^ set(pred_stems))
     if unmatched:
-        found_in = "ground truth" if unmatched[0] in gt else "prediction"
+        found_in = "ground truth" if unmatched[0] in stems else "prediction"
         raise FormatError(f"stem {unmatched[0]} is in the {found_in} only")
-    stems = sorted(gt)
-    gts = [gt[s] for s in stems]
-    preds = [pred[s] for s in stems]
+
+    def pairs():  # one (gt, prediction) pair at a time, in stem order
+        return zip(map(read_gt, stems), map(read_pred, stems))
+
     thresholds = [float(t) for t in options["thresholds"].split(",") if t]
-    rows = threshold_sweep(gts, preds, thresholds, per_image=options["per_image"])
+    rows = threshold_sweep(pairs(), thresholds, per_image=options["per_image"])
     if options["seg"]:
-        rows.append(("seg", 0.5, seg_score_dataset(gts, preds)))
+        rows.append(("seg", 0.5, seg_score_dataset(pairs())))
     _emit_table("scores", format_score_table(rows), options["out"])
     return config
 

@@ -18,10 +18,11 @@ Dataset directories follow the convention ``images/*.ocet`` with optional
 ``labels/*.ocet`` under matching stems, each on its image's (H, W) grid.
 ``dataset_reader`` reads a dataset one stem at a time, an image and, when
 asked, its label, so a command need hold only the image it works on;
-``load_dataset`` is the whole set in memory.  ``load_labels`` reads every
-label of a dataset root, a ``segment`` output root or a flat folder of
-``.ocet`` files.  ``DataConfig`` says how each image is prepared before the
-network sees it; images are (C, H, W) throughout.
+``load_dataset`` is the whole set in memory.  ``label_reader`` reads the
+label masks of a dataset root, a ``segment`` output root or a flat folder
+of ``.ocet`` files the same way, one stem at a time.  ``DataConfig`` says
+how each image is prepared before the network sees it; images are
+(C, H, W) throughout.
 Binary PGM is only ever written, to visualise label masks; nothing reads it.
 Every file the package writes comes from ``_write_atomic``, which makes the
 file's directory and renames a whole temporary file over it, without fsync.
@@ -340,14 +341,15 @@ def ocet_stems(directory) -> list[str]:
     return stems
 
 
-def load_labels(path) -> dict[str, np.ndarray]:
-    """Label masks by stem from the labels/ of a dataset or ``segment`` output
-    root, or from a flat directory of .ocet files."""
+def label_reader(path):
+    """The sorted stems of the label masks in the labels/ of a dataset or
+    ``segment`` output root, or in a flat directory of .ocet files, and
+    ``read(stem)``, which reads that one stem's mask."""
     if os.path.isdir(os.path.join(path, "labels")):
         path = os.path.join(path, "labels")
     if not os.path.isdir(path):
         raise FormatError(f"{path} is not a directory")
-    return {s: tensor_read(os.path.join(path, s + ".ocet")) for s in ocet_stems(path)}
+    return ocet_stems(path), lambda stem: tensor_read(os.path.join(path, stem + ".ocet"))
 
 
 def dataset_reader(root, with_labels: bool):

@@ -9,10 +9,12 @@ tie.  SEG follows the cell-tracking convention: a ground truth
 object matches the prediction covering strictly more than half of it.
 
 Scores over a dataset are pooled image by image in one accumulator,
-:class:`Tally`: each image's IoU table is built once, and only its
-TP/FP/FN counts, SEG sum and object count are kept.  ``match_at_threshold``,
-``threshold_sweep`` and ``seg_score_dataset`` are thin wrappers over it, and
-``bandwidth_search`` holds one per (bandwidth, shrink).
+:class:`Tally`, which keeps only the TP/FP/FN counts, SEG sum and object
+count.  ``threshold_sweep`` and ``seg_score_dataset`` each take one iterable
+of (gt, prediction) pairs and draw it once, one pair at a time;
+``threshold_sweep`` builds each pair's IoU table once and adds it to every
+threshold's tally (``Tally.add_table``).  ``bandwidth_search`` holds one tally per (bandwidth,
+shrink).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def iou_matrix(gt, pred):
 
 
 class Tally:
-    """Scores pooled over the images ``add`` is given, in that order.
+    """Scores pooled over the images ``add`` or ``add_table`` is given, in that order.
 
     Keeps the TP/FP/FN counts of the greedy matching at ``threshold``, the
     running SEG sum and the number of ground truth objects; no image is kept.
@@ -64,7 +66,12 @@ class Tally:
 
     def add(self, gt, pred) -> Tally:
         """Pool one image's (H, W) ground truth and prediction; returns self."""
-        iou, overlap, _, _, gt_sizes, _ = iou_matrix(gt, pred)
+        return self.add_table(iou_matrix(gt, pred))
+
+    def add_table(self, table) -> Tally:
+        """Pool one image's ``iou_matrix(gt, pred)`` table; returns self.  One
+        table can be added to the tallies of several thresholds."""
+        iou, overlap, _, _, gt_sizes, _ = table
         G, P = iou.shape
         gs, ps = np.nonzero(iou >= self.threshold)
         # highest IoU first, ties by row then column: ids ascend with rows and columns
@@ -95,12 +102,6 @@ class Tally:
         return self.seg_sum / self.objects
 
 
-def match_at_threshold(gt, pred, threshold: float) -> Tally:
-    """One image's tally: ``.tp/.fp/.fn`` of the greedy one-to-one matching
-    of instances with IoU >= threshold."""
-    return Tally(threshold).add(gt, pred)
-
-
 def scores_from_counts(tp: int, fp: int, fn: int) -> dict:
     """Recall, precision, F1 and detection accuracy; empty denominators give 0."""
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -110,49 +111,45 @@ def scores_from_counts(tp: int, fp: int, fn: int) -> dict:
     return {"f1": f1, "recall": recall, "precision": precision, "accuracy": accuracy}
 
 
-def _pairs(gt_masks, pred_masks) -> list:
-    """The (gt, prediction) pairs of a dataset, in image order."""
-    if len(gt_masks) != len(pred_masks):
-        raise ShapeError("gt and prediction counts differ")
-    return list(zip(gt_masks, pred_masks))
-
-
-def _pooled(pairs, threshold: float) -> Tally:
-    """One tally over ``pairs``, added in order."""
-    tally = Tally(threshold)
+def seg_score_dataset(pairs) -> float:
+    """Mean IoU over the ground truth objects of all (gt, prediction)
+    ``pairs``, each matched to the prediction covering strictly more than
+    half of it, else scoring 0.  The pairs are drawn once, one at a time."""
+    tally = Tally(0.5)
     for gt, pred in pairs:
         tally.add(gt, pred)
-    return tally
+    return tally.seg()
 
 
-def seg_score_dataset(gt_masks, pred_masks) -> float:
-    """Mean IoU over the ground truth objects of all images, each matched to
-    the prediction covering strictly more than half of it, else scoring 0."""
-    return _pooled(_pairs(gt_masks, pred_masks), 0.5).seg()
-
-
-def threshold_sweep(gt_masks, pred_masks, thresholds, per_image: bool = False):
-    """Detection scores per IoU threshold over a dataset.
+def threshold_sweep(pairs, thresholds, per_image: bool = False):
+    """Detection scores per IoU threshold over the (gt, prediction) ``pairs``.
 
     By default TP/FP/FN counts are pooled over all images before scoring;
-    with ``per_image`` the scores are averaged over images instead.  Returns
-    rows of (metric, threshold, value).
+    with ``per_image`` the scores are averaged over images instead.  Every
+    threshold is checked before the first pair is drawn; the pairs are then
+    drawn once, one at a time, and each pair's IoU table is built once for
+    all thresholds.  Returns rows of (metric, threshold, value).
     """
-    thresholds = list(thresholds)
-    if not thresholds:
+    tallies = [Tally(t) for t in thresholds]
+    if not tallies:
         raise ValueError("empty threshold list")
-    pairs = _pairs(gt_masks, pred_masks)
-    if not pairs:
-        raise DegenerateError("no images to score")
-    rows = []
-    for t in thresholds:
+    images = []  # with per_image, each image's scores at every threshold
+    n = 0
+    for gt, pred in pairs:
+        n += 1
+        table = iou_matrix(gt, pred)
         if per_image:
-            scores = [match_at_threshold(gt, pred, t).scores() for gt, pred in pairs]
+            images.append([Tally(t.threshold).add_table(table).scores() for t in tallies])
         else:
-            scores = [_pooled(pairs, t).scores()]
-        for key in ("f1", "recall", "precision", "accuracy"):
-            rows.append((key, float(t), float(np.mean([s[key] for s in scores]))))
-    return rows
+            for tally in tallies:
+                tally.add_table(table)
+        del table  # so the next pair's table is built without this one
+    if not n:
+        raise DegenerateError("no images to score")
+    by_threshold = zip(*images) if per_image else [[t.scores()] for t in tallies]
+    return [(key, float(tally.threshold), float(np.mean([s[key] for s in scores])))
+            for tally, scores in zip(tallies, by_threshold)
+            for key in ("f1", "recall", "precision", "accuracy")]
 
 
 def format_score_table(rows) -> str:

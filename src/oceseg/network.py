@@ -297,9 +297,9 @@ def train(
                 img = images[order[(s * train_config.batch_size + j) % n]]
                 r0 = int(rng.integers(0, img.shape[1] - crop + 1))
                 c0 = int(rng.integers(0, img.shape[2] - crop + 1))
-                patch = np.ascontiguousarray(img[:, r0:r0 + crop, c0:c0 + crop])
+                patch = Tensor(img[:, r0:r0 + crop, c0:c0 + crop])
                 with Tape() as tape:
-                    out = forward(state.params, Tensor(patch))
+                    out = forward(state.params, patch)
                     pairs = sample_pairs(out.shape[1:], loss_config, rng)
                     loss = oce_loss(out, pairs, loss_config)
                     tape.backward(loss)

@@ -127,8 +127,8 @@ def _bands(params: ModelParams, image, inputs, n: int):
             padded = inputs(i)[:, rows[r0:r0 + Th, None], cols]
             with np.errstate(over="ignore", invalid="ignore"):
                 for c0 in col_starts:
-                    block = np.ascontiguousarray(padded[:, :, c0:c0 + Tw])
-                    band[i, :, :, c0:c0 + Tw - CONTEXT] = forward(params, Tensor(block)).data
+                    block = Tensor(padded[:, :, c0:c0 + Tw])
+                    band[i, :, :, c0:c0 + Tw - CONTEXT] = forward(params, block).data
         stop = min(r0 + Th - CONTEXT, H)
         fields = band[:, :, done - r0:stop - r0, :W]
         if not np.isfinite(fields).all():

@@ -402,8 +402,8 @@ def test_sweep_seg_is_the_pooled_seg_eval_prints(tmp_path):
     assert sweep[-1].split("\t")[:2] == ["12", "6"]
     assert scores[-1].split("\t")[:2] == ["seg", "0.5"]
     assert sweep[-1].split("\t")[2] == scores[-1].split("\t")[2]
-    per_image = [seg_score_dataset([tensor_read(data / "labels" / f"{s}.ocet")],
-                                   [tensor_read(tmp_path / "seg" / "labels" / f"{s}.ocet")])
+    per_image = [seg_score_dataset([(tensor_read(data / "labels" / f"{s}.ocet"),
+                                     tensor_read(tmp_path / "seg" / "labels" / f"{s}.ocet"))])
                  for s in ("im0000", "im0001")]
     assert f"{np.mean(per_image):.6f}" != scores[-1].split("\t")[2]
 
@@ -481,6 +481,77 @@ def test_segment_holds_one_image_at_a_time(tmp_path):
     peak(1)  # lazy imports and caches are not the command's
     two, four = peak(2), peak(4)
     assert four - two < prepared, (
+        f"grew {(four - two) / 1e3:.1f} kB, one prepared image is {prepared / 1e3:.1f} kB")
+
+
+def _label_pairs(root, count, side=256):
+    """Write ``count`` distinct ground-truth and predicted label masks under
+    ``root/gt`` and ``root/pred``: a grid of 16-pixel cells, and that grid
+    shifted by the image's index plus one.  Returns one mask's bytes."""
+    cells = np.arange(side, dtype=np.int32) // 16
+    ids = cells[:, None] * (side // 16) + cells[None] + 1
+    for i in range(count):
+        tensor_write(root / "gt" / f"im{i:04d}.ocet", ids)
+        tensor_write(root / "pred" / f"im{i:04d}.ocet", np.roll(ids, i + 1, axis=1))
+    return ids.nbytes
+
+
+def test_eval_holds_one_label_pair_at_a_time(tmp_path, capsys):
+    # four pairs peak above two by less than one mask: eval scores pair by
+    # pair, where holding both label sets grew by two masks per pair
+    def peak(count):
+        root = tmp_path / f"set{count}"
+        mask = _label_pairs(root, count)
+        tracemalloc.start()
+        try:
+            assert cli.main(["eval", "--seg", "--thresholds", "0.3,0.5,0.75",
+                             "--gt", str(root / "gt"), "--pred", str(root / "pred")]) == 0
+            return tracemalloc.get_traced_memory()[1], mask
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # lazy imports and caches are not the command's
+    (two, mask), (four, _) = peak(2), peak(4)
+    capsys.readouterr()
+    assert four - two < mask, (
+        f"grew {(four - two) / 1e3:.1f} kB, one label mask is {mask / 1e3:.1f} kB")
+
+
+def test_eval_with_a_corrupt_mask_after_the_first_stem_writes_nothing(tmp_path, capsys):
+    _label_pairs(tmp_path, 3, side=32)
+    (tmp_path / "pred" / "im0001.ocet").write_bytes(b"OCET\x01")
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--seg", "--gt", str(tmp_path / "gt"),
+                     "--pred", str(tmp_path / "pred"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: truncated header" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_train_holds_one_copy_of_its_dataset(tmp_path):
+    # four copies of one image peak above two copies by less than three
+    # prepared images: the raw images are not kept beside the prepared ones
+    spec = SceneSpec(height=256, width=256, n_objects=20, radius_range=(9.0, 11.0))
+    image = generate_dataset(spec, 1, seed=2)[0][0]
+    prepared = image.astype(np.float32).nbytes  # (1, H, W) float32 at rescale 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"base_fmaps": 4}, "train": {
+        "epochs": 1, "batch_size": 2, "crop_size": 48}}))
+
+    def peak(copies):
+        data = tmp_path / f"data{copies}"
+        save_dataset(data, [image] * copies)
+        tracemalloc.start()
+        try:
+            assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / f"t{copies}"),
+                             "--config", str(config)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # lazy imports and caches are not the command's
+    two, four = peak(2), peak(4)
+    assert four - two < 3 * prepared, (
         f"grew {(four - two) / 1e3:.1f} kB, one prepared image is {prepared / 1e3:.1f} kB")
 
 

@@ -344,7 +344,7 @@ def test_only_data_reads_tensor_files_and_label_folders():
     readers = _package_calls(lambda name, _call: name in ("tensor_read", "ocet_stems",
                                                            "archive_read"))
     assert readers == {
-        ("data", "load_labels", "tensor_read"), ("data", "load_labels", "ocet_stems"),
+        ("data", "label_reader", "tensor_read"), ("data", "label_reader", "ocet_stems"),
         ("data", "read", "tensor_read"), ("data", "dataset_reader", "ocet_stems"),
         ("network", "load_checkpoint", "archive_read"),
     }

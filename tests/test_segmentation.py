@@ -16,10 +16,10 @@ from oceseg import (
     ModelConfig,
     SceneSpec,
     ShapeError,
+    Tally,
     generate_dataset,
     init_params,
     iou_matrix,
-    match_at_threshold,
     predict_full,
     scores_from_counts,
     synth_generate,
@@ -965,7 +965,7 @@ def _sweep_oracle(params, images, gt_labels, bandwidths, metric, seed):
             if metric == "f1":
                 tp = fp = fn = 0
                 for gt, pred in zip(gt_labels, preds):
-                    m = match_at_threshold(gt, pred, 0.5)
+                    m = Tally(0.5).add(gt, pred)
                     tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
                 score = scores_from_counts(tp, fp, fn)["f1"]
             else:
