@@ -163,6 +163,7 @@ def forward(params: ModelParams, image) -> Tensor:
     h = maxpool2(h)
     h = _block(h, params, "bot")
     h = crop_concat(skip, h)
+    del skip  # with no tape holding it, freed before the decoder runs
     h = _block(h, params, "dec")
     return conv2d_valid(h, params["head.w"], params["head.b"])
 

@@ -18,16 +18,19 @@ still covers every point.  It climbs its seeds in lockstep blocks, one
 batched ball query per step for a block, so the ball lists held at once
 stay bounded, and merges near-duplicate modes through the list of close
 pairs.  Kept modes are at least a bandwidth apart, so a point strictly
-within half a bandwidth of a mode is nearer to it than to any other.  One
-tree over the kept modes assigns every point, a block of points at a
-time: a query bounded at half a bandwidth proposes that mode, and only the
-points it leaves are searched through the same tree.  No tree is built
-over more than the sample.
+within half a bandwidth of a mode is nearer to it than to any other.  A
+grid over the kept modes proposes each point's mode, a block of points at
+a time: a cell names the one mode whose half-bandwidth disc meets it, and
+the point's squared distance confirms the proposal.  Only the points it
+leaves are searched, through one tree over the kept modes.  No tree is
+built over more than the sample, and the grid has at most max(N, 4096)
+cells.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +38,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .autodiff import Tensor
-from .data import check_labels, relabel_consecutive, rescale_labels
+from .data import check_labels, rescale_labels
 from .errors import ConfigError, DegenerateError, ShapeError, check_bool, check_int, check_real
 from .metrics import Tally
 from .network import CONTEXT, ModelParams, check_image, forward
@@ -254,7 +257,7 @@ def detect_foreground(variance_map) -> np.ndarray:
 # Mean shift
 
 _BALL_BLOCK = 256  # climbing seeds per query_ball_point call
-_POINT_BLOCK = 65536  # points _assign queries the mode tree for at once
+_POINT_BLOCK = 65536  # points, (mode, cell) pairs or point-mode distances handled at once
 _MAX_ITER = 300  # steps a seed climbs at most
 _SAMPLE_BALL = 4.0  # radius of the full-cloud ball a sample's bandwidth ball stands for
 
@@ -360,11 +363,13 @@ def mean_shift(points, bandwidth: float):
     modes goes to the one with the lowest index, as ``np.argmin`` over all
     modes would choose.
 
-    The assignment runs on one tree over the kept modes (``_assign``).  The
-    merge leaves them pairwise at least a bandwidth apart, so a point
-    strictly within half a bandwidth of a mode is nearest to that mode
-    alone: a query bounded there proposes it.  Only the points it leaves go
-    through the nearest-mode search (``_nearest_mode``) on the same tree.
+    The merge leaves the kept modes pairwise at least a bandwidth apart, so
+    a point strictly within half a bandwidth of a mode is nearest to that
+    mode alone.  The assignment (``_assign``) proposes that mode from a grid
+    of the modes' half-bandwidth discs (``_mode_grid``), one lookup per
+    point, and confirms it by the squared distance.  Only the points it
+    leaves go through the nearest-mode search (``_nearest_mode``) on one
+    tree over the kept modes.
 
     The seed bins are keyed by floor(p / bandwidth) in int64, so a bandwidth
     that puts the largest |coordinate| at 2**63 bins or more raises
@@ -399,32 +404,82 @@ def mean_shift(points, bandwidth: float):
     return modes, _assign(pts, modes, bandwidth)
 
 
+def _mode_grid(modes, r: float, cells: int):
+    """(origin, width, table): a grid of square cells of side ``width`` from
+    ``origin`` over the modes' bounding box grown by ``r``, and the (rows,
+    cols) ``table`` of each cell's proposal: the index of the one mode whose
+    r-disc meets the cell, or M when no disc or more than one does.
+
+    Cells are r / 2 wide, widened by the least factor f >= 1 that keeps the
+    grid within ``cells`` cells: with the box's sides a and b counted in
+    cells of r / 2, f is the root of (a / f + 1) * (b / f + 1) = cells,
+    taken through ``math.hypot`` so that no side is squared.  A disc meets a
+    cell when its centre lies within r * (1 + 1e-6) of the cell, measured in
+    cell units; the margin covers the rounding of those units.  A cell
+    marked in excess only adds a conflict or a proposal that the check of
+    ``_assign`` rejects, so no rounding here can change an assignment.
+    Modes are marked in blocks of at most ``_POINT_BLOCK`` (mode, cell)
+    pairs, which bounds the memory held at once.
+    """
+    m = len(modes)
+    origin = modes.min(axis=0) - r
+    extent = modes.max(axis=0) + r - origin
+    a, b = map(float, extent / (0.5 * r))
+    root = math.hypot(a + b, 2 * math.sqrt(a) * math.sqrt(b) * math.sqrt(cells - 1))
+    width = 0.5 * r * max(1.0, (a + b + root) / (2 * (cells - 1)))
+    shape = np.floor(extent / width).astype(np.intp) + 1
+    rho = r / width * (1 + 1e-6)  # the disc's radius in cells, with the margin
+    span = int(2 * rho) + 2  # cells a disc can meet along one axis
+    centres = (modes - origin) / width
+    first = np.floor(centres - rho).astype(np.intp)
+    counts = np.zeros(shape[0] * shape[1], np.intp)
+    table = np.empty(len(counts), np.intp)
+    per_block = max(1, _POINT_BLOCK // (span * span))
+    for start in range(0, m, per_block):
+        u = centres[start:start + per_block, :, None]
+        idx = first[start:start + per_block, :, None] + np.arange(span)  # (B, 2, span)
+        gap = np.maximum(np.maximum(idx - u, u - (idx + 1)), 0.0)  # centre to cell, per axis
+        inside = (idx >= 0) & (idx < shape[:, None])
+        hit = np.hypot(gap[:, 0, :, None], gap[:, 1, None, :]) <= rho
+        hit &= inside[:, 0, :, None] & inside[:, 1, None, :]
+        cell = (idx[:, 0, :, None] * shape[1] + idx[:, 1, None, :])[hit]
+        counts += np.bincount(cell, minlength=len(counts))
+        table[cell] = np.nonzero(hit)[0] + start
+    table[counts != 1] = m
+    return origin, width, table.reshape(shape)
+
+
 def _assign(pts, modes, bandwidth: float) -> np.ndarray:
     """Nearest mode of every point, as ``_nearest_mode`` gives it, for
     ``modes`` pairwise at least ``bandwidth`` apart by ``np.hypot``.
 
-    A tree over the modes, queried with the bound r = 0.5 * bandwidth
-    * (1 - 1e-9), proposes for each point the nearest mode it finds within
-    r, or none (index M); the squared distance ``((p - m) ** 2).sum()``
-    confirms it.  Every other mode is at least 2r / (1 - 1e-9) from a
-    confirmed point's mode, so at least r * (1 + 2e-9) from the point, and
+    The grid of ``_mode_grid`` at r = 0.5 * bandwidth * (1 - 1e-9), with at
+    most max(N, 4096) cells, proposes for each point the entry of its cell
+    (a point outside the grid looks up the nearest edge cell), either a
+    mode or none (index M); the squared distance ``((p - m) ** 2).sum() <=
+    r * r`` confirms it.  Every other mode is at least 2r / (1 - 1e-9) from
+    a confirmed point's mode, so at least r * (1 + 2e-9) from the point, and
     at most one mode lies within r of any point.  The rounding of the
     squared distances, of the merge's ``np.hypot`` and of r is a few units
     in 2**-53 of the values, at image coordinates as at any scale, far
     inside that margin, so a confirmed mode is the unique argmin.  The
-    tree's own distances may round at the scale of the whole cloud; they
+    grid's cell coordinates may round at the scale of the whole cloud; they
     only decide which points get a proposal.  A point left unconfirmed gets
-    the exact argmin from ``_nearest_mode`` on the same tree.  Points go
-    through in blocks of ``_POINT_BLOCK``, which bounds the memory held at
-    once; each search is per point, so blocks change nothing.
+    the exact argmin from ``_nearest_mode`` on a tree over the modes.
+    Points go through in blocks of ``_POINT_BLOCK``, which bounds the memory
+    held at once; each search is per point, so blocks change nothing.
     """
     r = 0.5 * bandwidth * (1 - 1e-9)
     m = len(modes)
+    origin, width, table = _mode_grid(modes, r, max(len(pts), 4096))
+    last = np.array(table.shape) - 1
     tree = cKDTree(modes)
     assignment = np.empty(len(pts), np.intp)
     for start in range(0, len(pts), _POINT_BLOCK):
         block = pts[start:start + _POINT_BLOCK]
-        near = tree.query(block, k=1, distance_upper_bound=r)[1]
+        # clipped while still float, so no cell index overflows its cast
+        cell = np.clip((block - origin) / width, 0, last).astype(np.intp)
+        near = table[cell[:, 0], cell[:, 1]]
         d2 = ((block - modes[np.minimum(near, m - 1)]) ** 2).sum(axis=1)
         rest = np.flatnonzero((near == m) | (d2 > r * r))
         near[rest] = _nearest_mode(tree, block[rest], modes)
@@ -440,7 +495,8 @@ def _nearest_mode(tree, pts, modes) -> np.ndarray:
     which are rechecked with the dense formula.  Every other mode is at
     least the third tree distance away; a point whose best candidate does
     not clear that bound by a margin far above rounding is rechecked
-    against all modes, 4096 points at a time.
+    against all modes, max(1, ``_POINT_BLOCK`` // M) points at a time, so
+    the dense block holds at most about ``_POINT_BLOCK`` distances.
     """
     n, m = len(pts), len(modes)
     k = min(3, m)
@@ -452,8 +508,9 @@ def _nearest_mode(tree, pts, modes) -> np.ndarray:
     assignment = np.where(d2 == best[:, None], cand, m).min(axis=1)
     if k < m:
         unsure = np.flatnonzero(best >= dist[:, -1] ** 2 * (1 - 1e-9))
-        for start in range(0, len(unsure), 4096):
-            rows = unsure[start:start + 4096]
+        rows_per_block = max(1, _POINT_BLOCK // m)
+        for start in range(0, len(unsure), rows_per_block):
+            rows = unsure[start:start + rows_per_block]
             dense = ((pts[rows, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
             assignment[rows] = np.argmin(dense, axis=1)
     return assignment
@@ -513,22 +570,29 @@ def shrink_instances(labels, distance: float) -> np.ndarray:
     around the bounding box, which is complement too and no farther away.
     Clipping (not padding) keeps the edge rule.  No instance's erosion
     touches another instance's pixels, so the order of instances does not
-    matter.  Negative ids and non-integer dtypes raise :class:`LabelError`.
+    matter.  The loop records which ids keep a pixel, and their running
+    count numbers the survivors 1..n in ascending order of id, as
+    ``relabel_consecutive`` would.  Negative ids and non-integer dtypes
+    raise :class:`LabelError`.
     """
     if not distance >= 0:
         raise ValueError(f"distance must be non-negative, got {distance!r}")
     lab = check_labels(labels).astype(np.int32, copy=True)
     if distance == 0:
         return lab
-    for ident, box in enumerate(ndimage.find_objects(lab), start=1):
+    boxes = ndimage.find_objects(lab)
+    alive = np.zeros(len(boxes) + 1, bool)
+    for ident, box in enumerate(boxes, start=1):
         if box is None:
             continue
         grown = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, n))
                       for s, n in zip(box, lab.shape))
         sub = lab[grown]
         mask = sub == ident
-        sub[mask & (ndimage.distance_transform_edt(mask) <= distance)] = 0
-    return relabel_consecutive(lab)[0]
+        depth = ndimage.distance_transform_edt(mask)
+        sub[mask & (depth <= distance)] = 0
+        alive[ident] = depth.max() > distance
+    return np.cumsum(alive, dtype=np.int32)[lab]
 
 
 def _field_and_foreground(params: ModelParams, image, config: SegmenterConfig, seed: int):

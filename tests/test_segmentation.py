@@ -543,6 +543,172 @@ def test_assign_is_argmin_at_the_half_bandwidth_boundary(offset, bandwidth):
     assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) >= 2).any()
 
 
+def _dense_argmin(points, modes):
+    return np.concatenate([
+        np.argmin(((points[s:s + 512, None, :] - modes[None, :, :]) ** 2).sum(axis=2), axis=1)
+        for s in range(0, len(points), 512)])
+
+
+def _spread_modes(rng, n, bandwidth, extent):
+    # uniform candidates thinned by the merge, so pairwise a bandwidth apart
+    return segmentation._merge(rng.uniform(0.0, extent, (n, 2)), np.ones(n, np.intp), bandwidth)
+
+
+def _assign_case(name):
+    """(points, modes, bandwidth) of one ``_assign`` case."""
+    rng = np.random.default_rng(12)
+    if name == "float_cloud":  # blobs around spread modes and a scatter over them
+        modes = _spread_modes(rng, 200, 6.0, 120.0)
+        blobs = np.repeat(modes, 20, axis=0) + rng.normal(0.0, 2.0, (20 * len(modes), 2))
+        return np.concatenate([blobs, rng.uniform(-5.0, 125.0, (2000, 2))]), modes, 6.0
+    if name == "lattice_ties":  # modes one bandwidth apart, a finer lattice of points
+        return _lattice(41, 0.5) - 0.5, rng.permutation(_lattice(6, 4.0)), 4.0
+    if name == "at_r":  # points r from their mode along each axis, and one ulp either side
+        r = 0.5 * 3.0 * (1 - 1e-9)
+        steps = [np.nextafter(r, 0.0), r, np.nextafter(r, 2.0)]
+        offsets = np.array([[0.0, d] for d in steps] + [[-d, 0.0] for d in steps])
+        modes = _lattice(4, 7.0)
+        return (modes[:, None] + offsets).reshape(-1, 2), modes, 3.0
+    if name == "outside":  # points beyond the grid on every side, near and far
+        modes = _spread_modes(rng, 60, 5.0, 50.0)
+        far = np.array([[-1e6, 25.0], [25.0, 1e6], [1e6, -1e6], [-4.0, -4.0], [54.0, 54.0]])
+        return np.concatenate([far, rng.uniform(-30.0, 80.0, (500, 2))]), modes, 5.0
+    if name == "capped":  # modes too far apart for cells of r / 2 under the cap
+        modes = _spread_modes(rng, 300, 2.0, 1e4)
+        near = np.repeat(modes, 10, axis=0) + rng.uniform(-0.7, 0.7, (10 * len(modes), 2))
+        return np.concatenate([near, rng.uniform(0.0, 1e4, (2000, 2))]), modes, 2.0
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("case", ["float_cloud", "lattice_ties", "at_r", "outside", "capped"])
+def test_assign_is_the_dense_argmin(case):
+    points, modes, bandwidth = _assign_case(case)
+    got = segmentation._assign(points, modes, bandwidth)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _dense_argmin(points, modes))
+
+
+@pytest.mark.parametrize("case", ["float_cloud", "lattice_ties", "at_r", "outside", "capped"])
+def test_assign_takes_a_proposal_only_as_a_candidate(monkeypatch, case):
+    # a grid whose cells name random modes, or none, changes no assignment:
+    # only the squared-distance check confirms a proposal
+    points, modes, bandwidth = _assign_case(case)
+    rng = np.random.default_rng(3)
+    mode_grid = segmentation._mode_grid
+
+    def scrambled(*args):
+        origin, width, table = mode_grid(*args)
+        return origin, width, rng.integers(0, len(modes) + 1, table.shape)
+
+    monkeypatch.setattr(segmentation, "_mode_grid", scrambled)
+    assert np.array_equal(segmentation._assign(points, modes, bandwidth),
+                          _dense_argmin(points, modes))
+
+
+def test_assign_cases_reach_what_they_name():
+    def grid(case):
+        points, modes, bandwidth = _assign_case(case)
+        r = 0.5 * bandwidth * (1 - 1e-9)
+        return points, modes, r, segmentation._mode_grid(modes, r, max(len(points), 4096))
+
+    points, modes, _, _ = grid("lattice_ties")
+    d2 = ((points[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+    assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) >= 2).sum() >= 100
+    points, modes, r, _ = grid("at_r")
+    d2 = ((points[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+    assert (d2 == r * r).any() and (d2 < r * r).any() and (d2 > r * r).any()
+    points, modes, _, (origin, width, table) = grid("outside")
+    end = origin + np.array(table.shape) * width
+    assert ((points < origin) | (points >= end)).any(axis=1).sum() >= 5
+    points, modes, r, (_, width, table) = grid("capped")
+    assert table.size <= len(points) < (1e4 / (0.5 * r)) ** 2
+    assert width > 0.5 * r
+
+
+def test_mode_grid_marks_cells_that_discs_share_as_conflicts():
+    # modes one bandwidth apart: the discs of neighbours touch at the midpoint,
+    # whose cell both meet; the cell of each mode is met by its disc alone
+    bandwidth = 4.0
+    r = 0.5 * bandwidth * (1 - 1e-9)
+    modes = np.random.default_rng(2).permutation(_lattice(5, bandwidth))
+    origin, width, table = segmentation._mode_grid(modes, r, 4096)
+    assert width == 0.5 * r
+
+    def entry(p):
+        i, j = np.floor((np.asarray(p) - origin) / width).astype(int)
+        return table[i, j]
+
+    for k, mode in enumerate(modes):
+        assert entry(mode) == k
+        if mode[0] < 16.0:
+            assert entry(mode + [bandwidth / 2, 0.0]) == len(modes)
+    assert set(np.unique(table)) == set(range(len(modes) + 1))
+
+
+@pytest.mark.parametrize("modes, r, cells", [
+    (_lattice(30, 2.0), 0.999, 4096),  # fits at cells of r / 2
+    (_lattice(30, 2.0), 0.5, 4096),
+    (np.array([[0.0, 0.0], [1e7, 3e6]]), 1.0, 4096),
+    (np.stack([np.zeros(50), np.arange(50) * 1e5], axis=1), 1.0, 4096),  # a line
+    (np.stack([np.arange(50) * 1e5, np.zeros(50)], axis=1), 1.0, 6000),
+    (np.array([[3.0, -4.0]]), 5e199, 4096),
+    (np.array([[500.0, 500.0], [200.0, 200.0]]), 5e-17, 4096),
+], ids=["fits", "widened", "two_far", "column", "row_6000", "huge_r", "tiny_r"])
+def test_mode_grid_covers_the_grown_box_within_the_cell_cap(modes, r, cells):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        origin, width, table = segmentation._mode_grid(modes, r, cells)
+    assert table.dtype == np.intp and table.size <= cells
+    assert width >= 0.5 * r
+    assert (origin <= modes.min(axis=0) - r).all()
+    assert (origin + np.array(table.shape) * width >= modes.max(axis=0) + r).all()
+    if width > 0.5 * r:  # widened only as far as the cap needs
+        assert table.size > cells / 4
+    for k, mode in enumerate(modes):  # a mode's own cell proposes it or holds a conflict
+        i, j = np.floor((mode - origin) / width).astype(int)
+        assert table[i, j] in (k, len(modes))
+
+
+def test_assign_proposes_every_point_near_a_mode_from_the_grid(monkeypatch):
+    # tight blobs put every point within half a bandwidth of its mode, and
+    # modes two bandwidths apart leave no cell to two discs, so no point is
+    # left for the nearest-mode search
+    rng = np.random.default_rng(6)
+    modes = _spread_modes(rng, 400, 20.0, 200.0)
+    points = np.repeat(modes, 100, axis=0) + rng.uniform(-3.0, 3.0, (100 * len(modes), 2))
+    searched = []
+
+    def spy(tree, pts, modes):
+        searched.append(len(pts))
+        return nearest_mode(tree, pts, modes)
+
+    nearest_mode = segmentation._nearest_mode
+    monkeypatch.setattr(segmentation, "_nearest_mode", spy)
+    got = segmentation._assign(points, modes, 10.0)
+    assert np.array_equal(got, np.repeat(np.arange(len(modes)), 100))
+    assert sum(searched) == 0
+
+
+def test_nearest_mode_recheck_bounds_memory():
+    # 5000 points at the centres of an 80 x 80 lattice of modes, each tied
+    # four ways: rechecking 4096 rows against all 6400 modes at once peaked
+    # at 629.6 MB
+    import tracemalloc
+
+    modes = _lattice(80, 4.0)
+    points = np.random.default_rng(0).integers(0, 79, size=(5000, 2)) * 4.0 + 2.0
+    tree = cKDTree(modes)
+    tracemalloc.start()
+    try:
+        got = segmentation._nearest_mode(tree, points, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _dense_argmin(points, modes))
+    assert np.array_equal(got, ((points - 2.0) / 4.0) @ [80, 1])  # the lowest of the four
+    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def _seed_count(points, bandwidth):
     return len(np.unique(np.floor(points / bandwidth), axis=0))
 
@@ -792,6 +958,27 @@ def test_shrink_instances_matches_whole_image_edt(scene, distance):
     got = segmentation.shrink_instances(labels, distance)
     assert got.dtype == np.int32
     assert np.array_equal(got, _shrink_oracle(labels, distance))
+
+
+@pytest.mark.parametrize("distance", [1.0, 2.0, 3.5])
+def test_shrink_instances_numbers_survivors_as_relabel_consecutive(distance):
+    # ids with gaps, given out of raster order, and thin or small instances
+    # that erode away entirely at some distances
+    labels = np.zeros((40, 48), np.int32)
+    labels[2:14, 2:14] = 41
+    labels[2:4, 20:40] = 3  # two pixels thick: gone from 1.0 on
+    labels[18:21, 5:8] = 17  # 3 x 3: gone from 2.0 on
+    labels[18:34, 16:30] = 9
+    labels[25:39, 34:47] = 2
+    labels[36:39, 2:10] = 28
+    eroded = labels.copy()
+    for ident in np.unique(labels[labels > 0]):
+        mask = labels == ident
+        eroded[mask & (ndimage.distance_transform_edt(mask) <= distance)] = 0
+    assert len(np.unique(eroded)) < len(np.unique(labels))  # something eroded away
+    got = segmentation.shrink_instances(labels, distance)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, relabel_consecutive(eroded)[0])
 
 
 @pytest.mark.parametrize("distance", [0.0, 0.5])
