@@ -889,15 +889,15 @@ def test_mean_shift_memory_stays_bounded():
 # Instances
 
 def _relabel(labels):
-    ids = np.unique(labels)
-    lut = np.zeros(int(labels.max()) + 1, np.int32)
-    lut[ids[ids > 0]] = np.arange(1, (ids > 0).sum() + 1)
-    return lut[labels]
+    ids, inverse = np.unique(labels, return_inverse=True)
+    return (inverse.reshape(labels.shape) + int(ids[0] > 0)).astype(np.int32)
 
 
 def _shrink_oracle(labels, distance):
-    """One whole-image distance transform per instance."""
-    lab = np.asarray(labels).astype(np.int32)
+    """One whole-image distance transform per instance, on the ids as given.
+    Wrong on an instance that fills the whole image: scipy measures that
+    one from a phantom background pixel outside the array."""
+    lab = np.asarray(labels)
     out = lab.copy()
     for ident in np.unique(lab[lab > 0]):
         mask = lab == ident
@@ -951,13 +951,78 @@ def _shrink_scenes():
     }
 
 
-@pytest.mark.parametrize("distance", [0.5, 1.0, 1.5, 2.0, 3.0, 6.0])
+# Shrink distances: each root below and one ulp either side of it, and 0.5,
+# 1, 1.5 and 3.  No integer offset has |o|^2 = 3; the root of 13 is the
+# smallest sum of two squares whose float root squares to less than itself,
+# so it is the one that catches a disc of offsets chosen by |o|^2 <= d^2.
+_ROOTS = [math.sqrt(2.0), 2.0, math.sqrt(3.0), math.sqrt(5.0), math.sqrt(13.0), 6.0]
+_SHRINK_DISTANCES = sorted({0.5, 1.0, 1.5, 3.0}.union(
+    *({r, np.nextafter(r, 0.0), np.nextafter(r, 7.0)} for r in _ROOTS)) - {np.nextafter(6.0, 7.0)})
+
+
+@pytest.mark.parametrize("distance", _SHRINK_DISTANCES)
 @pytest.mark.parametrize("scene", ["voronoi", "voronoi_cut", "mixed", "whole_image"])
 def test_shrink_instances_matches_whole_image_edt(scene, distance):
     labels = _shrink_scenes()[scene]
     got = segmentation.shrink_instances(labels, distance)
     assert got.dtype == np.int32
-    assert np.array_equal(got, _shrink_oracle(labels, distance))
+    if scene == "whole_image":
+        # no pixel of another id in the array: the instance keeps every pixel
+        assert np.array_equal(got, np.ones(labels.shape, np.int32))
+    else:
+        assert np.array_equal(got, _shrink_oracle(labels, distance))
+
+
+@pytest.mark.parametrize("distance", _SHRINK_DISTANCES)
+def test_shrink_instances_matches_the_oracle_on_random_dense_ids(distance):
+    rng = np.random.default_rng(17)
+    for shape in [(23, 31), (40, 9), (2, 50)]:
+        # random ids with gaps on 3 x 4 blocks, which merge into larger
+        # regions, a little background and one-pixel specks that erode away
+        coarse = rng.choice([0, 2, 3, 7, 40, 41, 1000], size=(shape[0] // 3 + 1, shape[1] // 4 + 1))
+        labels = coarse.repeat(3, axis=0).repeat(4, axis=1)[:shape[0], :shape[1]]
+        labels[rng.random(shape) < 0.05] = 99
+        assert len(np.unique(labels)) > 2
+        got = segmentation.shrink_instances(labels, distance)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _shrink_oracle(labels, distance))
+
+
+@pytest.mark.parametrize("distance", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("shape", [(32, 32), (1, 1), (1, 7), (7, 1), (0, 5), (5, 0)])
+def test_shrink_instances_keeps_an_instance_that_fills_the_image(shape, distance):
+    got = segmentation.shrink_instances(np.full(shape, 3, np.int64), distance)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, np.ones(shape, np.int32))
+
+
+def test_shrink_instances_memory_does_not_grow_with_the_largest_id():
+    import tracemalloc
+
+    labels = np.zeros((8, 8), np.int64)
+    labels[1:7, 1:7] = 10**7
+    tracemalloc.start()
+    try:
+        got = segmentation.shrink_instances(labels, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _shrink_oracle(labels, 1.0))
+    assert got.sum() == 16
+    assert peak < 100_000, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("wide", [2**31, 2**32 + 1, 2**40])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_shrink_instances_keeps_ids_wider_than_int32_apart(wide, dtype):
+    labels = np.zeros((12, 14), dtype)
+    labels[1:11, 1:7] = 1
+    labels[1:11, 7:13] = wide  # touches id 1 along a column
+    labels[0, :] = 2**64 - 1 if dtype == np.uint64 else 5  # a row that erodes away
+    for distance in (1.0, 2.0):
+        got = segmentation.shrink_instances(labels, distance)
+        assert np.array_equal(got, _shrink_oracle(labels, distance))
+        assert got.max() == 2
 
 
 @pytest.mark.parametrize("distance", [1.0, 2.0, 3.5])
@@ -989,7 +1054,12 @@ def test_shrink_instances_rejects_bad_ids(distance):
         segmentation.shrink_instances(np.ones((3, 3), np.float32), distance)
 
 
-@pytest.mark.parametrize("distance", [-1.0, np.nan])
+def test_shrink_instances_rejects_labels_that_are_not_2d():
+    with pytest.raises(ShapeError, match="2-D"):
+        segmentation.shrink_instances(np.ones((2, 3, 4), np.int32), 1.0)
+
+
+@pytest.mark.parametrize("distance", [-1.0, np.nan, np.inf, np.nextafter(6.0, 7.0)])
 def test_shrink_instances_rejects_a_negative_or_nan_distance(distance):
     with pytest.raises(ValueError, match="distance must be non-negative"):
         segmentation.shrink_instances(np.ones((12, 12), np.int32), distance)
