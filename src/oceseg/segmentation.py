@@ -25,6 +25,10 @@ the point's squared distance confirms the proposal.  Only the points it
 leaves are searched, through one tree over the kept modes.  No tree is
 built over more than the sample, and the grid has at most max(N, 4096)
 cells.
+The shrink erodes every instance at once by a disc taken as row segments:
+each pixel's run of its own id along each axis is measured once, up to the
+distance, and a pixel survives when its column run spans the disc and each
+disc row's run spans that row's half width; the ids are compared twice.
 """
 
 from __future__ import annotations
@@ -449,6 +453,15 @@ def _mode_grid(modes, r: float, cells: int):
     return origin, width, table.reshape(shape)
 
 
+def _sq_dist(pts, modes) -> np.ndarray:
+    """``((pts - modes) ** 2).sum(axis=-1)`` bit for bit, for (..., 2)
+    arrays that broadcast, from the coordinate columns: the same two
+    squares, added once, without the (..., 2) difference array."""
+    dr = pts[..., 0] - modes[..., 0]
+    dc = pts[..., 1] - modes[..., 1]
+    return dr * dr + dc * dc
+
+
 def _assign(pts, modes, bandwidth: float) -> np.ndarray:
     """Nearest mode of every point, as ``_nearest_mode`` gives it, for
     ``modes`` pairwise at least ``bandwidth`` apart by ``np.hypot``.
@@ -480,7 +493,7 @@ def _assign(pts, modes, bandwidth: float) -> np.ndarray:
         # clipped while still float, so no cell index overflows its cast
         cell = np.clip((block - origin) / width, 0, last).astype(np.intp)
         near = table[cell[:, 0], cell[:, 1]]
-        d2 = ((block - modes[np.minimum(near, m - 1)]) ** 2).sum(axis=1)
+        d2 = _sq_dist(block, modes[np.minimum(near, m - 1)])
         rest = np.flatnonzero((near == m) | (d2 > r * r))
         near[rest] = _nearest_mode(tree, block[rest], modes)
         assignment[start:start + len(block)] = near
@@ -503,7 +516,7 @@ def _nearest_mode(tree, pts, modes) -> np.ndarray:
     dist, cand = tree.query(pts, k=k)
     dist = dist.reshape(n, k)
     cand = cand.reshape(n, k)
-    d2 = ((pts[:, None, :] - modes[cand]) ** 2).sum(axis=2)
+    d2 = _sq_dist(pts[:, None, :], modes[cand])
     best = d2.min(axis=1)
     assignment = np.where(d2 == best[:, None], cand, m).min(axis=1)
     if k < m:
@@ -511,7 +524,7 @@ def _nearest_mode(tree, pts, modes) -> np.ndarray:
         rows_per_block = max(1, _POINT_BLOCK // m)
         for start in range(0, len(unsure), rows_per_block):
             rows = unsure[start:start + rows_per_block]
-            dense = ((pts[rows, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+            dense = _sq_dist(pts[rows, None, :], modes)
             assignment[rows] = np.argmin(dense, axis=1)
     return assignment
 
@@ -533,13 +546,16 @@ def segment(field, foreground, config: SegmenterConfig) -> np.ndarray:
     if r.ndim != 3 or r.shape[0] != 2 or r.shape[1:] != fg.shape:
         raise ShapeError("field (2,H,W) and foreground (H,W) must agree")
     labels = np.zeros(fg.shape, np.int32)
-    coords = np.argwhere(fg)
-    if len(coords) == 0:
+    idx = np.flatnonzero(fg)
+    if len(idx) == 0:
         return labels
-    centers = coords.astype(np.float64) - r[:, fg].T
+    # raster order, as np.argwhere gives it; the float32 offsets widen exactly
+    centers = np.empty((len(idx), 2))
+    for coord, offsets, column in zip(divmod(idx, fg.shape[1]), r.reshape(2, -1), centers.T):
+        np.subtract(coord, offsets.take(idx), out=column)
     modes, assignment = mean_shift(centers, config.bandwidth)
     kept = np.bincount(assignment, minlength=len(modes)) >= max(config.min_instance_size, 1)
-    labels[fg] = (np.cumsum(kept, dtype=np.int32) * kept)[assignment]
+    labels.reshape(-1)[idx] = (np.cumsum(kept, dtype=np.int32) * kept)[assignment]
     if config.connectivity_relabel:
         # components are numbered per id in raster order of their first
         # pixel, and raster order inside a bounding box is raster order in
@@ -556,19 +572,69 @@ def segment(field, foreground, config: SegmenterConfig) -> np.ndarray:
     return labels
 
 
+def _run_reach(lab, cap: int) -> np.ndarray:
+    """Each pixel's run reach along axis 0, as a uint8 plane: the largest
+    t <= ``cap`` such that its in-array neighbours at +-1..+-t along the
+    axis all hold its id.  Neighbours outside the array count as equal.
+
+    The reach is the number of levels a pixel passes.  Level 1 holds the
+    pixels equal to both in-array neighbours, the one label comparison;
+    level t holds the pixels that pass level t - 1 along with both in-array
+    neighbours, so a pixel passes level t exactly when the ids at +-1..+-t
+    equal its own.  Each level is two ANDs with the pairs of the last.
+    """
+    level = np.ones_like(lab, bool)
+    reach = np.zeros_like(lab, np.uint8)
+    pair = lab[:-1] == lab[1:]
+    for t in range(cap):
+        if t:
+            np.logical_and(level[:-1], level[1:], out=pair)
+        level[1:] &= pair
+        level[:-1] &= pair
+        reach += level
+    return reach
+
+
+def _survivors(lab, distance: float) -> np.ndarray:
+    """The pixels ``shrink_instances`` keeps, as a bool plane; the reach
+    planes are freed on return, before the survivors are numbered."""
+    cap = int(distance)
+    keep = lab != 0
+    if cap:
+        keep &= _run_reach(lab, cap) == cap
+        across = _run_reach(lab.T, cap).T
+        keep &= across == cap  # w(0) = cap
+        for dy in range(1, cap + 1):  # a shift past the array is an empty slice
+            half = max(dx for dx in range(cap + 1) if math.sqrt(dy * dy + dx * dx) <= distance)
+            if half:
+                wide = across >= half
+                keep[:-dy] &= wide[dy:]
+                keep[dy:] &= wide[:-dy]
+    return keep
+
+
 def shrink_instances(labels, distance: float) -> np.ndarray:
     """Erode every instance by ``distance`` in [0, ``MAX_SHRINK``]: drop a
     nonzero pixel p when some pixel q of the array holds another id (0
     included) with ``sqrt(float(|p - q|**2)) <= distance``, the comparison a
     Euclidean distance transform's depth meets.
 
-    Each integer offset o of the half disc (dy > 0, or dy == 0 and dx > 0)
-    is one whole-image pass, about pi * distance**2 / 2 of them (56 at
-    ``MAX_SHRINK``): it compares the ids, in their own dtype, with the ids
-    shifted by o and marks both ends of every mismatch, which also covers
-    -o.  A pass reads only the overlap of the array and its shift, exactly
-    the pairs (p, p + o) with both ends in the array, so the image edge is
-    not background and an instance alone in the array keeps every pixel.
+    Let R = floor(distance) and w(dy) the largest dx with
+    ``math.sqrt(dy * dy + dx * dx) <= distance``; w(dy) >= 0 for |dy| <= R,
+    and as the root is monotone, row dy of the disc is dx in [-w(dy), w(dy)]
+    (Serra's erosion by a disc taken as row segments).  So p = (r, c)
+    survives exactly when, for every |dy| <= R with row r + dy in the array,
+    that row holds p's id over [c - w(dy), c + w(dy)] within the array.
+    With the run reaches of ``_run_reach``, that is: p's column reach is R
+    (its column holds its id at every in-array row r+-1..r+-R), and every
+    such row r + dy has a row reach of at least w(dy) at column c, which
+    says the row holds one id over the segment, the id at (r + dy, c),
+    which the column reach made p's.  Both reaches are capped at R = w(0),
+    so ``keep`` is the column test, ANDed with each row's ``reach >= w(dy)``
+    plane shifted by -dy and by +dy.  The ids are compared once per axis,
+    in their own dtype; all else is bool and uint8 planes.  Out-of-array
+    neighbours count as equal, so the image edge is not background and an
+    instance alone in the array keeps every pixel.
     ``relabel_consecutive`` numbers the survivors 1..n in ascending order
     of id, so distance 0 only renumbers, which leaves every label image the
     package makes as it is.  Negative ids and non-integer dtypes raise
@@ -580,18 +646,11 @@ def shrink_instances(labels, distance: float) -> np.ndarray:
     lab = check_labels(labels)
     if lab.ndim != 2:
         raise ShapeError(f"labels must be 2-D, got shape {lab.shape}")
-    h, w = lab.shape
-    reach = int(distance)
-    drop = np.zeros(lab.shape, bool)
-    for dy, dx in itertools.product(range(min(reach + 1, h)), range(-reach, reach + 1)):
-        if (dy == 0 and dx <= 0) or abs(dx) >= w or math.sqrt(dy * dy + dx * dx) > distance:
-            continue
-        near = (slice(0, h - dy), slice(max(-dx, 0), w - max(dx, 0)))
-        far = (slice(dy, h), slice(max(dx, 0), w - max(-dx, 0)))
-        differ = lab[near] != lab[far]
-        drop[near] |= differ
-        drop[far] |= differ
-    return relabel_consecutive(np.where(drop, 0, lab))[0]
+    keep = _survivors(lab, distance)
+    compact = relabel_consecutive(lab[keep])[0]
+    out = np.zeros(lab.shape, np.int32)
+    out[keep] = compact
+    return out
 
 
 def _field_and_foreground(params: ModelParams, image, config: SegmenterConfig, seed: int):

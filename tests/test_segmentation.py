@@ -1046,6 +1046,53 @@ def test_shrink_instances_numbers_survivors_as_relabel_consecutive(distance):
     assert np.array_equal(got, relabel_consecutive(eroded)[0])
 
 
+def _large_scene():
+    """A 160 x 200 Voronoi partition of 48 cells, wide enough that many rows
+    reach every half width of the largest disc, cut by a background row band
+    and column band, with a few one-pixel specks of other ids."""
+    rng = np.random.default_rng(29)
+    seeds = rng.uniform((0, 0), (160, 200), size=(48, 2))
+    rows, cols = np.indices((160, 200))
+    d2 = (rows[..., None] - seeds[:, 0]) ** 2 + (cols[..., None] - seeds[:, 1]) ** 2
+    labels = np.argmin(d2, axis=2).astype(np.int32) * 3 + 2  # ids with gaps
+    labels[70:73] = 0
+    labels[:, 131:133] = 0
+    specks = rng.random(labels.shape) < 0.002
+    labels[specks] = rng.integers(1, 200, specks.sum())
+    return labels
+
+
+@pytest.mark.parametrize("distance", _SHRINK_DISTANCES)
+def test_shrink_instances_matches_the_oracle_on_a_large_non_square_scene(distance):
+    labels = _large_scene()
+    for edge in (labels[0], labels[-1], labels[:, 0], labels[:, -1]):
+        assert len(np.unique(edge[edge > 0])) >= 4  # instances on all four edges
+    got = segmentation.shrink_instances(labels, distance)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, _shrink_oracle(labels, distance))
+    if distance == 6.0:
+        assert got.max() >= 24  # the largest disc still leaves cores
+
+
+def test_shrink_instances_memory_stays_within_a_few_planes():
+    # touching 32 x 32 blocks of a 1024^2 int32 image, a third of them
+    # background: an int64 copy of the labels (8 MB) or the int32 output and
+    # a list of the six level planes would exceed the bound
+    import tracemalloc
+
+    rows, cols = np.indices((1024, 1024), dtype=np.int32)
+    labels = (rows // 32) * 32 + cols // 32 + 1
+    labels[labels % 3 == 0] = 0
+    tracemalloc.start()
+    try:
+        got = segmentation.shrink_instances(labels, 6.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.max() == 1024 - 1024 // 3  # every block keeps a core
+    assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("distance", [0.0, 0.5])
 def test_shrink_instances_rejects_bad_ids(distance):
     with pytest.raises(LabelError, match="non-negative"):
@@ -1134,6 +1181,24 @@ def test_segment_numbers_instances_as_the_image_path(min_size, instances, connec
     assert np.array_equal(got, expected)
     if not connectivity:
         assert got.max() == instances
+
+
+def test_segment_clusters_a_non_square_crop_in_raster_order(monkeypatch):
+    field, fg = _noisy_disks()
+    field, fg = field[:, :, 10:80], fg[:, 10:80]  # 90 x 70 views, not contiguous
+    config = segmentation.SegmenterConfig(bandwidth=5.0, min_instance_size=10)
+    calls = []
+
+    def spy(points, bandwidth):
+        calls.append(np.array(points))
+        return mean_shift(points, bandwidth)
+
+    mean_shift = segmentation.mean_shift
+    monkeypatch.setattr(segmentation, "mean_shift", spy)
+    got = segmentation.segment(field, fg, config)
+    assert np.array_equal(calls[0], np.argwhere(fg) - field[:, fg].T)
+    assert np.array_equal(got, _segment_oracle(field, fg, config))
+    assert got.max() >= 10
 
 
 def test_segment_of_empty_foreground_is_background():
