@@ -207,13 +207,16 @@ def relabel_consecutive(labels) -> tuple[np.ndarray, np.ndarray]:
     """Number the positive ids 1..n in ascending order, keeping 0 as background;
     returns (int32 mask, the n original ids in the mask's dtype)."""
     lab = check_labels(labels)
-    if lab.size and lab.max() > lab.size:
+    top = int(lab.max(initial=0))
+    if top > lab.size:
         # ids beyond the pixel count: sort, as a table by id could be huge
         ids, inverse = np.unique(lab.ravel(), return_inverse=True)
         background = int(ids[0] == 0)
         compact = (inverse.reshape(lab.shape) + (1 - background)).astype(np.int32)
         return compact, ids[background:]
-    present = np.bincount(lab.ravel().astype(np.intp, copy=False), minlength=1) > 0
+    # index by the labels as they are: a widened copy would cost 8 bytes a pixel
+    present = np.zeros(top + 1, bool)
+    present[lab] = True
     present[0] = False
     # absent ids are never looked up, so the running count is the whole table
     lut = np.cumsum(present, dtype=np.int32)

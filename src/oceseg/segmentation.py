@@ -7,10 +7,10 @@ c_i = i - r_i, small-instance removal and distance-based shrinkage.
 Inference splits each axis into the fewest tiles no larger than the
 ``_TILE`` cap and balances their sides, so little of a tile's work is
 thrown away on the overlap; tiled inference equals one pass bit for bit.
-One driver, ``_bands``, predicts the clean field and the noise rounds band
-by band, top to bottom, a band being one tile row, and holds n inputs x
-one band; the noise rounds reduce each band's new rows in row chunks, so
-their float64 temporaries do not grow with the image.
+One driver, ``_bands``, predicts the clean field and the noise rounds tile
+by tile, band by band, top to bottom, a band being one tile row: it holds
+n inputs x one band and yields n fields x one tile, so the fields and the
+noise rounds' float64 temporaries do not grow with the image.
 Mean-shift finds its modes on a sample, every s-th center estimate with
 s = max(1, floor((bandwidth / 4) ** 2)), so a ball of the sample holds
 about as many points as a full-cloud ball of radius 4; the assignment
@@ -110,47 +110,46 @@ def _axis_plan(n: int, tile: int) -> tuple[np.ndarray, int, list[int]]:
 
 def _bands(params: ModelParams, image, inputs, n: int):
     """Offset fields of the n images ``inputs(0)`` .. ``inputs(n - 1)``, all
-    of ``image``'s (C, H, W) shape, band by band, top to bottom.
+    of ``image``'s (C, H, W) shape, tile by tile, band by band, top to bottom.
 
     A band is one tile row of the ``_axis_plan`` grid at ``_TILE``.  Each
-    input's band is gathered through the padded index maps and its tiles run
-    into one float32 (n, 2, band rows, padded W - CONTEXT) buffer that every
-    band reuses, so n x one band is held.  Tiles keep their full valid
+    input's band is gathered once through the padded index maps, so n
+    gathered bands are held; then each column tile runs its n forwards into
+    one fresh float32 (n, 2, tile, tile) array.  Tiles keep their full valid
     interior, so the fields equal one untiled pass bit for bit.  Yields
-    (a, b, fields), the (n, 2, b - a, W) view of the image rows a..b that no
-    earlier band yielded; the next band overwrites it.  The forwards run
-    with numpy's overflow and invalid-value warnings off, and new rows
+    (rows, cols, fields): the slices of the image rows and columns that no
+    earlier tile yielded and their (n, 2, rows, cols) fields.  The forwards
+    run with numpy's overflow and invalid-value warnings off, and new pixels
     holding NaN or inf raise :class:`DegenerateError`, the only report of a
     model that overflows.
     """
     check_image(image, params.config.in_channels)
     _, H, W = image.shape
-    rows, Th, row_starts = _axis_plan(H, _TILE)
-    cols, Tw, col_starts = _axis_plan(W, _TILE)
-    band = np.empty((n, 2, Th - CONTEXT, len(cols) - CONTEXT), np.float32)
-    done = 0
+    ys, Th, row_starts = _axis_plan(H, _TILE)
+    xs, Tw, col_starts = _axis_plan(W, _TILE)
+    top = 0
     for r0 in row_starts:
-        for i in range(n):
-            padded = inputs(i)[:, rows[r0:r0 + Th, None], cols]
+        bands = [inputs(i)[:, ys[r0:r0 + Th, None], xs] for i in range(n)]
+        bottom, left = min(r0 + Th - CONTEXT, H), 0
+        for c0 in col_starts:
             with np.errstate(over="ignore", invalid="ignore"):
-                for c0 in col_starts:
-                    block = Tensor(padded[:, :, c0:c0 + Tw])
-                    band[i, :, :, c0:c0 + Tw - CONTEXT] = forward(params, block).data
-        stop = min(r0 + Th - CONTEXT, H)
-        fields = band[:, :, done - r0:stop - r0, :W]
-        if not np.isfinite(fields).all():
-            raise DegenerateError("offset field is not finite: it holds NaN or inf values")
-        yield done, stop, fields
-        done = stop
+                tile = np.stack([forward(params, Tensor(b[:, :, c0:c0 + Tw])).data for b in bands])
+            right = min(c0 + Tw - CONTEXT, W)
+            fields = tile[:, :, top - r0:bottom - r0, left - c0:right - c0]
+            if not np.isfinite(fields).all():
+                raise DegenerateError("offset field is not finite: it holds NaN or inf values")
+            yield slice(top, bottom), slice(left, right), fields
+            left = right
+        top = bottom
 
 
 def predict_full(params: ModelParams, image) -> np.ndarray:
     """Offset field aligned to the input grid: (2, H, W) for a (C, H, W) image.
 
     The image is reflect-padded by half the context margin (``_axis_plan``)
-    and predicted band by band (``_bands``), one band of it and of its field
-    held besides the result.  Per axis, the fewest tiles no larger than
-    ``_TILE`` that cover the image share it evenly (``_tile_plan``): a
+    and predicted tile by tile (``_bands``), one band of it and one tile of
+    its field held besides the result.  Per axis, the fewest tiles no larger
+    than ``_TILE`` that cover the image share it evenly (``_tile_plan``): a
     512x512 image runs nine 188x188 tiles rather than nine of 252x252.
     Every tile side and origin is even, so each tile keeps the max-pool
     phase of the whole image and the result, a C-contiguous array of its
@@ -159,8 +158,8 @@ def predict_full(params: ModelParams, image) -> np.ndarray:
     """
     img = np.asarray(image, dtype=np.float32)
     out = np.empty((2,) + img.shape[1:], np.float32)
-    for a, b, fields in _bands(params, img, lambda i: img, 1):
-        out[:, a:b] = fields[0]
+    for rows, cols, fields in _bands(params, img, lambda i: img, 1):
+        out[:, rows, cols] = fields[0]
     return out
 
 
@@ -181,9 +180,6 @@ def salt_pepper(image, fraction: float, rng: np.random.Generator) -> np.ndarray:
     return img
 
 
-_VARIANCE_ROWS = 64  # image rows per chunk of embedding_variance's float64 work
-
-
 def embedding_variance(params: ModelParams, image, config: SegmenterConfig,
                        seed: int = 0) -> np.ndarray:
     """Per-pixel variance of the offset field across noisy re-predictions.
@@ -194,13 +190,13 @@ def embedding_variance(params: ModelParams, image, config: SegmenterConfig,
     unbiased sample variances into one (H, W) map.
 
     The rounds are predicted by ``_bands``, the driver of ``predict_full``,
-    band by band, top to bottom.  For each band every round is corrupted
-    afresh (the noise goes in before the pad, so mirrored pixels carry it),
-    so the memory held is rounds x one band, not rounds x the image, plus
-    one noisy copy of the image at a time.  Each band's new rows go through
-    the float64 variance ``_VARIANCE_ROWS`` rows at a time.  Tiles equal
-    one pass and each pixel's arithmetic is that of the whole-stack
-    formula, so the map is the same bit for bit.
+    tile by tile, band by band, top to bottom.  For each band every round is
+    corrupted afresh (the noise goes in before the pad, so mirrored pixels
+    carry it), so the memory held is rounds x one band, not rounds x the
+    image, plus one noisy copy of the image at a time.  Each tile's new
+    pixels go through the float64 variance at once.  Tiles equal one pass
+    and each pixel's arithmetic is that of the whole-stack formula, so the
+    map is the same bit for bit.
     """
     img = np.asarray(image, dtype=np.float32)
 
@@ -208,11 +204,8 @@ def embedding_variance(params: ModelParams, image, config: SegmenterConfig,
         return salt_pepper(img, config.noise_fraction, np.random.default_rng([seed, r]))
 
     var = np.empty(img.shape[1:], np.float64)
-    for a, b, fields in _bands(params, img, noisy, config.noise_rounds):
-        for c in range(a, b, _VARIANCE_ROWS):
-            e = min(c + _VARIANCE_ROWS, b)
-            chunk = fields[:, :, c - a:e - a]
-            var[c:e] = np.var(chunk, axis=0, ddof=1, dtype=np.float64).sum(axis=0)
+    for rows, cols, fields in _bands(params, img, noisy, config.noise_rounds):
+        var[rows, cols] = np.var(fields, axis=0, ddof=1, dtype=np.float64).sum(axis=0)
     return var
 
 

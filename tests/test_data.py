@@ -229,6 +229,25 @@ def test_relabel_consecutive_huge_ids_stay_small(dtype, background):
     assert np.array_equal(compact, np.where(labels > 0, np.searchsorted(expected_ids, labels) + 1, 0))
 
 
+def test_relabel_consecutive_holds_no_widened_copy_of_the_labels():
+    # a 1024^2 int32 image of 32^2 blocks: the int32 result alone is 4.2 MB,
+    # and an intp copy of the labels for a bincount peaked at 8.4 MB
+    import tracemalloc
+
+    labels = np.kron(np.arange(1, 1025, dtype=np.int32).reshape(32, 32),
+                     np.ones((32, 32), np.int32))
+    labels[:32, :32] = 0
+    tracemalloc.start()
+    try:
+        compact, ids = relabel_consecutive(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5e6, f"peak {peak / 1e6:.1f} MB"
+    assert ids.dtype == np.int32 and np.array_equal(ids, np.arange(2, 1025))
+    assert np.array_equal(compact, np.where(labels > 0, labels - 1, 0))
+
+
 def test_relabel_consecutive_without_instances():
     for labels in (np.zeros((2, 3), np.int32), np.zeros((0, 3), np.int32)):
         compact, ids = relabel_consecutive(labels)

@@ -220,9 +220,9 @@ def _shift_sum_forward(params, image):
 
 def test_embedding_variance_memory_stays_bounded(monkeypatch):
     # at 2048^2 and five rounds a float32 stack of whole fields is 168 MB,
-    # and that path peaked at 244.2 MB; by band it measured 73.2 MB: the
-    # float64 map (33.5 MB), the rounds' band buffer (19.5 MB) and one noisy
-    # copy of the image (16.8 MB) with its gathered band
+    # and that path peaked at 244.2 MB; tile by tile it measured 72.7 MB: the
+    # float64 map (33.5 MB), one noisy copy of the image (16.8 MB), the
+    # rounds' gathered bands (10.1 MB) and one tile's fields and variance
     import tracemalloc
 
     monkeypatch.setattr(segmentation, "forward", _shift_sum_forward)
@@ -238,6 +238,49 @@ def test_embedding_variance_memory_stays_bounded(monkeypatch):
     assert peak < 80e6, f"peak {peak / 1e6:.1f} MB"
     assert np.array_equal(var, _variance_oracle(params, image, config, 3))
     assert (var > 0).mean() > 0.5
+
+
+def test_embedding_variance_memory_does_not_grow_with_width(monkeypatch):
+    # at 256x8192 a band-wide buffer of the rounds' fields and its row
+    # chunks' float64 temporaries peaked at 122.4 MB; tile by tile it
+    # measured 73.7 MB, most of it the float64 map (16.8 MB), one noisy copy
+    # of the image (8.4 MB) and the rounds' gathered bands (23.6 MB)
+    import tracemalloc
+
+    monkeypatch.setattr(segmentation, "forward", _shift_sum_forward)
+    config = segmentation.SegmenterConfig()
+    params = init_params(ModelConfig(base_fmaps=4), 0)
+    image = np.random.default_rng(1).random((1, 256, 8192), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        var = segmentation.embedding_variance(params, image, config, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 90e6, f"peak {peak / 1e6:.1f} MB"
+    assert np.array_equal(var, _variance_oracle(params, image, config, 3))
+
+
+_YIELD_CASES = [((101, 87), 40), ((101, 87), 64), ((60, 70), 40), ((60, 70), 252),
+                ((512, 512), 252)]
+
+
+@pytest.mark.parametrize("shape, cap", _YIELD_CASES,
+                         ids=[f"{h}x{w}-cap{c}" for (h, w), c in _YIELD_CASES])
+def test_band_driver_yields_every_pixel_once(monkeypatch, shape, cap):
+    # equal fields would hide a pixel yielded twice from the equality tests,
+    # so count the yields: overlapping last tiles, odd sides and one tile
+    monkeypatch.setattr(segmentation, "forward", _shift_sum_forward)
+    monkeypatch.setattr(segmentation, "_TILE", cap)
+    params = init_params(ModelConfig(base_fmaps=4), 0)
+    image = np.random.default_rng(sum(shape)).random((1,) + shape, dtype=np.float32)
+    expected = _single_pass(params, image)
+    seen = np.zeros(shape, np.int64)
+    for rows, cols, fields in segmentation._bands(params, image, lambda i: image, 3):
+        seen[rows, cols] += 1
+        assert fields.shape == (3, 2) + seen[rows, cols].shape
+        assert all(np.array_equal(f, expected[:, rows, cols]) for f in fields)
+    assert (seen == 1).all()
 
 
 _VARIANCE_CASES = [
