@@ -42,24 +42,38 @@ or a ReLU's output, nor a leaf tensor the caller still reads.
 Training arithmetic is float32; every op also accepts float64 tensors so
 gradient checks can run at higher precision.
 
-``conv2d_valid`` has one engine for both kernel sizes, im2col over GEMMs
-(Chellapilla et al. 2006).  Output pixel (r, c) of a (C, H, W) input is flat
-position r*W + c, and tap (di, dj) reads the flat input di*W + dj further on.
-One reader, ``_chunks``, builds every GEMM operand: it walks the first n
-columns of a flat array in chunks of ``CHUNK`` and yields, per chunk, the
-slices at a list of column offsets stacked into one patch, zero past column
-n.  A whole chunk at the single offset 0 is a view of the array; any other
-chunk is copied into one buffer per call.  The forward reads the flat input
-at the k*k tap offsets and runs one (F, C*k*k) GEMM per output chunk.  The
-backward reads the flat input at offset 0 and the output gradient, shifted
-into the input's flat layout, at the reversed tap offsets; per input chunk
-one GEMM gives dX and one adds its share of dW.
+``conv2d_valid`` has one engine for both kernel sizes, patches over GEMMs
+(im2col, Chellapilla et al. 2006).  Output pixel (r, c) of a (C, H, W) input
+is flat position r*W + c, and tap (di, dj) reads the flat input di*W + dj
+further on.  One reader, ``_chunks``, builds every GEMM operand: it walks the
+first n columns of a flat array in chunks of ``CHUNK`` and yields, per chunk,
+the slices at a list of column offsets stacked into one patch, zero past
+column n.  A whole chunk at the single offset 0 is a view of the array; any
+other chunk is copied into one buffer per call.
+
+The forward splits the taps between the two sides of its GEMMs, chosen from
+the channel counts alone.  A 1x1 conv, and a 3x3 conv wider at its output
+than its input (F > C), copy the input at all k*k tap offsets and run one
+(F, C*k*k) GEMM per output chunk, written straight into the output.  A 3x3
+conv with F <= C copies the input at the three column taps only, 3*C rows
+instead of 9*C, and moves the row taps to the output side, as kn2row does
+(Vasudevan et al. 2017) but with one GEMM per chunk: a (3F, 3C) GEMM over
+the first L + 2W flat positions gives three planes Z0, Z1 and Z2, one per
+row tap, and output p is (Z0[p] + Z1[p + W]) + Z2[p + 2W], added in that
+order.  Each Z column comes from exactly one CHUNK-wide GEMM; the GEMM
+blocks live in a ring of 2W // CHUNK + 2, enough to hold every block an
+output chunk reads.  The split is slower where F > C (the encoder's and the
+bottleneck's first convs), so those keep the nine-tap copy.  The backward
+reads the flat input at offset 0 and the output gradient, shifted into the
+input's flat layout, at the reversed tap offsets; per input chunk one GEMM
+gives dX and one adds its share of dW.
 
 Every GEMM of a call has the same shape, whatever the image size.  A BLAS
 GEMM's result for one column can depend on how many columns the call has,
-because blocking and threading follow the shape; with a fixed width, the
-conv of an image window equals the same window of the whole image's conv
-bit for bit, and so tiled inference equals one pass.
+because blocking and threading follow the shape; with a fixed width, and
+the split's planes always added in one order, the conv of an image window
+equals the same window of the whole image's conv bit for bit, and so tiled
+inference equals one pass.
 """
 
 from __future__ import annotations
@@ -213,9 +227,12 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Valid cross-correlation of (C,H,W) with (F,C,k,k) filters plus bias.
 
     k must be 1 or 3; output is (F, H-k+1, W-k+1).  Both kernel sizes run
-    the engine of the module docstring: im2col patches of ``CHUNK`` flat
-    positions, each chunk one GEMM of the same shape, so an output pixel does
-    not depend on the image size.
+    the engine of the module docstring: patches of ``CHUNK`` flat positions,
+    each chunk one GEMM of the same shape, so an output pixel does not depend
+    on the image size.  The taps split by channel counts: a 3x3 conv with
+    F <= C copies its input at the three column taps and adds the GEMM's
+    three row-tap planes, held in a ring of GEMM blocks, in the fixed order
+    (Z0 + Z1) + Z2; every other conv copies its input at all k*k taps.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise ShapeError("conv2d_valid expects (C,H,W) input and (F,C,k,k) weights")
@@ -239,9 +256,37 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x_flat = x.data.reshape(C, HW)
 
     out_flat = np.empty((F, -(-L // CHUNK) * CHUNK + k - 1), dtype)
-    w2 = w.data.reshape(F, C * kk)  # columns ordered (channel, di, dj) like patches
-    for p0, patches in _chunks(x_flat, shifts, L):
-        np.matmul(w2, patches, out=out_flat[:, p0:p0 + CHUNK])
+    if k == 3 and F <= C:
+        # the row taps move to the output side: plane di of the GEMM holds
+        # Z_di[q] = sum over dj of w[:, :, di, dj] @ x[:, q + dj]
+        offsets, planes = [0, 1, 2], [0, W, 2 * W]
+        w2 = w.data.transpose(2, 0, 1, 3).reshape(3 * F, 3 * C)  # rows (di, f), columns (c, dj)
+        ring = np.empty((2 * W // CHUNK + 2, 3 * F, CHUNK), dtype)
+    else:
+        offsets, planes = shifts, [0]
+        w2 = w.data.reshape(F, C * kk)  # columns ordered (channel, di, dj) like patches
+    reach = planes[-1]
+    for p0, patches in _chunks(x_flat, offsets, L + reach):
+        if len(planes) == 1:
+            np.matmul(w2, patches, out=out_flat[:, p0:p0 + CHUNK])
+            continue
+        np.matmul(w2, patches, out=ring[p0 // CHUNK % len(ring)])
+        # this block completes the outputs p whose last plane column p + reach
+        # it holds: out[p] = (Z0[p] + Z1[p + W]) + Z2[p + 2W], each plane read
+        # from the at most two ring blocks its columns straddle
+        lo, hi = max(p0 - reach, 0), min(p0 + CHUNK - reach, L)
+        for i, s in enumerate(planes):
+            q = lo + s
+            while q < hi + s:
+                j, c = divmod(q, CHUNK)
+                m = min(CHUNK - c, hi + s - q)
+                src = ring[j % len(ring), i * F:(i + 1) * F, c:c + m]
+                dst = out_flat[:, q - s:q - s + m]
+                if i:
+                    dst += src
+                else:
+                    dst[...] = src
+                q += m
     out_arr = out_flat[:, :Ho * W].reshape(F, Ho, W)[:, :, :Wo] + b.data[:, None, None]
 
     def grads(g):

@@ -28,9 +28,11 @@ forward and backward of one default-model crop of 252 peak at 256.6 MB of
 allocations (tracemalloc), during dec0's backward: its weight gradient reads
 the 256-channel 240x240 concat (59 MB) while it writes the concat's gradient
 of the same size, so the two must coexist until dec0 stops reading a concat
-(ROADMAP direction 2).  Under ``oceseg``, whose ``main`` fixes
-glibc's mmap threshold, a process's peak RSS is about its baseline plus that
-allocation peak.  Library callers of ``train`` keep glibc's default, whose
+(ROADMAP direction 2).  The forward's three-tap copies of the 3x3 convs
+with no more outputs than inputs (``autodiff``) leave that peak where it
+was: the backward still copies at all nine taps.  Under ``oceseg``, whose
+``main`` fixes glibc's mmap threshold, a process's peak RSS is about its
+baseline plus that allocation peak.  Library callers of ``train`` keep glibc's default, whose
 threshold rises as large blocks are freed, so freed heap may stay resident.
 """
 

@@ -132,7 +132,7 @@ def conv_reference(x, w, b, g):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("C, H, W, F", [(3, 70, 90, 5), (64, 100, 100, 64)])
+@pytest.mark.parametrize("C, H, W, F", [(3, 70, 90, 5), (64, 100, 100, 64), (64, 100, 100, 16)])
 def test_conv_matches_float64_reference_across_chunks(dtype, k, C, H, W, F):
     Ho, Wo = H - k + 1, W - k + 1
     # forward walks (Ho-1)*W + Wo flat outputs and backward H*W flat inputs;
@@ -208,20 +208,55 @@ def test_conv_backward_equals_padded_input_formulation(dtype, k, C, H, W, F):
 
 
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("C, F", [(1, 64), (64, 2), (64, 64)])
-def test_conv_window_equals_whole_image_window(k, C, F):
+@pytest.mark.parametrize("C, F, H, W", [(1, 64, 64, 80), (64, 2, 64, 80), (64, 64, 64, 80),
+                                        (64, 16, 64, 80), (8, 4, 30, 1100), (16, 16, 46, 46)],
+                         ids=["1-64", "64-2", "64-64", "64-16", "8-4-30x1100", "16-16-46x46"])
+def test_conv_window_equals_whole_image_window(k, C, F, H, W):
     """A window of the input convolves to the same window of the output, bit
-    for bit, which is what makes tiled inference equal one pass."""
+    for bit, which is what makes tiled inference equal one pass.  At 30x1100
+    a 3x3 conv's row taps reach 2W >= CHUNK columns, so its ring holds three
+    GEMM blocks; at 46x46 the outputs fit one chunk but the row taps do not."""
     rng = np.random.default_rng(100 * C + F + k)
-    H, W = 64, 80
     x = rng.normal(size=(C, H, W)).astype(np.float32)
     w = Tensor((rng.normal(size=(F, C, k, k)) / np.sqrt(C * k * k)).astype(np.float32))
     b = Tensor(rng.normal(size=F).astype(np.float32))
     whole = conv2d_valid(Tensor(x), w, b).data
-    for r, c, h, wd in [(0, 0, 6, 6), (9, 17, 6, 6), (5, 3, 21, 33), (30, 40, 21, 33),
-                        (0, 0, H - k + 1, 40), (2, 4, 50, 60)]:
+    for r, c, h, wd in [(0, 0, 6, 6), (9, 17, 6, 6), (5, 3, 21, 33),
+                        (max(H - 34, 0), W - 40, 21, 33), (0, 0, H - k + 1, 40),
+                        (2, 4, H - 14, W - 20)]:
         window = conv2d_valid(Tensor(x[:, r:r + h + k - 1, c:c + wd + k - 1]), w, b).data
         assert np.array_equal(window, whole[:, r:r + h, c:c + wd]), (r, c, h, wd)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("C, F, H, W", [(1, 16, 50, 60), (16, 48, 50, 60), (16, 16, 50, 60),
+                                        (64, 16, 50, 60), (8, 4, 30, 1100)])
+def test_conv_forward_splits_taps_by_channel_counts(monkeypatch, k, C, F, H, W):
+    """A 3x3 conv no wider at its output than its input copies the input at
+    the three column taps only; every other conv copies it at all k*k taps.
+    Every forward GEMM, on both routes, has CHUNK columns."""
+    from oceseg import autodiff
+
+    offsets, widths = [], []
+    chunks, matmul = autodiff._chunks, np.matmul
+
+    def spy_chunks(flat, offs, n):
+        offsets.append(list(offs))
+        return chunks(flat, offs, n)
+
+    def spy_matmul(a, b, *args, **kwargs):
+        widths.append((b.shape[-1], kwargs["out"].shape[-1]))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "_chunks", spy_chunks)
+    monkeypatch.setattr(autodiff.np, "matmul", spy_matmul)
+    rng = np.random.default_rng(C + F)
+    x = Tensor(rng.normal(size=(C, H, W)).astype(np.float32))
+    w = Tensor(rng.normal(size=(F, C, k, k)).astype(np.float32))
+    conv2d_valid(x, w, Tensor(np.zeros(F, np.float32)))
+    taps = [di * W + dj for di in range(k) for dj in range(k)]
+    assert offsets == [[0, 1, 2] if k == 3 and F <= C else taps]
+    assert widths and set(widths) == {(CHUNK, CHUNK)}
 
 
 def test_conv_forward_deterministic():

@@ -398,6 +398,36 @@ def test_only_the_cli_touches_the_allocator():
     assert users == {"cli.py"}
 
 
+_PRODUCTS = {"matmul", "dot", "tensordot", "einsum"}
+
+
+def _products(source):
+    """Top-level function of each matrix product in ``source``: an ``@`` or
+    ``@=``, or a mention of a numpy product as a name, an attribute or an
+    imported name."""
+    found = set()
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                hit = isinstance(node.op, ast.MatMult)
+            else:
+                name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                        or getattr(node, "name", None))
+                hit = isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in _PRODUCTS
+            if hit:
+                found.add(where)
+    return found
+
+
+def test_only_the_conv_runs_matrix_products():
+    # every GEMM keeps one fixed width so that tiled inference equals one
+    # pass; a product outside the conv could break that rule unseen
+    users = {(path.stem, where) for path in SRC.glob("*.py")
+             for where in _products(path.read_text(encoding="utf-8"))}
+    assert users == {("autodiff", "conv2d_valid")}
+
+
 def test_write_json_keeps_previous_file_when_a_value_cannot_be_encoded(tmp_path):
     path = tmp_path / "config.json"
     write_json(path, {"a": 1})

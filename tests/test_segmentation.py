@@ -81,8 +81,9 @@ def wide_params():
     return {base: init_params(ModelConfig(base_fmaps=base), 2) for base in (16, 64)}
 
 
-# every conv runs 2048-column GEMMs however small its input, so small tiles
-# are slow at 64 maps: tile 20 on (101, 87) alone would take about 20 s
+# every conv runs 2048-column GEMMs however small its input (a split 3x3 conv
+# whose outputs fit one chunk but whose row taps do not runs two), so small
+# tiles are slow at 64 maps: tile 20 on (101, 87) alone takes about 13 s
 _WIDE_CASES = [
     (base, shape, tile)
     for base in (16, 64)
