@@ -5,9 +5,11 @@ pairwise loss need: valid cross-correlation, ReLU, 2x2 max pooling, the
 decoder entry (a center crop of the skip concatenated with the bottleneck
 upsampled 2x by nearest neighbour, one op) and coordinate gathers.  The
 stand-alone ``upsample_nearest2`` is kept as the tests' reference for the
-decoder entry.  Ops executed inside a ``with Tape()`` block record a node per
-call; ``Tape.backward`` replays the nodes in exact reverse creation order.
-Ops executed without an active tape are plain forward computations.
+decoder entry; ``network`` also imports it because the benchmark's tracer
+wraps ``network.upsample_nearest2`` by name (ROADMAP direction 1).  Ops
+executed inside a ``with Tape()`` block record a node per call;
+``Tape.backward`` replays the nodes in exact reverse creation order.  Ops
+executed without an active tape are plain forward computations.
 
 Every op, the loss's included, computes its output array and a ``grads(g)``
 that maps the output's gradient to one gradient per input, or ``None`` for an
@@ -60,13 +62,15 @@ instead of 9*C, and moves the row taps to the output side, as kn2row does
 (Vasudevan et al. 2017) but with one GEMM per chunk: a (3F, 3C) GEMM over
 the first L + 2W flat positions gives three planes Z0, Z1 and Z2, one per
 row tap, and output p is (Z0[p] + Z1[p + W]) + Z2[p + 2W], added in that
-order.  Each Z column comes from exactly one CHUNK-wide GEMM; the GEMM
-blocks live in a ring of 2W // CHUNK + 2, enough to hold every block an
-output chunk reads.  The split is slower where F > C (the encoder's and the
-bottleneck's first convs), so those keep the nine-tap copy.  The backward
-reads the flat input at offset 0 and the output gradient, shifted into the
-input's flat layout, at the reversed tap offsets; per input chunk one GEMM
-gives dX and one adds its share of dW.
+order.  Each Z column comes from exactly one CHUNK-wide GEMM, and a GEMM
+block's three planes go into the output as soon as the block lands: blocks
+come in ascending column order and planes in order within a block, so
+plane 0 writes every output before planes 1 and 2 add to it, and the
+forward holds one block, whatever the width.  The split is slower where
+F > C (the encoder's and the bottleneck's first convs), so those keep the
+nine-tap copy.  The backward reads the flat input at offset 0 and the output
+gradient, shifted into the input's flat layout, at the reversed tap offsets;
+per input chunk one GEMM gives dX and one adds its share of dW.
 
 Every GEMM of a call has the same shape, whatever the image size.  A BLAS
 GEMM's result for one column can depend on how many columns the call has,
@@ -230,9 +234,10 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the engine of the module docstring: patches of ``CHUNK`` flat positions,
     each chunk one GEMM of the same shape, so an output pixel does not depend
     on the image size.  The taps split by channel counts: a 3x3 conv with
-    F <= C copies its input at the three column taps and adds the GEMM's
-    three row-tap planes, held in a ring of GEMM blocks, in the fixed order
-    (Z0 + Z1) + Z2; every other conv copies its input at all k*k taps.
+    F <= C copies its input at the three column taps and adds each GEMM
+    block's three row-tap planes into the output as the block lands, in the
+    fixed order (Z0 + Z1) + Z2; every other conv copies its input at all
+    k*k taps.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise ShapeError("conv2d_valid expects (C,H,W) input and (F,C,k,k) weights")
@@ -261,32 +266,26 @@ def conv2d_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         # Z_di[q] = sum over dj of w[:, :, di, dj] @ x[:, q + dj]
         offsets, planes = [0, 1, 2], [0, W, 2 * W]
         w2 = w.data.transpose(2, 0, 1, 3).reshape(3 * F, 3 * C)  # rows (di, f), columns (c, dj)
-        ring = np.empty((2 * W // CHUNK + 2, 3 * F, CHUNK), dtype)
+        block = np.empty((3 * F, CHUNK), dtype)
     else:
         offsets, planes = shifts, [0]
         w2 = w.data.reshape(F, C * kk)  # columns ordered (channel, di, dj) like patches
-    reach = planes[-1]
-    for p0, patches in _chunks(x_flat, offsets, L + reach):
+    for p0, patches in _chunks(x_flat, offsets, L + planes[-1]):
         if len(planes) == 1:
             np.matmul(w2, patches, out=out_flat[:, p0:p0 + CHUNK])
             continue
-        np.matmul(w2, patches, out=ring[p0 // CHUNK % len(ring)])
-        # this block completes the outputs p whose last plane column p + reach
-        # it holds: out[p] = (Z0[p] + Z1[p + W]) + Z2[p + 2W], each plane read
-        # from the at most two ring blocks its columns straddle
-        lo, hi = max(p0 - reach, 0), min(p0 + CHUNK - reach, L)
+        np.matmul(w2, patches, out=block)
+        # plane i adds Z_i[p + s] to the outputs p it reaches in this block;
+        # blocks come in ascending p0 and planes in order, so plane 0 writes
+        # every output before planes 1 and 2 add: (Z0 + Z1) + Z2
         for i, s in enumerate(planes):
-            q = lo + s
-            while q < hi + s:
-                j, c = divmod(q, CHUNK)
-                m = min(CHUNK - c, hi + s - q)
-                src = ring[j % len(ring), i * F:(i + 1) * F, c:c + m]
-                dst = out_flat[:, q - s:q - s + m]
+            lo, hi = max(p0 - s, 0), min(p0 + CHUNK - s, L)
+            if lo < hi:  # hi < 0 in the first blocks when 2W > CHUNK
+                src = block[i * F:(i + 1) * F, lo + s - p0:hi + s - p0]
                 if i:
-                    dst += src
+                    out_flat[:, lo:hi] += src
                 else:
-                    dst[...] = src
-                q += m
+                    out_flat[:, lo:hi] = src
     out_arr = out_flat[:, :Ho * W].reshape(F, Ho, W)[:, :, :Wo] + b.data[:, None, None]
 
     def grads(g):

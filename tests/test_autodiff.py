@@ -209,13 +209,18 @@ def test_conv_backward_equals_padded_input_formulation(dtype, k, C, H, W, F):
 
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("C, F, H, W", [(1, 64, 64, 80), (64, 2, 64, 80), (64, 64, 64, 80),
-                                        (64, 16, 64, 80), (8, 4, 30, 1100), (16, 16, 46, 46)],
-                         ids=["1-64", "64-2", "64-64", "64-16", "8-4-30x1100", "16-16-46x46"])
+                                        (64, 16, 64, 80), (8, 4, 30, 1100), (16, 16, 46, 46),
+                                        (5, 5, 21, 2100)],
+                         ids=["1-64", "64-2", "64-64", "64-16", "8-4-30x1100", "16-16-46x46",
+                              "5-5-21x2100"])
 def test_conv_window_equals_whole_image_window(k, C, F, H, W):
     """A window of the input convolves to the same window of the output, bit
     for bit, which is what makes tiled inference equal one pass.  At 30x1100
-    a 3x3 conv's row taps reach 2W >= CHUNK columns, so its ring holds three
-    GEMM blocks; at 46x46 the outputs fit one chunk but the row taps do not."""
+    a 3x3 conv's row taps reach 2W >= CHUNK columns, so plane 2 lands in a
+    later GEMM block than plane 0 and the first block adds nothing to it; at
+    21x2100 one image row is longer than a chunk, so the first block adds
+    nothing to planes 1 or 2 and plane 1 lands more than a chunk past its
+    outputs; at 46x46 the outputs fit one chunk but the row taps do not."""
     rng = np.random.default_rng(100 * C + F + k)
     x = rng.normal(size=(C, H, W)).astype(np.float32)
     w = Tensor((rng.normal(size=(F, C, k, k)) / np.sqrt(C * k * k)).astype(np.float32))
@@ -226,6 +231,28 @@ def test_conv_window_equals_whole_image_window(k, C, F, H, W):
                         (2, 4, H - 14, W - 20)]:
         window = conv2d_valid(Tensor(x[:, r:r + h + k - 1, c:c + wd + k - 1]), w, b).data
         assert np.array_equal(window, whole[:, r:r + h, c:c + wd]), (r, c, h, wd)
+
+
+def test_conv_forward_memory_does_not_grow_with_width():
+    """A 3x3 forward adds its row-tap planes into the output as each GEMM
+    block lands, so it holds one block, not a ring sized by the width: on a
+    (16, 20, 16384) input it peaks under the flat output and the biased
+    output (18.0 MiB each) plus 2 MiB.  A ring of blocks sized by the
+    width, 18 here, peaked at 43.1 MiB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(16, 20, 16384)).astype(np.float32))
+    w = Tensor((rng.normal(size=(16, 16, 3, 3)) / 12).astype(np.float32))
+    b = Tensor(np.zeros(16, np.float32))
+    conv2d_valid(x, w, b)  # warm-up: one-off first-call allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        out = conv2d_valid(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.data.nbytes + 2 * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -291,10 +291,10 @@ def test_default_model_crop_memory_peak(crop, bound_mb):
 @pytest.mark.parametrize("side, bound_mb", [(188, 15.5), (252, 28.5)], ids=["188", "252"])
 def test_fixture_model_forward_memory_peak(side, bound_mb):
     """One forward of the 16-map model without a tape allocates under
-    ``bound_mb`` at peak: 15.0 MB on a 188^2 tile, the benchmark's, and
-    27.0 MB at 252^2.  Copying dec0's input at all nine taps took 16.6 MB
-    at 188^2; holding the encoder's output through the decoder took 18.8
-    and 30.8 MB."""
+    ``bound_mb`` at peak: 14.6 MB on a 188^2 tile, the benchmark's, and
+    27.0 MB at 252^2.  Holding the 3x3 GEMM blocks in a ring took 15.0 MB
+    at 188^2; copying dec0's input at all nine taps took 16.6 MB; holding
+    the encoder's output through the decoder took 18.8 and 30.8 MB."""
     params = init_params(ModelConfig(base_fmaps=16), 5)
     image = np.random.default_rng(5).normal(size=(1, side, side)).astype(np.float32)
     forward(params, image)  # warm-up: one-off first-call allocations stay out of the trace
